@@ -8,7 +8,7 @@ import (
 
 // World is a reusable run arena: it keeps every allocation a simulation
 // run makes — the scheduler's event heap, the channel with its spatial
-// grid and signal pools, the per-node MAC/routing stacks, the transport
+// grid and transmission records, the per-node MAC/routing stacks, the transport
 // engines, the packet pool — and rewinds all of it in place for the next
 // run instead of rebuilding from scratch. Results are byte-identical to
 // fresh runs of the same Config: resets restore exactly the state a fresh

@@ -1,6 +1,11 @@
 package perf
 
-import "testing"
+import (
+	"testing"
+
+	"manetsim/internal/phy"
+	"manetsim/internal/sim"
+)
 
 // The wrappers keep the suite runnable as ordinary go-test benchmarks:
 //
@@ -18,6 +23,7 @@ func BenchmarkChannelNeighborQuerySparse(b *testing.B) {
 	BenchChannelNeighborQuerySparse(b)
 }
 func BenchmarkChannelDeliverImpaired(b *testing.B) { BenchChannelDeliverImpaired(b) }
+func BenchmarkRadioTransmit(b *testing.B)          { BenchRadioTransmit(b) }
 func BenchmarkEndToEndBenchScale(b *testing.B)     { BenchEndToEndBenchScale(b) }
 func BenchmarkRunWithFaults(b *testing.B)          { BenchRunWithFaults(b) }
 func BenchmarkCampaignReplicates(b *testing.B)     { BenchCampaignReplicates(b) }
@@ -38,6 +44,7 @@ func TestSuiteNamesMatchWrappers(t *testing.T) {
 		"BenchmarkChannelNeighborQuery":       true,
 		"BenchmarkChannelNeighborQuerySparse": true,
 		"BenchmarkChannelDeliverImpaired":     true,
+		"BenchmarkRadioTransmit":              true,
 		"BenchmarkEndToEndBenchScale":         true,
 		"BenchmarkRunWithFaults":              true,
 		"BenchmarkCampaignReplicates":         true,
@@ -54,16 +61,37 @@ func TestSuiteNamesMatchWrappers(t *testing.T) {
 	}
 }
 
+// walkAllocs returns the allocations per frame sent from tx and drained,
+// after checking that the frames went the way the gates below mean to
+// measure: each one a single queue entry that walks all five callbacks of
+// a two-neighbor transmission (two signal starts, two ends, TxDone).
+func walkAllocs(t *testing.T, sched *sim.Scheduler, tx *phy.Radio) float64 {
+	t.Helper()
+	entries, frames := 0, 0
+	d0 := sched.Dispatched()
+	n := testing.AllocsPerRun(200, func() {
+		tx.Transmit("frame", 100e3)
+		entries += sched.Pending()
+		frames++
+		sched.Run()
+	})
+	if entries != frames {
+		t.Errorf("%d frames took %d queue entries, want one each", frames, entries)
+	}
+	if got := sched.Dispatched() - d0; got != uint64(5*frames) {
+		t.Errorf("%d frames ran %d callbacks, want 5 each", frames, got)
+	}
+	return n
+}
+
 // TestChannelDeliverImpairedZeroAlloc is the hot-path gate of the
-// link-impairment subsystem: after warm-up (per-link states and signal
-// pools populated), a frame delivery through an impaired channel —
-// loss draws, jitter draws, capture arbitration — must not allocate.
+// link-impairment subsystem: after warm-up (per-link states populated, the
+// transmission record and its signal array pooled), a frame delivery
+// through an impaired channel — loss draws, jitter draws, the arrival
+// re-sort, the walk, capture arbitration — must not allocate.
 func TestChannelDeliverImpairedZeroAlloc(t *testing.T) {
 	sched, tx, _ := newImpairedPair()
-	if n := testing.AllocsPerRun(200, func() {
-		tx.Transmit("frame", 100e3)
-		sched.Run()
-	}); n != 0 {
+	if n := walkAllocs(t, sched, tx); n != 0 {
 		t.Errorf("impaired delivery allocates %.1f times per frame, want 0", n)
 	}
 }
@@ -78,10 +106,7 @@ func TestChannelDeliverFaultedZeroAlloc(t *testing.T) {
 		t.Fatal("fault plane inactive; the gate would only measure the quiet path")
 	}
 	before := sink.rx + sink.corrupted
-	if n := testing.AllocsPerRun(200, func() {
-		tx.Transmit("frame", 100e3)
-		sched.Run()
-	}); n != 0 {
+	if n := walkAllocs(t, sched, tx); n != 0 {
 		t.Errorf("faulted delivery allocates %.1f times per frame, want 0", n)
 	}
 	if sink.rx+sink.corrupted == before {

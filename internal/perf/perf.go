@@ -44,6 +44,7 @@ func Suite() []Case {
 		{"BenchmarkChannelNeighborQuery", BenchChannelNeighborQuery},
 		{"BenchmarkChannelNeighborQuerySparse", BenchChannelNeighborQuerySparse},
 		{"BenchmarkChannelDeliverImpaired", BenchChannelDeliverImpaired},
+		{"BenchmarkRadioTransmit", BenchRadioTransmit},
 		{"BenchmarkEndToEndBenchScale", BenchEndToEndBenchScale},
 		{"BenchmarkRunWithFaults", BenchRunWithFaults},
 		{"BenchmarkCampaignReplicates", BenchCampaignReplicates},
@@ -244,7 +245,8 @@ func (h *sinkHandler) TxDone()                 {}
 // listener at 400 m (energy only under the perfect channel) — with
 // bursty Gilbert-Elliott loss and delay jitter installed, and returns
 // the scheduler, sender radio and receiving sink. One warm-up transmit
-// has already run, so per-link states and signal pools are allocated.
+// has already run, so per-link states and the pooled transmission record
+// are allocated.
 func newImpairedPair() (*sim.Scheduler, *phy.Radio, *sinkHandler) {
 	sched := sim.NewScheduler(1)
 	ch := phy.NewChannel(sched, []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}})
@@ -279,6 +281,40 @@ func BenchChannelDeliverImpaired(b *testing.B) {
 	if sink.rx+sink.corrupted == 0 {
 		b.Fatal("nothing arrived at the receiver")
 	}
+}
+
+// BenchRadioTransmit measures one frame through the perfect channel from
+// the end of a 5-node line whose other four radios all sit within
+// carrier-sense range, two of them within decode range: one Transmit and
+// the nine callbacks it costs (four signal starts, four ends, TxDone). The
+// transmission walks them from a single scheduler entry, so pushes/frame —
+// queue entries one Transmit adds to an empty queue — reads 1.
+func BenchRadioTransmit(b *testing.B) {
+	sched := sim.NewScheduler(1)
+	pts := make([]geo.Point, 5)
+	for i := range pts {
+		pts[i].X = float64(i) * 100
+	}
+	ch := phy.NewChannel(sched, pts)
+	sink := &sinkHandler{}
+	for i := range pts {
+		ch.Radio(pkt.NodeID(i)).SetHandler(sink)
+	}
+	tx := ch.Radio(0)
+	pushes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Transmit("frame", 100*time.Microsecond)
+		pushes += sched.Pending()
+		sched.Run()
+	}
+	b.StopTimer()
+	if sink.rx == 0 {
+		b.Fatal("the neighbors decoded nothing")
+	}
+	b.ReportMetric(float64(pushes)/float64(b.N), "pushes/frame")
+	b.ReportMetric(float64(sched.Dispatched())/float64(b.N), "events/frame")
 }
 
 // newFaultedPair is newImpairedPair with the fault plane installed and

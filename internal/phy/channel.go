@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -70,6 +71,7 @@ type neighbor struct {
 	radio     *Radio
 	propDelay time.Duration
 	decodable bool    // within decode range (otherwise interference/carrier-sense only)
+	rank      int32   // position in arrival order, (propDelay, id) ascending
 	power     float64 // relative received power at the neighbor
 	dist      float64 // link length in meters (input to distance-aware link models)
 }
@@ -108,13 +110,18 @@ type Channel struct {
 	// their previous positions. Reused across epochs, never escapes.
 	moved    []*Radio    //manetsim:resetsafe scratch, truncated at the start of every epoch tick
 	movedOld []geo.Point //manetsim:resetsafe scratch, truncated alongside moved
+	// Scratch for neighborsOf: the entries as the grid yields them and the
+	// packed sort keys that order them. Reused across rebuilds.
+	stage []neighbor //manetsim:resetsafe scratch, truncated at the start of every rebuild
+	keys  []uint64   //manetsim:resetsafe scratch, truncated alongside stage
 
-	// Freelists for the per-transmission hot-path objects. A transmission
-	// to k neighbors needs one txRecord and k signals; all of them are
-	// recycled as their signal-end events retire, so steady-state traffic
-	// does not allocate.
-	freeSignal *signal   //manetsim:resetsafe freelist survives resets; only retired signals are linked in
-	freeTx     *txRecord //manetsim:resetsafe freelist survives resets, same discipline as freeSignal
+	// Freelist of per-transmission records. A transmission needs one
+	// txRecord, which carries its per-receiver signals inline and is
+	// recycled when its walk ends, so steady-state traffic does not
+	// allocate. liveTx counts records handed out and not yet returned: zero
+	// whenever the scheduler has drained (a conservation check for tests).
+	freeTx *txRecord //manetsim:resetsafe freelist survives resets; only retired records are linked in
+	liveTx int
 }
 
 // NewChannel creates a channel for nodes frozen at the given positions and
@@ -156,10 +163,10 @@ func NewMobileChannel(sched *sim.Scheduler, model PositionModel, interval time.D
 // grid is re-bucketed from the model's initial positions, every radio
 // returns to its zero state, and (for non-static models) the epoch tick is
 // re-armed. The caller must Reset the scheduler first — that sweeps the
-// previous run's pending signal events; any in-flight signal/txRecord
-// objects simply drop to the garbage collector (the freelists only ever
-// hold properly retired ones) and MAC frames they referenced are recycled
-// by the MAC's own reset.
+// previous run's pending transmission events; their in-flight txRecords
+// simply drop to the garbage collector (the freelist only ever holds
+// properly retired ones) and MAC frames they referenced are recycled by
+// the MAC's own reset.
 func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 	if model == nil {
 		panic("phy: nil position model")
@@ -177,6 +184,7 @@ func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 	c.impairSeed = 0
 	c.decodeRange = TxRange
 	c.faults = nil
+	c.liveTx = 0
 	c.grid.reset()
 	now := c.sched.Now()
 	for i, r := range c.radios {
@@ -303,15 +311,17 @@ func (c *Channel) markNear(p geo.Point) {
 
 // neighborsOf returns r's current neighbor set, rebuilding the cached slice
 // from the spatial grid when an epoch tick dirtied it. Entries are
-// ordered by node id so event scheduling — and therefore whole runs — stay
-// deterministic regardless of grid-map iteration order.
+// ordered by node id so sequence numbers and link-model draws — and
+// therefore whole runs — stay deterministic regardless of grid-map
+// iteration order; each entry's rank is its place in arrival order, which
+// is where Transmit files the copy so the walk needs no sorting.
 //
 //manetsim:hotpath
 func (c *Channel) neighborsOf(r *Radio) []neighbor {
 	if r.nbValid {
 		return r.nbCache
 	}
-	r.nbCache = r.nbCache[:0]
+	c.stage, c.keys = c.stage[:0], c.keys[:0]
 	// The capturing visitor below runs only on the rebuild path (cache
 	// miss after an epoch tick); the steady state returns the cached slice
 	// above without allocating.
@@ -322,7 +332,8 @@ func (c *Channel) neighborsOf(r *Radio) []neighbor {
 		}
 		d := r.pos.Distance(other.pos)
 		if d <= CSRange {
-			r.nbCache = append(r.nbCache, neighbor{
+			c.keys = append(c.keys, uint64(other.id)<<32|uint64(len(c.stage)))
+			c.stage = append(c.stage, neighbor{
 				radio:     other,
 				propDelay: PropagationDelay(d),
 				decodable: d <= c.decodeRange,
@@ -331,9 +342,22 @@ func (c *Channel) neighborsOf(r *Radio) []neighbor {
 			})
 		}
 	})
-	slices.SortFunc(r.nbCache, func(a, b neighbor) int {
-		return int(a.radio.id - b.radio.id)
-	})
+	// Both orders come from sorting packed keys, which needs no comparator
+	// and moves no structs: id<<32|index gathers the staged entries in id
+	// order, propDelay<<32|index then ranks them by arrival.
+	slices.Sort(c.keys)
+	r.nbCache = r.nbCache[:0]
+	for _, key := range c.keys {
+		r.nbCache = append(r.nbCache, c.stage[uint32(key)])
+	}
+	c.keys = c.keys[:0]
+	for i := range r.nbCache {
+		c.keys = append(c.keys, uint64(r.nbCache[i].propDelay)<<32|uint64(i))
+	}
+	slices.Sort(c.keys)
+	for rank, key := range c.keys {
+		r.nbCache[uint32(key)].rank = int32(rank)
+	}
 	r.nbValid = true
 	return r.nbCache
 }
@@ -369,47 +393,60 @@ func (c *Channel) NeighborCount(id pkt.NodeID) int {
 	return len(c.neighborsOf(c.radios[id]))
 }
 
-// txRecord tracks one transmission's outstanding signal-end events so the
-// frame can be handed back to its owner (the MAC's frame pool) once the
-// channel provably holds no more references to it.
-type txRecord struct {
-	frame     any
-	owner     *Radio
-	remaining int32
-	next      *txRecord // freelist link
-}
-
-// signal is one transmission as perceived by one receiver.
+// signal is one transmission as perceived by one receiver. Signals live
+// inline in their transmission's txRecord; Radio.decoding points into that
+// array, which is stable from Transmit until the record retires.
 type signal struct {
-	frame      any
-	from       pkt.NodeID
-	to         *Radio
-	decodable  bool
-	power      float64
-	start, end sim.Time
-	tx         *txRecord
-	next       *signal // freelist link
+	to        *Radio
+	start     sim.Time // arrival of the first bit; the last leaves at start+airtime
+	seq       uint64   // sequence number of the start sub-event; the end's is seq+1
+	power     float64
+	decodable bool
 }
 
-func (c *Channel) getSignal() *signal {
-	s := c.freeSignal
-	if s != nil {
-		c.freeSignal = s.next
-		s.next = nil
-		return s
-	}
-	return &signal{}
+// before orders two sub-event keys the way the scheduler orders events.
+func before(t1 sim.Time, q1 uint64, t2 sim.Time, q2 uint64) bool {
+	return t1 < t2 || t1 == t2 && q1 < q2
 }
 
-func (c *Channel) putSignal(s *signal) {
-	s.frame = nil
-	s.to = nil
-	s.tx = nil
-	s.next = c.freeSignal
-	c.freeSignal = s
+// byArrival orders signals by (start, seq). Transmit files them by the
+// neighbor cache's arrival rank, so only jitter leaves sorting to do. A
+// package-level function, so sorting with it allocates nothing.
+func byArrival(a, b signal) int {
+	return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.seq, b.seq))
+}
+
+// The sub-events of one transmission to k receivers: k signal starts, k
+// signal ends and the sender's txDone.
+const (
+	stepStart = iota
+	stepEnd
+	stepTxDone
+)
+
+// txRecord is one transmission on the air. It owns a single scheduler
+// entry that walks the 2k+1 sub-events in (time, seq) order under sequence
+// numbers reserved in Transmit — start of neighbor i (id order) = base+2i,
+// its end = base+2i+1, txDone = base+2k, the numbers 2k+1 separate events
+// scheduled in that order would draw. Keys being equal and (time, seq)
+// being a total order, the walk dispatches exactly as those events would.
+type txRecord struct {
+	frame   any
+	owner   *Radio
+	airtime time.Duration
+	sigs    []signal // in arrival order, so ends (start+airtime, seq+1) are too
+
+	started, ended int // sigs[:started] have begun, sigs[:ended] are off the air
+	doneAt         sim.Time
+	doneSeq        uint64
+	donePending    bool
+	step           int // the sub-event the scheduled entry stands for
+
+	next *txRecord // freelist link
 }
 
 func (c *Channel) getTx() *txRecord {
+	c.liveTx++
 	t := c.freeTx
 	if t != nil {
 		c.freeTx = t.next
@@ -420,43 +457,68 @@ func (c *Channel) getTx() *txRecord {
 }
 
 func (c *Channel) putTx(t *txRecord) {
+	c.liveTx--
 	t.frame = nil
 	t.owner = nil
 	t.next = c.freeTx
 	c.freeTx = t
 }
 
-// signalStartFn/signalEndFn/txDoneFn are the scheduler trampolines for the
-// transmission events. Package-level functions plus an argument mean
-// Transmit schedules 2k+1 events without allocating a single closure.
-func signalStartFn(a any) {
-	s := a.(*signal)
-	s.to.signalStart(s)
+// pick selects the earliest outstanding sub-event by a three-way merge of
+// the next start, the next end and txDone, records it in step and returns
+// its key; ok is false once the walk is over.
+func (tx *txRecord) pick() (at sim.Time, seq uint64, ok bool) {
+	if tx.donePending {
+		at, seq, ok = tx.doneAt, tx.doneSeq, true
+		tx.step = stepTxDone
+	}
+	if tx.ended < len(tx.sigs) {
+		s := &tx.sigs[tx.ended]
+		if t, q := s.start+tx.airtime, s.seq+1; !ok || before(t, q, at, seq) {
+			at, seq, ok = t, q, true
+			tx.step = stepEnd
+		}
+	}
+	if tx.started < len(tx.sigs) {
+		s := &tx.sigs[tx.started]
+		if !ok || before(s.start, s.seq, at, seq) {
+			at, seq, ok = s.start, s.seq, true
+			tx.step = stepStart
+		}
+	}
+	return at, seq, ok
 }
 
-func signalEndFn(a any) {
-	s := a.(*signal)
-	r := s.to
-	r.signalEnd(s)
-	tx := s.tx
-	r.ch.putSignal(s)
-	tx.remaining--
-	if tx.remaining == 0 {
-		tx.owner.frameDone(tx.frame)
-		r.ch.putTx(tx)
+// txStepFn is the scheduler callback of a transmission: run the sub-event
+// the entry stands for, then re-key the same entry to the next one. A
+// package-level function plus an argument, so Transmit schedules without
+// allocating a closure.
+//
+//manetsim:hotpath
+func txStepFn(a any) {
+	tx := a.(*txRecord)
+	switch tx.step {
+	case stepStart:
+		s := &tx.sigs[tx.started]
+		tx.started++
+		s.to.signalStart(s)
+	case stepEnd:
+		s := &tx.sigs[tx.ended]
+		tx.ended++
+		s.to.signalEnd(tx, s)
+		if tx.ended == len(tx.sigs) {
+			tx.owner.frameDone(tx.frame)
+		}
+	case stepTxDone:
+		tx.donePending = false
+		tx.owner.txDone()
 	}
-}
-
-func txDoneFn(a any) {
-	r := a.(*Radio)
-	r.txUntil = 0
-	// A node that crashed mid-transmission finishes the frame on the air
-	// (frame-granularity crash boundary) but its MAC is deactivated, so
-	// the completion indication is dropped.
-	if r.ch.faults.NodeDown(r.id) {
-		return
+	ch := tx.owner.ch
+	if at, seq, ok := tx.pick(); ok {
+		ch.sched.Refire(at, seq)
+	} else {
+		ch.putTx(tx)
 	}
-	r.handler.TxDone()
 }
 
 // Radio is the physical layer of one node: it transmits frames onto the
@@ -469,8 +531,8 @@ type Radio struct {
 	handler Handler
 
 	// OnFrameReleased, if set, fires once the channel holds no more
-	// references to a transmitted frame (every receiver's signal-end event
-	// has retired). The MAC uses it to recycle frame objects.
+	// references to a transmitted frame (every receiver's copy is off the
+	// air). The MAC uses it to recycle frame objects.
 	OnFrameReleased func(frame any)
 
 	// Neighbor cache, invalidated by epoch ticks that move this radio or
@@ -591,56 +653,70 @@ func (r *Radio) Transmit(frame any, airtime time.Duration) {
 	r.txTime += airtime
 	r.FramesSent++
 	neighbors := r.ch.neighborsOf(r)
-	if len(neighbors) == 0 {
-		// Nobody can hear the frame: the channel never references it.
-		r.frameDone(frame)
-	} else {
-		tx := r.ch.getTx()
-		tx.frame = frame
-		tx.owner = r
-		tx.remaining = int32(len(neighbors))
-		impaired := r.ch.impair != nil || r.ch.maxJitter > 0
-		faulted := !r.ch.faults.Quiet()
-		for i := range neighbors {
-			nb := &neighbors[i]
-			start := now + nb.propDelay
-			s := r.ch.getSignal()
-			s.frame = frame
-			s.from = r.id
-			s.to = nb.radio
-			s.decodable = nb.decodable
-			s.power = nb.power
-			// A severed link (crashed endpoint, blackout, partition) kills
-			// the copy before any impairment draw: the frame still radiates
-			// as noise, but the link model never sees it, so fault and loss
-			// streams compose without cross-talk.
-			if faulted && s.decodable && r.ch.faults.Severed(r.id, nb.radio.id) {
+	k := len(neighbors)
+	base := r.ch.sched.ReserveSeq(2*k + 1)
+	tx := r.ch.getTx()
+	tx.frame = frame
+	tx.owner = r
+	tx.airtime = airtime
+	tx.sigs = slices.Grow(tx.sigs[:0], k)[:k]
+	tx.started, tx.ended = 0, 0
+	tx.doneAt, tx.doneSeq, tx.donePending = r.txUntil, base+2*uint64(k), true
+	impaired := r.ch.impair != nil || r.ch.maxJitter > 0
+	faulted := !r.ch.faults.Quiet()
+	for i := range neighbors {
+		nb := &neighbors[i]
+		s := &tx.sigs[nb.rank]
+		s.to = nb.radio
+		s.start = now + nb.propDelay
+		s.seq = base + 2*uint64(i)
+		s.power = nb.power
+		s.decodable = nb.decodable
+		// A severed link (crashed endpoint, blackout, partition) kills
+		// the copy before any impairment draw: the frame still radiates
+		// as noise, but the link model never sees it, so fault and loss
+		// streams compose without cross-talk.
+		if faulted && s.decodable && r.ch.faults.Severed(r.id, nb.radio.id) {
+			s.decodable = false
+			r.FramesFaulted++
+		}
+		if impaired {
+			// Per-link draws in neighbor (id) order: one corruption
+			// draw per decodable copy, one jitter draw per copy. A
+			// corrupted copy still radiates — it arrives as noise
+			// (RxCorrupted/EIFS at the receiver), exactly like a
+			// sub-threshold signal.
+			st := r.linkState(nb.radio.id)
+			if s.decodable && r.ch.impair != nil && r.ch.impair.Corrupt(st, nb.dist) {
 				s.decodable = false
-				r.FramesFaulted++
+				r.FramesImpaired++
 			}
-			if impaired {
-				// Per-link draws in neighbor (id) order: one corruption
-				// draw per decodable copy, one jitter draw per copy. A
-				// corrupted copy still radiates — it arrives as noise
-				// (RxCorrupted/EIFS at the receiver), exactly like a
-				// sub-threshold signal.
-				st := r.linkState(nb.radio.id)
-				if s.decodable && r.ch.impair != nil && r.ch.impair.Corrupt(st, nb.dist) {
-					s.decodable = false
-					r.FramesImpaired++
-				}
-				if r.ch.maxJitter > 0 {
-					start += time.Duration(st.Float64() * float64(r.ch.maxJitter))
-				}
+			if r.ch.maxJitter > 0 {
+				s.start += time.Duration(st.Float64() * float64(r.ch.maxJitter))
 			}
-			s.start = start
-			s.end = start + airtime
-			s.tx = tx
-			r.ch.sched.AtFunc(start, signalStartFn, s)
-			r.ch.sched.AtFunc(s.end, signalEndFn, s)
 		}
 	}
-	r.ch.sched.AtFunc(r.txUntil, txDoneFn, r)
+	if r.ch.maxJitter > 0 {
+		slices.SortFunc(tx.sigs, byArrival)
+	}
+	if k == 0 {
+		// Nobody can hear the frame: the channel never references it.
+		r.frameDone(frame)
+	}
+	at, seq, _ := tx.pick()
+	r.ch.sched.AtFuncSeq(at, seq, txStepFn, tx)
+}
+
+// txDone completes the radio's own transmission.
+func (r *Radio) txDone() {
+	r.txUntil = 0
+	// A node that crashed mid-transmission finishes the frame on the air
+	// (frame-granularity crash boundary) but its MAC is deactivated, so
+	// the completion indication is dropped.
+	if r.ch.faults.NodeDown(r.id) {
+		return
+	}
+	r.handler.TxDone()
 }
 
 // frameDone reports the frame back to the owner once the channel is done
@@ -659,8 +735,8 @@ func (r *Radio) frameDone(frame any) {
 func (r *Radio) signalStart(s *signal) {
 	wasIdle := r.airCount == 0
 	r.airCount++
-	// A crashed node keeps the air bookkeeping consistent (its signal-end
-	// events still retire) but neither decodes nor indicates to its MAC.
+	// A crashed node keeps the air bookkeeping consistent (its signal ends
+	// still retire) but neither decodes nor indicates to its MAC.
 	if r.ch.faults.NodeDown(r.id) {
 		return
 	}
@@ -691,7 +767,7 @@ func (r *Radio) signalStart(s *signal) {
 // successful delivery — noise from beyond decode range, corrupted decodes,
 // or anything overlapping our own transmission — report RxCorrupted so the
 // MAC applies EIFS.
-func (r *Radio) signalEnd(s *signal) {
+func (r *Radio) signalEnd(tx *txRecord, s *signal) {
 	r.airCount--
 	if r.ch.faults.NodeDown(r.id) {
 		// Crashed receiver: retire the signal silently, abandoning any
@@ -705,13 +781,13 @@ func (r *Radio) signalEnd(s *signal) {
 	switch {
 	case r.decoding == s:
 		r.decoding = nil
-		r.rxTime += s.end - s.start
+		r.rxTime += tx.airtime
 		if r.Transmitting() || r.corrupted {
 			r.Collisions++
 			r.handler.RxCorrupted()
 		} else {
 			r.FramesDelivered++
-			r.handler.RxFrame(s.frame, s.from)
+			r.handler.RxFrame(tx.frame, tx.owner.id)
 		}
 		r.corrupted = false
 	default:

@@ -16,6 +16,11 @@
 // no-ops. For callbacks that would otherwise capture state, AtFunc/AfterFunc
 // take a plain function plus an argument so scheduling does not allocate a
 // closure either.
+//
+// An event may re-key itself from inside its own callback (Refire) under
+// sequence numbers reserved up front (ReserveSeq, AtFuncSeq): one queue
+// entry then stands for a train of sub-events that still dispatch in the
+// exact (time, seq) order separate events would have had.
 package sim
 
 import (
@@ -79,6 +84,10 @@ type Scheduler struct {
 	src     rand.Source
 	rng     *rand.Rand //manetsim:resetsafe identity kept across resets; reseeding src restarts its stream
 	stopped bool
+	// cur is the event whose callback is running. It stays queued (its
+	// generation already bumped) until the callback returns, so Refire can
+	// re-key it in place; nil outside callbacks and once re-keyed.
+	cur *Event
 	// dispatched counts events that have fired (for diagnostics and tests).
 	dispatched uint64
 }
@@ -105,6 +114,7 @@ func (s *Scheduler) Reset(seed int64) {
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
+	s.cur = nil
 	s.dispatched = 0
 	s.src.Seed(seed)
 }
@@ -120,11 +130,21 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Dispatched returns the number of events executed so far.
 func (s *Scheduler) Dispatched() uint64 { return s.dispatched }
 
+// ReserveSeq sets aside n consecutive sequence numbers — the ones the next
+// n At/AtFunc calls would have drawn — and returns the first. The caller
+// spends them through AtFuncSeq and Refire, which lets one event stand for
+// n and still fire at the exact (time, seq) keys of the n.
+func (s *Scheduler) ReserveSeq(n int) uint64 {
+	base := s.seq
+	s.seq += uint64(n)
+	return base
+}
+
 // alloc takes an event slot from the freelist (or the heap allocator when
 // the freelist is dry) and stamps it with the schedule key.
-func (s *Scheduler) alloc(t Time) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+func (s *Scheduler) alloc(t Time, seq uint64) *Event {
+	if t < s.now || seq >= s.seq {
+		s.badKey(t, seq)
 	}
 	e := s.free
 	if e != nil {
@@ -134,9 +154,19 @@ func (s *Scheduler) alloc(t Time) *Event {
 		e = &Event{}
 	}
 	e.at = t
-	e.seq = s.seq
-	s.seq++
+	e.seq = seq
 	return e
+}
+
+// badKey panics on a key that would corrupt causality: a time in the past
+// always indicates a protocol bug, and a sequence number nobody reserved
+// could collide with a later event's. Callers test inline; this is the
+// cold half.
+func (s *Scheduler) badKey(t Time, seq uint64) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	panic(fmt.Sprintf("sim: sequence number %d was never reserved (next is %d)", seq, s.seq))
 }
 
 // release recycles a dispatched or cancelled event slot. Bumping the
@@ -158,7 +188,7 @@ func (s *Scheduler) At(t Time, fn func()) EventRef {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e := s.alloc(t)
+	e := s.alloc(t, s.ReserveSeq(1))
 	e.fn = fn
 	s.push(e)
 	return EventRef{e: e, gen: e.gen}
@@ -170,14 +200,50 @@ func (s *Scheduler) At(t Time, fn func()) EventRef {
 //
 //manetsim:hotpath
 func (s *Scheduler) AtFunc(t Time, fn func(any), arg any) EventRef {
+	return s.AtFuncSeq(t, s.ReserveSeq(1), fn, arg)
+}
+
+// AtFuncSeq is AtFunc under a sequence number obtained from ReserveSeq
+// instead of a fresh one, so the event orders among same-instant events as
+// if it had been scheduled when the number was reserved.
+//
+//manetsim:hotpath
+func (s *Scheduler) AtFuncSeq(t Time, seq uint64, fn func(any), arg any) EventRef {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	e := s.alloc(t)
+	e := s.alloc(t, seq)
 	e.fnA = fn
 	e.arg = arg
 	s.push(e)
 	return EventRef{e: e, gen: e.gen}
+}
+
+// Refire makes the event whose callback is running fire again — same
+// callback, same argument — at (t, seq), seq being a reserved number like
+// AtFuncSeq's. It is valid only from inside that callback, once per
+// dispatch. The event never leaves the queue: it is re-keyed where it sits
+// (the root, unless the callback scheduled something ahead of it), so each
+// step of a train costs one sift instead of a pop, a slot recycle and a
+// push. Refs to the event went stale at its first dispatch, as for any.
+//
+//manetsim:hotpath
+func (s *Scheduler) Refire(t Time, seq uint64) {
+	e := s.cur
+	if e == nil {
+		panic("sim: Refire outside the event's own callback")
+	}
+	if t < s.now || seq >= s.seq {
+		s.badKey(t, seq)
+	}
+	s.cur = nil
+	e.at = t
+	e.seq = seq
+	i := int(e.idx)
+	s.siftDown(i)
+	if i > 0 {
+		s.siftUp(i)
+	}
 }
 
 // After schedules fn to run d after the current time.
@@ -205,8 +271,15 @@ func (s *Scheduler) Cancel(r EventRef) {
 // callback completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// Pending returns the number of events waiting in the queue.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// Pending returns the number of events waiting in the queue. The event
+// whose callback is running has fired and does not count, unless it has
+// re-keyed itself with Refire.
+func (s *Scheduler) Pending() int {
+	if s.cur != nil {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
 
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty.
@@ -216,21 +289,32 @@ func (s *Scheduler) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	e := s.pop()
+	if s.cur != nil {
+		panic("sim: Step called from inside an event callback")
+	}
+	e := s.heap[0]
 	if e.at < s.now {
 		panic(fmt.Sprintf("sim: time moving backwards: event at %v, now %v", e.at, s.now))
 	}
 	s.now = e.at
 	s.dispatched++
-	// Copy the callback out and recycle the slot before running it: the
-	// callback may schedule (and thus reuse the slot), and any stale
-	// Cancel during the callback is rejected by the bumped generation.
-	fn, fnA, arg := e.fn, e.fnA, e.arg
-	s.release(e)
-	if fnA != nil {
-		fnA(arg)
+	// The event stays queued while its callback runs so Refire can re-key
+	// it in place. Bumping the generation first makes every outstanding
+	// ref stale: a Cancel of the dispatching event from inside the
+	// callback is rejected exactly as if the slot were already recycled.
+	e.gen++
+	s.cur = e
+	if e.fnA != nil {
+		e.fnA(e.arg)
 	} else {
-		fn()
+		e.fn()
+	}
+	// Still current: neither re-keyed by Refire nor swept by a Reset from
+	// inside the callback, so the event is spent.
+	if s.cur == e {
+		s.cur = nil
+		s.remove(e)
+		s.release(e)
 	}
 	return true
 }
@@ -308,22 +392,6 @@ func (s *Scheduler) push(e *Event) {
 	s.siftUp(int(e.idx))
 }
 
-func (s *Scheduler) pop() *Event {
-	h := s.heap
-	e := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.heap = h[:n]
-	if n > 0 {
-		last.idx = 0
-		s.heap[0] = last
-		s.siftDown(0)
-	}
-	e.idx = -1
-	return e
-}
-
 // remove deletes the event at its current heap position.
 func (s *Scheduler) remove(e *Event) {
 	i := int(e.idx)
@@ -336,7 +404,9 @@ func (s *Scheduler) remove(e *Event) {
 		last.idx = int32(i)
 		s.heap[i] = last
 		s.siftDown(i)
-		s.siftUp(i)
+		if i > 0 {
+			s.siftUp(i)
+		}
 	}
 	e.idx = -1
 }

@@ -104,14 +104,29 @@ func TestSchedulerSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 		s.After(time.Microsecond, tick)
 	}
 	s.Run()
+	// A train — one entry re-keyed through nine reserved sequence numbers —
+	// rides the same freelist and must not allocate either.
+	var base uint64
+	steps := 0
+	var walk func(any)
+	walk = func(any) {
+		if steps++; steps%9 != 0 {
+			s.Refire(s.Now()+time.Microsecond, base+uint64(steps%9))
+		}
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 16; i++ {
 			s.After(time.Microsecond, tick)
 		}
+		base = s.ReserveSeq(9)
+		s.AtFuncSeq(s.Now()+time.Microsecond, base, walk, nil)
 		s.Run()
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state schedule/dispatch allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if steps%9 != 0 || steps == 0 {
+		t.Errorf("train walked %d steps, want a multiple of 9", steps)
 	}
 }
 
