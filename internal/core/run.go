@@ -166,10 +166,11 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// ctxCheckInterval is how many dispatched events pass between context
-// polls: small enough that cancellation lands within a fraction of a
-// millisecond of wall time, large enough that the poll never shows up in a
-// profile.
+// ctxCheckInterval is how many dispatched events — callbacks, as
+// Scheduler.Dispatched counts them, each sub-event of a transmission being
+// one — pass between context polls: small enough that cancellation lands
+// within a fraction of a millisecond of wall time, large enough that the
+// poll never shows up in a profile.
 const ctxCheckInterval = 4096
 
 // RunContext executes one configured simulation under ctx and returns its

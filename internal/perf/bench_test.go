@@ -64,19 +64,25 @@ func TestSuiteNamesMatchWrappers(t *testing.T) {
 // walkAllocs returns the allocations per frame sent from tx and drained,
 // after checking that the frames went the way the gates below mean to
 // measure: each one a single queue entry that walks all five callbacks of
-// a two-neighbor transmission (two signal starts, two ends, TxDone).
+// a two-neighbor transmission (two signal starts, two ends, TxDone) in one
+// scheduler round trip, nothing else being queued.
 func walkAllocs(t *testing.T, sched *sim.Scheduler, tx *phy.Radio) float64 {
 	t.Helper()
-	entries, frames := 0, 0
+	entries, frames, steps := 0, 0, 0
 	d0 := sched.Dispatched()
 	n := testing.AllocsPerRun(200, func() {
 		tx.Transmit("frame", 100e3)
 		entries += sched.Pending()
 		frames++
-		sched.Run()
+		for sched.Step() {
+			steps++
+		}
 	})
 	if entries != frames {
 		t.Errorf("%d frames took %d queue entries, want one each", frames, entries)
+	}
+	if steps != frames {
+		t.Errorf("%d frames took %d scheduler round trips, want one each", frames, steps)
 	}
 	if got := sched.Dispatched() - d0; got != uint64(5*frames) {
 		t.Errorf("%d frames ran %d callbacks, want 5 each", frames, got)

@@ -74,6 +74,11 @@ type neighbor struct {
 	rank      int32   // position in arrival order, (propDelay, id) ascending
 	power     float64 // relative received power at the neighbor
 	dist      float64 // link length in meters (input to distance-aware link models)
+	// link is the impairment stream of the directed link to radio, resolved
+	// when the cache is rebuilt; nil on an unimpaired channel. Whatever
+	// invalidates link states (reset, SetLinkModel) also drops nbValid, so
+	// the pointer never outlives its seeding.
+	link *linkmodel.State
 }
 
 // Channel connects the radios of one scenario. Reachability is threshold
@@ -347,8 +352,13 @@ func (c *Channel) neighborsOf(r *Radio) []neighbor {
 	// order, propDelay<<32|index then ranks them by arrival.
 	slices.Sort(c.keys)
 	r.nbCache = r.nbCache[:0]
+	impaired := c.impaired()
 	for _, key := range c.keys {
-		r.nbCache = append(r.nbCache, c.stage[uint32(key)])
+		nb := c.stage[uint32(key)]
+		if impaired {
+			nb.link = r.linkState(nb.radio.id)
+		}
+		r.nbCache = append(r.nbCache, nb)
 	}
 	c.keys = c.keys[:0]
 	for i := range r.nbCache {
@@ -361,6 +371,9 @@ func (c *Channel) neighborsOf(r *Radio) []neighbor {
 	r.nbValid = true
 	return r.nbCache
 }
+
+// impaired reports whether frame copies take per-link draws (loss, jitter).
+func (c *Channel) impaired() bool { return c.impair != nil || c.maxJitter > 0 }
 
 // Radio returns the radio of node id.
 func (c *Channel) Radio(id pkt.NodeID) *Radio { return c.radios[id] }
@@ -429,7 +442,9 @@ const (
 // numbers reserved in Transmit — start of neighbor i (id order) = base+2i,
 // its end = base+2i+1, txDone = base+2k, the numbers 2k+1 separate events
 // scheduled in that order would draw. Keys being equal and (time, seq)
-// being a total order, the walk dispatches exactly as those events would.
+// being a total order, the walk dispatches exactly as those events would,
+// whether a sub-event is reached through the queue or run ahead inline
+// (txStepFn).
 type txRecord struct {
 	frame   any
 	owner   *Radio
@@ -490,34 +505,43 @@ func (tx *txRecord) pick() (at sim.Time, seq uint64, ok bool) {
 }
 
 // txStepFn is the scheduler callback of a transmission: run the sub-event
-// the entry stands for, then re-key the same entry to the next one. A
-// package-level function plus an argument, so Transmit schedules without
-// allocating a closure.
+// the entry stands for and keep walking while the transmission's next key
+// is also the scheduler's (sim.Advance) — a sub-event runs inline only when
+// it would have been the next Step anyway. When something else is due
+// first, or the run is stopping, re-key the entry to the next sub-event
+// (sim.Refire) and return. A package-level function plus an argument, so
+// Transmit schedules without allocating a closure.
 //
 //manetsim:hotpath
 func txStepFn(a any) {
 	tx := a.(*txRecord)
-	switch tx.step {
-	case stepStart:
-		s := &tx.sigs[tx.started]
-		tx.started++
-		s.to.signalStart(s)
-	case stepEnd:
-		s := &tx.sigs[tx.ended]
-		tx.ended++
-		s.to.signalEnd(tx, s)
-		if tx.ended == len(tx.sigs) {
-			tx.owner.frameDone(tx.frame)
-		}
-	case stepTxDone:
-		tx.donePending = false
-		tx.owner.txDone()
-	}
 	ch := tx.owner.ch
-	if at, seq, ok := tx.pick(); ok {
-		ch.sched.Refire(at, seq)
-	} else {
-		ch.putTx(tx)
+	for {
+		switch tx.step {
+		case stepStart:
+			s := &tx.sigs[tx.started]
+			tx.started++
+			s.to.signalStart(s)
+		case stepEnd:
+			s := &tx.sigs[tx.ended]
+			tx.ended++
+			s.to.signalEnd(tx, s)
+			if tx.ended == len(tx.sigs) {
+				tx.owner.frameDone(tx.frame)
+			}
+		case stepTxDone:
+			tx.donePending = false
+			tx.owner.txDone()
+		}
+		at, seq, ok := tx.pick()
+		if !ok {
+			ch.putTx(tx)
+			return
+		}
+		if !ch.sched.Advance(at, seq) {
+			ch.sched.Refire(at, seq)
+			return
+		}
 	}
 }
 
@@ -541,9 +565,9 @@ type Radio struct {
 	nbValid bool
 
 	// Per-directed-link impairment streams, keyed by receiver and seeded
-	// lazily from the channel's impairSeed (see linkState). Entries are
-	// allocated once per link ever contacted and reused across arena
-	// runs; the steady-state transmit path only looks them up.
+	// from the channel's impairSeed (see linkState). Entries are allocated
+	// once per link ever contacted and reused across arena runs; the map
+	// owns them, the transmit path reads them through the neighbor cache.
 	links map[pkt.NodeID]*linkmodel.State
 
 	txUntil   sim.Time // end of own transmission (0 => not transmitting)
@@ -563,9 +587,9 @@ type Radio struct {
 }
 
 // linkState returns the impairment stream of the directed link from this
-// radio to the given receiver, creating and seeding it on first contact.
-// After a reset (or SetLinkModel) existing states are merely invalidated,
-// so steady-state traffic never allocates here.
+// radio to the given receiver, creating it on first contact and seeding it
+// if a reset (or SetLinkModel) invalidated it. Called once per neighbor and
+// cache rebuild, so steady-state traffic neither allocates nor looks up.
 func (r *Radio) linkState(to pkt.NodeID) *linkmodel.State {
 	st := r.links[to]
 	if st == nil {
@@ -662,7 +686,7 @@ func (r *Radio) Transmit(frame any, airtime time.Duration) {
 	tx.sigs = slices.Grow(tx.sigs[:0], k)[:k]
 	tx.started, tx.ended = 0, 0
 	tx.doneAt, tx.doneSeq, tx.donePending = r.txUntil, base+2*uint64(k), true
-	impaired := r.ch.impair != nil || r.ch.maxJitter > 0
+	impaired := r.ch.impaired()
 	faulted := !r.ch.faults.Quiet()
 	for i := range neighbors {
 		nb := &neighbors[i]
@@ -686,7 +710,7 @@ func (r *Radio) Transmit(frame any, airtime time.Duration) {
 			// corrupted copy still radiates — it arrives as noise
 			// (RxCorrupted/EIFS at the receiver), exactly like a
 			// sub-threshold signal.
-			st := r.linkState(nb.radio.id)
+			st := nb.link
 			if s.decodable && r.ch.impair != nil && r.ch.impair.Corrupt(st, nb.dist) {
 				s.decodable = false
 				r.FramesImpaired++

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -23,14 +24,20 @@ type indication struct {
 
 // tape is a Handler appending every indication of its node to a log shared
 // by the whole channel, so the log's order is the global dispatch order.
+// With stopEvery set it also stops the run from inside every so-manieth
+// indication — mid-walk, as a finished flow stops a real run.
 type tape struct {
-	sched *sim.Scheduler
-	node  pkt.NodeID
-	log   *[]indication
+	sched     *sim.Scheduler
+	node      pkt.NodeID
+	log       *[]indication
+	stopEvery int
 }
 
 func (t *tape) add(kind string) {
 	*t.log = append(*t.log, indication{t.sched.Now(), t.node, kind})
+	if t.stopEvery > 0 && len(*t.log)%t.stopEvery == 0 {
+		t.sched.Stop()
+	}
 }
 func (t *tape) RxFrame(any, pkt.NodeID) { t.add("rx") }
 func (t *tape) RxCorrupted()            { t.add("corrupt") }
@@ -43,7 +50,7 @@ func taped(positions []geo.Point) (*sim.Scheduler, *Channel, *[]indication) {
 	ch := NewChannel(sched, positions)
 	log := new([]indication)
 	for i := range positions {
-		ch.Radio(pkt.NodeID(i)).SetHandler(&tape{sched, pkt.NodeID(i), log})
+		ch.Radio(pkt.NodeID(i)).SetHandler(&tape{sched, pkt.NodeID(i), log, 0})
 	}
 	return sched, ch, log
 }
@@ -226,19 +233,22 @@ func TestWalkRetiresAcrossFaults(t *testing.T) {
 
 // TestWalkConservesAirUnderContention overlaps many walks — every node of a
 // chain transmitting on its own period, jitter shuffling arrivals, frames
-// colliding and capturing — and checks conservation after the drain, then
-// again after an arena-style Reset that cuts the traffic off mid-frame.
+// colliding and capturing — and checks conservation after the drain. It then
+// replays the same traffic over the Reset arena with the run stopped from
+// inside every seventh indication and resumed: the walks cut by Stop must
+// produce the identical indication log and drain just the same. Last, a
+// replay is cut off mid-frame by a Stop and swept by an arena-style Reset.
 func TestWalkConservesAirUnderContention(t *testing.T) {
 	const n = 8
-	sched, ch, _ := taped(geo.Chain(n - 1))
-	arm := func() {
-		t0 := sched.Now()
+	sched, ch, log := taped(geo.Chain(n - 1))
+	arm := func(stopEvery int) {
 		ch.SetLinkModel(linkmodel.UniformLoss{P: 0.2}, 20*time.Microsecond, 0, 3)
 		for i := 0; i < n; i++ {
 			r := ch.Radio(pkt.NodeID(i))
+			r.SetHandler(&tape{sched, r.id, log, stopEvery})
 			period := time.Duration(310+37*i) * time.Microsecond
 			for at := period; at < 20*time.Millisecond; at += period {
-				sched.At(t0+at, func() {
+				sched.At(at, func() {
 					if !r.Transmitting() {
 						r.Transmit("x", 200*time.Microsecond)
 					}
@@ -246,7 +256,12 @@ func TestWalkConservesAirUnderContention(t *testing.T) {
 			}
 		}
 	}
-	arm()
+	rewind := func() {
+		sched.Reset(1)
+		ch.Reset(&staticModel{pts: geo.Chain(n - 1)}, 0)
+		assertDrained(t, sched, ch)
+	}
+	arm(0)
 	sched.Run()
 	var sent, collided uint64
 	for _, r := range ch.radios {
@@ -257,13 +272,88 @@ func TestWalkConservesAirUnderContention(t *testing.T) {
 		t.Fatalf("sent %d frames with %d collisions; the scenario should contend", sent, collided)
 	}
 	assertDrained(t, sched, ch)
+	whole := slices.Clone(*log)
 
-	arm()
-	sched.RunUntil(sched.Now() + 5*time.Millisecond + 50*time.Microsecond)
-	if ch.liveTx == 0 {
+	rewind()
+	*log = (*log)[:0]
+	arm(7)
+	stops := 0
+	for sched.Pending() > 0 {
+		sched.Run()
+		stops++
+	}
+	if stops < len(whole)/7 {
+		t.Fatalf("the run was stopped %d times over %d indications, want one in seven", stops, len(whole))
+	}
+	if !slices.Equal(*log, whole) {
+		t.Fatalf("walks cut by Stop logged %d indications that differ from the uncut run's %d", len(*log), len(whole))
+	}
+	assertDrained(t, sched, ch)
+
+	rewind()
+	arm(len(whole) / 3)
+	sched.Run()
+	if ch.liveTx == 0 || sched.Pending() == 0 {
 		t.Fatal("no transmission in flight at the cut-off; pick another instant")
 	}
-	sched.Reset(1)
-	ch.Reset(&staticModel{pts: geo.Chain(n - 1)}, 0)
-	assertDrained(t, sched, ch)
+	rewind()
+}
+
+// TestWalkCancelLatencyOnDenseTrain cancels a polled run from inside an
+// indication of a frame to 40 neighbors — an 81-sub-event walk that would
+// otherwise be a single scheduler round trip — and checks that the run
+// returns within one polling interval of callbacks, not one of Steps.
+func TestWalkCancelLatencyOnDenseTrain(t *testing.T) {
+	const (
+		neighbors = 40
+		every     = 16
+	)
+	positions := make([]geo.Point, neighbors+1)
+	for i := range positions {
+		positions[i] = geo.Point{X: float64(i%7) * 30, Y: float64(i/7) * 30}
+	}
+	sched, ch, log := taped(positions)
+	if k := ch.NeighborCount(0); k != neighbors {
+		t.Fatalf("sender has %d neighbors, want %d", k, neighbors)
+	}
+	for frame := 0; frame < 10; frame++ {
+		sched.At(time.Duration(frame)*time.Millisecond, func() { ch.Radio(0).Transmit("x", 100*time.Microsecond) })
+	}
+	cancelled := errors.New("cancelled")
+	var cancelAt uint64
+	// The nearest receiver's copy is the first to end: 39 ends still to go.
+	ch.Radio(1).SetHandler(&cancelOnIdle{after: 3, sched: sched, at: &cancelAt})
+	err := sched.RunUntilWithCheck(time.Second, every, func() error {
+		if cancelAt != 0 {
+			return cancelled
+		}
+		return nil
+	})
+	if err != cancelled {
+		t.Fatalf("run returned %v, want the cancellation", err)
+	}
+	if late := sched.Dispatched() - cancelAt; late > every {
+		t.Errorf("run returned %d callbacks after the cancellation, want at most %d", late, every)
+	}
+	if len(*log) == 0 || ch.liveTx != 1 {
+		t.Errorf("%d indications logged, %d frames in flight at the abort; the cancel should land mid-walk", len(*log), ch.liveTx)
+	}
+}
+
+// cancelOnIdle is a Handler that records the dispatch count at its after-th
+// ChannelIdle, which is how the test above "cancels its context".
+type cancelOnIdle struct {
+	after int
+	sched *sim.Scheduler
+	at    *uint64
+}
+
+func (c *cancelOnIdle) RxFrame(any, pkt.NodeID) {}
+func (c *cancelOnIdle) RxCorrupted()            {}
+func (c *cancelOnIdle) ChannelBusy()            {}
+func (c *cancelOnIdle) TxDone()                 {}
+func (c *cancelOnIdle) ChannelIdle() {
+	if c.after--; c.after == 0 {
+		*c.at = c.sched.Dispatched()
+	}
 }

@@ -17,14 +17,19 @@
 // take a plain function plus an argument so scheduling does not allocate a
 // closure either.
 //
-// An event may re-key itself from inside its own callback (Refire) under
-// sequence numbers reserved up front (ReserveSeq, AtFuncSeq): one queue
-// entry then stands for a train of sub-events that still dispatch in the
-// exact (time, seq) order separate events would have had.
+// One queue entry may stand for a train of sub-events under sequence
+// numbers reserved up front (ReserveSeq, AtFuncSeq). After each sub-event
+// the callback asks Advance whether the train's next key is also the
+// queue's: if so the clock moves there and the callback runs the next
+// sub-event itself, without a round trip through Step; if anything else is
+// due first it re-keys the entry with Refire and returns. Either way the
+// sub-events dispatch in the exact (time, seq) order separate events would
+// have had.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -90,12 +95,23 @@ type Scheduler struct {
 	cur *Event
 	// dispatched counts events that have fired (for diagnostics and tests).
 	dispatched uint64
+	// deadline and pollAt fence Advance in on behalf of the run loop in
+	// progress: no sub-event runs inline past the loop's deadline or once
+	// its check is due. The loop sets both and lifts them on return.
+	deadline Time //manetsim:resetsafe belongs to the run loop in progress; a Reset from inside a callback must not lift it
+	pollAt   uint64
 }
+
+// No run loop is in progress, or it has no deadline / no check to poll.
+const (
+	noDeadline = Time(math.MaxInt64)
+	noPoll     = uint64(math.MaxUint64)
+)
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
 func NewScheduler(seed int64) *Scheduler {
 	src := rand.NewSource(seed)
-	return &Scheduler{src: src, rng: rand.New(src)}
+	return &Scheduler{src: src, rng: rand.New(src), deadline: noDeadline, pollAt: noPoll}
 }
 
 // Reset rewinds the scheduler to the state NewScheduler(seed) would produce
@@ -116,6 +132,9 @@ func (s *Scheduler) Reset(seed int64) {
 	s.stopped = false
 	s.cur = nil
 	s.dispatched = 0
+	if s.pollAt != noPoll {
+		s.pollAt = 0 // counted in the old dispatched; the loop polls again at once
+	}
 	s.src.Seed(seed)
 }
 
@@ -246,6 +265,45 @@ func (s *Scheduler) Refire(t Time, seq uint64) {
 	}
 }
 
+// Advance reports whether (t, seq) — the next key of the train whose
+// callback is running, seq being a reserved number like Refire's — is also
+// the next key of the whole queue: earlier than every other pending event,
+// not past the deadline of the run in progress, with no Stop and no
+// cancellation check outstanding. If so it moves the clock to t, counts the
+// dispatch and returns true, and the callback runs that sub-event itself;
+// that is exactly what the next Step would have done, minus the trip.
+// Otherwise nothing changes and the callback falls back to Refire(t, seq).
+//
+//manetsim:hotpath
+func (s *Scheduler) Advance(t Time, seq uint64) bool {
+	e := s.cur
+	if e == nil {
+		panic("sim: Advance outside the event's own callback")
+	}
+	if t < s.now || seq >= s.seq {
+		s.badKey(t, seq)
+	}
+	if s.stopped || t > s.deadline || s.dispatched >= s.pollAt {
+		return false
+	}
+	// The running event holds the root under the key it was dispatched at,
+	// so the earliest of the others is one of the root's children. (Had the
+	// callback pushed something above it — an older reserved number spent at
+	// this very instant — the event or an ancestor of it would be one of
+	// those children, under a key earlier than (t, seq), and refuse too.)
+	h := s.heap
+	for _, o := range h[1:min(len(h), 5)] {
+		if o.at < t || o.at == t && o.seq < seq {
+			return false
+		}
+	}
+	e.at = t
+	e.seq = seq
+	s.now = t
+	s.dispatched++
+	return true
+}
+
 // After schedules fn to run d after the current time.
 func (s *Scheduler) After(d Time, fn func()) EventRef {
 	return s.At(s.now+d, fn)
@@ -330,46 +388,41 @@ func (s *Scheduler) Run() {
 // beyond the deadline remain queued; the clock is advanced to the deadline
 // if the queue drains or only later events remain.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 || s.heap[0].at > deadline {
-			break
-		}
-		s.Step()
-	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
-	}
+	_ = s.runUntil(deadline, 0, nil) // no check, no error
 }
 
 // RunUntilWithCheck runs like RunUntil but invokes check() before the first
-// event and then once every `every` dispatched events. A non-nil error from
-// check aborts the run immediately (the clock stays wherever it was) and is
-// returned. It exists so a driver can poll an external cancellation signal
-// — e.g. a context — without the per-event cost landing on runs that have
-// nothing to poll: callers with no signal keep using RunUntil.
+// event and then once every `every` dispatched events, sub-events of a
+// train included. A non-nil error from check aborts the run immediately
+// (the clock stays wherever it was) and is returned. It exists so a driver
+// can poll an external cancellation signal — e.g. a context — without the
+// per-event cost landing on runs that have nothing to poll: callers with no
+// signal keep using RunUntil.
 func (s *Scheduler) RunUntilWithCheck(deadline Time, every uint64, check func() error) error {
-	if every == 0 {
-		every = 1
-	}
+	return s.runUntil(deadline, max(every, 1), check)
+}
+
+// runUntil is the loop behind RunUntil (check == nil) and RunUntilWithCheck.
+func (s *Scheduler) runUntil(deadline Time, every uint64, check func() error) (err error) {
 	s.stopped = false
-	var n uint64
-	for !s.stopped {
-		if len(s.heap) == 0 || s.heap[0].at > deadline {
-			break
-		}
-		if n%every == 0 {
-			if err := check(); err != nil {
-				return err
+	s.deadline, s.pollAt = deadline, noPoll
+	if check != nil {
+		s.pollAt = s.dispatched
+	}
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= deadline {
+		if s.dispatched >= s.pollAt {
+			if err = check(); err != nil {
+				break
 			}
+			s.pollAt = s.dispatched + every
 		}
-		n++
 		s.Step()
 	}
-	if !s.stopped && s.now < deadline {
+	s.deadline, s.pollAt = noDeadline, noPoll
+	if err == nil && !s.stopped && s.now < deadline {
 		s.now = deadline
 	}
-	return nil
+	return err
 }
 
 // The queue is a 4-ary min-heap ordered by (time, creation sequence). The

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,11 +10,12 @@ import (
 )
 
 // A "train" is one queue entry walking several sub-events under reserved
-// sequence numbers (ReserveSeq + AtFuncSeq + Refire). The property below
-// runs one random program twice — trains walked in place, and every
-// sub-event scheduled as an AtFunc of its own — and demands the identical
-// dispatch log, which is the equivalence the PHY's transmission walk rests
-// on.
+// sequence numbers (ReserveSeq + AtFuncSeq, then Advance or else Refire per
+// sub-event). The property below runs one random program three times —
+// every sub-event scheduled as an AtFunc of its own, trains re-keyed in
+// place step by step, and trains running ahead inline wherever Advance lets
+// them — and demands the identical dispatch log, which is the equivalence
+// the PHY's transmission walk rests on.
 
 // fired is one log entry: the dispatch key and which sub-event ran. A
 // marker entry (id -1) records where each RunUntil call stopped.
@@ -22,10 +25,19 @@ type fired struct {
 	id, sub int
 }
 
+type trainMode int
+
+const (
+	separate trainMode = iota // one AtFunc per sub-event: the reference
+	refire                    // one entry per train, re-keyed after every sub-event
+	ahead                     // one entry per train, Advance else Refire
+)
+
 type trainProg struct {
 	s      *Scheduler
 	rng    *rand.Rand
-	walk   bool // walk trains in place; otherwise one AtFunc per sub-event
+	mode   trainMode
+	inline int // sub-events reached through Advance
 	log    []fired
 	plain  []EventRef // every plain event ever scheduled, for cancels
 	nextID int
@@ -69,12 +81,21 @@ func carFn(a any) {
 
 func walkFn(a any) {
 	tr := a.(*trainSpec)
-	sub := tr.order[tr.pos]
-	tr.pos++
-	tr.p.fire(tr.id, sub, tr.refs[0])
-	if tr.pos < len(tr.order) {
+	p := tr.p
+	for {
+		sub := tr.order[tr.pos]
+		tr.pos++
+		p.fire(tr.id, sub, tr.refs[0])
+		if tr.pos == len(tr.order) {
+			return
+		}
 		next := tr.order[tr.pos]
-		tr.p.s.Refire(tr.at[next], tr.base+uint64(next))
+		at, seq := tr.at[next], tr.base+uint64(next)
+		if p.mode != ahead || !p.s.Advance(at, seq) {
+			p.s.Refire(at, seq)
+			return
+		}
+		p.inline++
 	}
 }
 
@@ -121,7 +142,7 @@ func (p *trainProg) newTrain() {
 		tr.order = append(tr.order, j)
 	}
 	slices.SortStableFunc(tr.order, func(a, b int) int { return int(tr.at[a] - tr.at[b]) })
-	if !p.walk {
+	if p.mode == separate {
 		for j := range tr.at {
 			tr.refs = append(tr.refs, p.s.AtFunc(tr.at[j], carFn, &car{tr, j}))
 		}
@@ -134,36 +155,46 @@ func (p *trainProg) newTrain() {
 
 // run seeds the program and drives it with short RunUntil slices, so
 // deadlines and Stops land in the middle of trains and the next call has
-// to resume them.
+// to resume them. Every other slice polls a check that never objects, at
+// an interval shorter than most trains, so the polling fence cuts trains
+// too.
 func (p *trainProg) run(until Time) []fired {
 	p.newPlain()
 	p.newTrain()
 	p.newTrain()
 	for deadline := Time(3); p.s.Pending() > 0 && deadline <= until; deadline += 3 {
-		p.s.RunUntil(deadline)
+		if deadline%2 == 0 {
+			p.s.RunUntil(deadline)
+		} else if err := p.s.RunUntilWithCheck(deadline, 2, func() error { return nil }); err != nil {
+			panic(err)
+		}
 		p.log = append(p.log, fired{at: p.s.Now(), id: -1})
 	}
 	return p.log
 }
 
-func newTrainProg(s *Scheduler, seed int64, walk bool) *trainProg {
-	return &trainProg{s: s, rng: rand.New(rand.NewSource(seed)), walk: walk}
+func newTrainProg(s *Scheduler, seed int64, mode trainMode) *trainProg {
+	return &trainProg{s: s, rng: rand.New(rand.NewSource(seed)), mode: mode}
 }
 
 func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 	const forever = Time(1 << 40)
+	inline := 0
 	f := func(seed int64) bool {
-		want := newTrainProg(NewScheduler(seed), seed, false).run(forever)
-		got := newTrainProg(NewScheduler(seed), seed, true).run(forever)
-		if !slices.Equal(got, want) {
-			t.Logf("seed %d: walked trains diverge from separate events\n got %v\nwant %v", seed, got, want)
-			return false
+		want := newTrainProg(NewScheduler(seed), seed, separate).run(forever)
+		for _, mode := range []trainMode{refire, ahead} {
+			p := newTrainProg(NewScheduler(seed), seed, mode)
+			if got := p.run(forever); !slices.Equal(got, want) {
+				t.Logf("seed %d: trains walked in mode %d diverge from separate events\n got %v\nwant %v", seed, mode, got, want)
+				return false
+			}
+			inline += p.inline
 		}
 		// The same program on a scheduler Reset with trains mid-walk: the
 		// pending entries are swept, their refs go stale, and the rerun
 		// cannot tell the scheduler from a fresh one.
 		s := NewScheduler(seed + 1)
-		dirty := newTrainProg(s, seed+1, true)
+		dirty := newTrainProg(s, seed+1, ahead)
 		dirty.run(6)
 		s.Reset(seed)
 		if s.Pending() != 0 {
@@ -177,7 +208,7 @@ func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 			}
 			s.Cancel(ref)
 		}
-		if got := newTrainProg(s, seed, true).run(forever); !slices.Equal(got, want) {
+		if got := newTrainProg(s, seed, ahead).run(forever); !slices.Equal(got, want) {
 			t.Logf("seed %d: rerun after Reset diverges\n got %v\nwant %v", seed, got, want)
 			return false
 		}
@@ -185,6 +216,9 @@ func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	if inline == 0 {
+		t.Error("no sub-event ever ran ahead; the property compared Refire with itself")
 	}
 }
 
@@ -223,30 +257,274 @@ func TestResetRecyclesPendingTrain(t *testing.T) {
 	}
 }
 
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", name)
+		}
+	}()
+	fn()
+}
+
 func TestTrainMisusePanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
 	noop := func(any) {}
 	s := NewScheduler(1)
 	base := s.ReserveSeq(2)
-	mustPanic("Refire outside a callback", func() { s.Refire(1, base) })
-	mustPanic("AtFuncSeq under an unreserved number", func() { s.AtFuncSeq(1, base+2, noop, nil) })
+	mustPanic(t, "Refire outside a callback", func() { s.Refire(1, base) })
+	mustPanic(t, "Advance outside a callback", func() { s.Advance(1, base) })
+	mustPanic(t, "AtFuncSeq under an unreserved number", func() { s.AtFuncSeq(1, base+2, noop, nil) })
 	s.AtFuncSeq(10, base, func(any) {
-		mustPanic("Refire into the past", func() { s.Refire(9, base+1) })
-		mustPanic("Refire under an unreserved number", func() { s.Refire(11, base+3) })
-		mustPanic("Step inside a callback", func() { s.Step() })
+		mustPanic(t, "Refire into the past", func() { s.Refire(9, base+1) })
+		mustPanic(t, "Refire under an unreserved number", func() { s.Refire(11, base+3) })
+		mustPanic(t, "Advance into the past", func() { s.Advance(9, base+1) })
+		mustPanic(t, "Advance under an unreserved number", func() { s.Advance(11, base+3) })
+		mustPanic(t, "Step inside a callback", func() { s.Step() })
 		s.Refire(10, base+1)
-		mustPanic("second Refire in one dispatch", func() { s.Refire(12, base+1) })
+		mustPanic(t, "second Refire in one dispatch", func() { s.Refire(12, base+1) })
+		mustPanic(t, "Advance after Refire", func() { s.Advance(12, base+1) })
 	}, nil)
 	s.Step()
 	if s.Pending() != 1 || s.Now() != 10 {
 		t.Fatalf("pending=%d now=%v after the first step, want 1 and 10ns", s.Pending(), s.Now())
+	}
+}
+
+// walker is a hand-laid train for the explicit cases below: sub-event j
+// fires at (at[j], seq[j]), keys ascending, and runs hook(j) from inside the
+// callback. Sub-events and the plain events beside them append to one log,
+// "<name>@<time>" each.
+type walker struct {
+	s      *Scheduler
+	log    *[]string
+	at     []Time
+	seq    []uint64
+	pos    int
+	inline int // sub-events reached through Advance
+	cut    bool
+	hook   func(sub int)
+}
+
+func walkerFn(a any) {
+	w := a.(*walker)
+	for {
+		sub := w.pos
+		w.pos++
+		*w.log = append(*w.log, fmt.Sprintf("sub%d@%d", sub, w.s.Now()))
+		if w.hook != nil {
+			w.hook(sub)
+		}
+		if w.pos == len(w.at) || w.cut {
+			return
+		}
+		if !w.s.Advance(w.at[w.pos], w.seq[w.pos]) {
+			w.s.Refire(w.at[w.pos], w.seq[w.pos])
+			return
+		}
+		w.inline++
+	}
+}
+
+// newWalker queues a train over consecutive fresh sequence numbers.
+func newWalker(s *Scheduler, log *[]string, at ...Time) *walker {
+	w := &walker{s: s, log: log, at: at}
+	base := s.ReserveSeq(len(at))
+	for j := range at {
+		w.seq = append(w.seq, base+uint64(j))
+	}
+	s.AtFuncSeq(at[0], base, walkerFn, w)
+	return w
+}
+
+func plainAt(s *Scheduler, log *[]string, name string, at Time) {
+	s.At(at, func() { *log = append(*log, fmt.Sprintf("%s@%d", name, s.Now())) })
+}
+
+func wantLog(t *testing.T, got *[]string, want ...string) {
+	t.Helper()
+	if !slices.Equal(*got, want) {
+		t.Fatalf("dispatch log %v, want %v", *got, want)
+	}
+	*got = (*got)[:0]
+}
+
+func TestTrainStopHaltsRunAheadAndResumes(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	w := newWalker(s, log, 1, 2, 3, 4)
+	w.hook = func(sub int) {
+		if sub == 1 {
+			s.Stop()
+		}
+	}
+	s.RunUntil(10)
+	wantLog(t, log, "sub0@1", "sub1@2")
+	if s.Now() != 2 || s.Pending() != 1 || s.Dispatched() != 2 {
+		t.Fatalf("stopped at now=%v pending=%d dispatched=%d, want 2, 1, 2", s.Now(), s.Pending(), s.Dispatched())
+	}
+	s.RunUntil(10)
+	wantLog(t, log, "sub2@3", "sub3@4")
+	if s.Now() != 10 || s.Pending() != 0 || s.Dispatched() != 4 {
+		t.Fatalf("resumed to now=%v pending=%d dispatched=%d, want 10, 0, 4", s.Now(), s.Pending(), s.Dispatched())
+	}
+	if w.inline != 2 {
+		t.Errorf("%d sub-events ran ahead, want 2 (one before the Stop, one after the resume)", w.inline)
+	}
+}
+
+func TestTrainDeadlineBetweenSubEvents(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	w := newWalker(s, log, 1, 3, 5, 5)
+	s.RunUntil(2)
+	wantLog(t, log, "sub0@1")
+	if s.Now() != 2 || s.Pending() != 1 {
+		t.Fatalf("now=%v pending=%d after a deadline between sub-events, want 2 and 1", s.Now(), s.Pending())
+	}
+	// A sub-event exactly at the deadline belongs to the run, as an event's
+	// would.
+	if err := s.RunUntilWithCheck(3, 100, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	wantLog(t, log, "sub1@3")
+	if s.Now() != 3 || s.Pending() != 1 {
+		t.Fatalf("now=%v pending=%d after a deadline on a sub-event, want 3 and 1", s.Now(), s.Pending())
+	}
+	// Outside any run loop nothing fences the walk in.
+	s.Step()
+	wantLog(t, log, "sub2@5", "sub3@5")
+	if w.inline != 1 || s.Pending() != 0 {
+		t.Fatalf("a bare Step ran %d sub-events ahead and left %d queued, want 1 and 0", w.inline, s.Pending())
+	}
+}
+
+func TestTrainInterleavesWithSameInstantEvents(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	// Keys at t=5 in sequence order: sub0, plain a, sub1, sub2, plain b.
+	w := &walker{s: s, log: log, at: []Time{5, 5, 5}}
+	w.seq = append(w.seq, s.ReserveSeq(1))
+	plainAt(s, log, "a", 5)
+	w.seq = append(w.seq, s.ReserveSeq(1), s.ReserveSeq(1))
+	plainAt(s, log, "b", 5)
+	s.AtFuncSeq(5, w.seq[0], walkerFn, w)
+	s.Run()
+	wantLog(t, log, "sub0@5", "a@5", "sub1@5", "sub2@5", "b@5")
+	if w.inline != 1 {
+		t.Errorf("%d sub-events ran ahead, want 1: sub1 waits for a, sub2 precedes b", w.inline)
+	}
+}
+
+// TestTrainYieldsToOlderReservedNumber has a sub-event spend, at its own
+// instant, a number reserved before the train's: that event orders ahead of
+// the running one, which is then no longer the queue's root, and the next
+// sub-event has to wait its turn behind it.
+func TestTrainYieldsToOlderReservedNumber(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	old := s.ReserveSeq(1)
+	w := newWalker(s, log, 5, 5, 6)
+	w.hook = func(sub int) {
+		if sub == 0 {
+			s.AtFuncSeq(5, old, func(any) { *log = append(*log, "old@5") }, nil)
+		}
+	}
+	s.Run()
+	wantLog(t, log, "sub0@5", "old@5", "sub1@5", "sub2@6")
+	if w.inline != 1 {
+		t.Errorf("%d sub-events ran ahead, want 1 (sub2 only)", w.inline)
+	}
+}
+
+func TestTrainFallsBackWhenSubEventSchedulesEarlier(t *testing.T) {
+	for _, tc := range []struct {
+		plain  Time
+		want   []string
+		inline int
+	}{
+		{2, []string{"sub0@1", "p@2", "sub1@3"}, 0},
+		{4, []string{"sub0@1", "sub1@3", "p@4"}, 1},
+	} {
+		s, log := NewScheduler(1), new([]string)
+		w := newWalker(s, log, 1, 3)
+		w.hook = func(sub int) {
+			if sub == 0 {
+				plainAt(s, log, "p", tc.plain)
+			}
+		}
+		s.Run()
+		wantLog(t, log, tc.want...)
+		if w.inline != tc.inline {
+			t.Errorf("event scheduled for t=%d from sub0: %d sub-events ran ahead, want %d", tc.plain, w.inline, tc.inline)
+		}
+	}
+}
+
+// TestTrainResetInsideSubEvent sweeps the scheduler from inside a train's
+// own sub-event, under a polled run with a deadline: the train is gone, its
+// callback may neither advance nor re-key, the loop polls again at once
+// (its mark was counted in the old Dispatched) and still holds whatever is
+// scheduled after the Reset to its deadline.
+func TestTrainResetInsideSubEvent(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	w := newWalker(s, log, 1, 2, 3)
+	var second *walker
+	w.hook = func(sub int) {
+		if sub != 1 {
+			return
+		}
+		s.Reset(1)
+		w.cut = true
+		mustPanic(t, "Advance after Reset", func() { s.Advance(3, 0) })
+		mustPanic(t, "Refire after Reset", func() { s.Refire(3, 0) })
+		second = newWalker(s, log, 5, 15)
+	}
+	var polledAt []uint64
+	err := s.RunUntilWithCheck(10, 1000, func() error {
+		polledAt = append(polledAt, s.Dispatched())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLog(t, log, "sub0@1", "sub1@2", "sub0@5")
+	if !slices.Equal(polledAt, []uint64{0, 0}) {
+		t.Errorf("check polled at dispatch counts %v, want [0 0]: at the start and right after the Reset", polledAt)
+	}
+	if s.Now() != 10 || s.Pending() != 1 || s.Dispatched() != 1 || second.inline != 0 {
+		t.Fatalf("now=%v pending=%d dispatched=%d inline=%d after the run, want 10, 1, 1, 0",
+			s.Now(), s.Pending(), s.Dispatched(), second.inline)
+	}
+	s.Run()
+	wantLog(t, log, "sub1@15")
+}
+
+// TestTrainPolledEveryIntervalOfSubEvents runs one 81-car train — a frame
+// to 40 neighbors — under a check polled every 16 dispatches: the check
+// must see every sixteenth callback although a single Step could cover all
+// 81, and an error from it must stop the train where it stands.
+func TestTrainPolledEveryIntervalOfSubEvents(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	at := make([]Time, 81)
+	for j := range at {
+		at[j] = Time(1 + j)
+	}
+	w := newWalker(s, log, at...)
+	stop := errors.New("cancelled")
+	var polledAt []uint64
+	err := s.RunUntilWithCheck(1000, 16, func() error {
+		polledAt = append(polledAt, s.Dispatched())
+		if s.Dispatched() == 48 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("run returned %v, want the check's error", err)
+	}
+	if !slices.Equal(polledAt, []uint64{0, 16, 32, 48}) {
+		t.Errorf("check polled at dispatch counts %v, want [0 16 32 48]", polledAt)
+	}
+	if s.Now() != 48 || s.Pending() != 1 || w.pos != 48 {
+		t.Fatalf("aborted at now=%v pending=%d after %d sub-events, want 48, 1, 48", s.Now(), s.Pending(), w.pos)
+	}
+	if w.inline != 48-3 {
+		t.Errorf("%d sub-events ran ahead, want 45: all but the three dispatched after a poll", w.inline)
 	}
 }
