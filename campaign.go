@@ -52,23 +52,11 @@ var (
 type Campaign struct {
 	Scale Scale
 
-	// Workers bounds parallel simulations (default GOMAXPROCS).
-	//
-	// Deprecated: pass WithWorkers to NewCampaign instead. The field
-	// keeps working (set it before the first run) but new code should
-	// configure campaigns through CampaignOptions.
-	Workers int
-
-	// DisableArenaReuse makes every campaign run build its world from
-	// scratch instead of drawing a reusable arena (World) from the
-	// per-worker pool. Results are identical either way — arena reuse is
-	// byte-exact — so this exists as a diagnostic escape hatch and as the
-	// honest baseline for the replicate-throughput benchmark.
-	//
-	// Deprecated: pass WithoutArenaReuse to NewCampaign instead. The
-	// field keeps working (set it before the first run) but new code
-	// should configure campaigns through CampaignOptions.
-	DisableArenaReuse bool
+	// workers bounds parallel simulations (WithWorkers; default
+	// GOMAXPROCS). disableArenaReuse makes every run build its world from
+	// scratch (WithoutArenaReuse).
+	workers           int
+	disableArenaReuse bool
 
 	// storeDir, when set via WithStore, roots the persistent result
 	// store; the store itself opens at init so open errors surface from
@@ -89,11 +77,10 @@ type Campaign struct {
 	// arenas pools one reusable World per worker slot. Takes are
 	// non-blocking: a run that finds the pool momentarily empty builds
 	// fresh rather than waiting, and puts simply drop when the pool is
-	// full, so the pool can never deadlock the semaphore.
+	// full, so the pool can never deadlock the semaphore. With arena reuse
+	// disabled the channel stays nil — always empty, always full — so
+	// every run builds fresh and its World is dropped.
 	arenas chan *core.World
-
-	gapMu   sync.Mutex
-	gapMemo map[string]time.Duration
 }
 
 // NewCampaign creates a campaign at the given scale. Options configure
@@ -107,35 +94,28 @@ func NewCampaign(scale Scale, opts ...CampaignOption) *Campaign {
 	return c
 }
 
-func (c *Campaign) init() {
+// Ready forces the campaign's lazy initialization and reports any
+// configuration error that could not be reported where it was made — most
+// usefully an unusable WithStore directory, which opens here. Every
+// Run/Sweep surfaces the same error on first use; Ready is exported so
+// long-running services ("manetsim serve") can fail fast at startup
+// instead of on the first submitted sweep.
+func (c *Campaign) Ready() error {
 	c.once.Do(func() {
-		if c.Workers <= 0 {
-			c.Workers = runtime.GOMAXPROCS(0)
+		if c.workers <= 0 {
+			c.workers = runtime.GOMAXPROCS(0)
 		}
-		c.sem = make(chan struct{}, c.Workers)
+		c.sem = make(chan struct{}, c.workers)
 		c.cache = make(map[string]*cacheEntry)
-		c.arenas = make(chan *core.World, c.Workers)
-		c.gapMemo = make(map[string]time.Duration)
+		if !c.disableArenaReuse {
+			c.arenas = make(chan *core.World, c.workers)
+		}
 		if c.storeDir != "" {
 			c.store, c.storeErr = store.Open(c.storeDir, ResultSchemaVersion)
 		}
 	})
-}
-
-// ready initializes the campaign and surfaces configuration errors that
-// could not be reported where they were made (the store directory from
-// WithStore opens lazily, at first use).
-func (c *Campaign) ready() error {
-	c.init()
 	return c.storeErr
 }
-
-// Ready forces the campaign's lazy initialization and reports any
-// configuration error — most usefully an unusable WithStore directory.
-// Every Run/Sweep surfaces the same error on first use; Ready exists so
-// long-running services ("manetsim serve") can fail fast at startup
-// instead of on the first submitted sweep.
-func (c *Campaign) Ready() error { return c.ready() }
 
 // Executed returns how many simulations this campaign actually ran —
 // results served from the in-memory cache or the persistent store are
@@ -174,27 +154,10 @@ func (c *Campaign) storePut(key string, res *Result) {
 	_ = c.store.Put(key, raw)
 }
 
-// runStored executes one fully scaled config through the persistent
-// store: completed results load from disk without simulating, fresh
-// results are simulated and persisted. The caller must hold a worker
-// slot (see runCore).
-func (c *Campaign) runStored(ctx context.Context, key string, cfg Config) (*Result, error) {
-	if res, ok := c.storeGet(key); ok {
-		return res, nil
-	}
-	res, err := c.runCore(ctx, cfg)
-	if err != nil {
-		return res, err
-	}
-	c.executed.Add(1)
-	c.storePut(key, res)
-	return res, nil
-}
-
-// runCore executes one fully scaled config, reusing a pooled arena unless
-// DisableArenaReuse is set. The caller must hold a worker slot, which is
-// what keeps concurrent arena use impossible: at most Workers runs are in
-// flight and the pool holds at most Workers arenas, each owned exclusively
+// runCore executes one fully scaled config, reusing a pooled arena when
+// there is one (see arenas). The caller must hold a worker slot, which is
+// what keeps concurrent arena use impossible: at most workers runs are in
+// flight and the pool holds at most workers arenas, each owned exclusively
 // while checked out.
 //
 // A panicking simulation (a registered transport or fault injector with a
@@ -202,10 +165,6 @@ func (c *Campaign) runStored(ctx context.Context, key string, cfg Config) (*Resu
 // error, and the World it ran in is dropped instead of returned to the
 // pool, so its possibly-corrupt state can never leak into later runs.
 func (c *Campaign) runCore(ctx context.Context, cfg Config) (res *Result, err error) {
-	if c.DisableArenaReuse {
-		defer recoverRunPanic(&err)
-		return core.RunContext(ctx, cfg)
-	}
 	var w *core.World
 	select {
 	case w = <-c.arenas:
@@ -214,8 +173,6 @@ func (c *Campaign) runCore(ctx context.Context, cfg Config) (res *Result, err er
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			// Do not return the arena: the panic may have left it
-			// half-mutated.
 			res, err = nil, fmt.Errorf("manetsim: simulation panicked: %v", p)
 			return
 		}
@@ -225,13 +182,6 @@ func (c *Campaign) runCore(ctx context.Context, cfg Config) (res *Result, err er
 		}
 	}()
 	return w.RunContext(ctx, cfg)
-}
-
-// recoverRunPanic converts a simulation panic into the run's error.
-func recoverRunPanic(err *error) {
-	if p := recover(); p != nil {
-		*err = fmt.Errorf("manetsim: simulation panicked: %v", p)
-	}
 }
 
 // scaled fills a config's unset measurement budget and seed from the
@@ -256,11 +206,6 @@ func (c *Campaign) scaled(cfg Config) Config {
 // goroutines, breaking Observer's single-threaded contract.
 var errCampaignObserver = errors.New("manetsim: campaign runs do not support Config.Observer — results may be served from the shared cache without re-running, and sweeps run in parallel; attach observers to direct Run calls instead")
 
-// configKey derives the cache key from a config: Config.CacheKey, the
-// canonical JSON-by-value identity shared by the in-memory cache and the
-// persistent store.
-func configKey(cfg Config) string { return cfg.CacheKey() }
-
 // errAborted marks work skipped because an earlier item in the same
 // fan-out already failed. It never escapes runParallel: the first real
 // error wins the error channel before the abort flag is raised.
@@ -268,8 +213,8 @@ var errAborted = errors.New("manetsim: campaign run skipped after an earlier fai
 
 // runParallel is the shared fan-out: it executes work(i) for every i in
 // [0,n) on its own goroutine and returns the results in input order.
-// Bounding comes from withSlot inside the work functions, so cache hits
-// never wait for a worker slot.
+// Bounding comes from the worker slot cachedRun takes, so cache hits never
+// wait for one.
 //
 // The first error returns immediately — the caller does not wait for the
 // remaining slots to drain. In-flight simulations cannot be preempted and
@@ -321,10 +266,40 @@ func (c *Campaign) runParallel(n int, work func(i int, abort *atomic.Bool) (*Res
 	}
 }
 
-// withSlot runs fn while holding one of the campaign's worker slots.
-// Cancellation and a raised abort flag are both honoured while queued:
-// work behind a failed or cancelled sibling bails out without running.
-func (c *Campaign) withSlot(ctx context.Context, abort *atomic.Bool, fn func() (*Result, error)) (*Result, error) {
+// cacheEntry is one single-flight cache slot: the first caller for a key
+// executes the run, concurrent duplicates wait for it and share the
+// outcome; done is closed once res/err are set.
+type cacheEntry struct {
+	once sync.Once
+	done chan struct{}
+	res  *Result
+	err  error
+}
+
+// cachedRun is the one path a scaled config takes to a result: the
+// in-memory cache, then — holding a worker slot — the persistent store,
+// then the simulator. Completed entries return immediately without
+// touching the worker semaphore. Cancellation and a raised abort flag are
+// both honoured while queued for a slot, leaving the entry unclaimed, and
+// an entry whose run was cancelled mid-flight is forgotten — so neither
+// aborts nor cancellations poison the cache.
+func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool) (*Result, error) {
+	if cfg.Observer != nil {
+		return nil, errCampaignObserver
+	}
+	key := cfg.CacheKey()
+	c.mu.Lock()
+	e := c.cache[key]
+	if e == nil {
+		e = &cacheEntry{done: make(chan struct{})}
+		c.cache[key] = e
+	}
+	c.mu.Unlock()
+	select {
+	case <-e.done:
+		return e.res, e.err
+	default:
+	}
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -337,75 +312,32 @@ func (c *Campaign) withSlot(ctx context.Context, abort *atomic.Bool, fn func() (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return fn()
-}
-
-// cacheEntry is one single-flight cache slot: the first caller for a key
-// executes the run, concurrent duplicates wait for it and share the
-// outcome; done is closed once res/err are set.
-type cacheEntry struct {
-	once sync.Once
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-func (e *cacheEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// forget drops a completed entry so a later caller re-runs the config;
-// used when a run died of context cancellation, which says nothing about
-// the config itself.
-func (c *Campaign) forget(key string, e *cacheEntry) {
-	c.mu.Lock()
-	if c.cache[key] == e {
-		delete(c.cache, key)
-	}
-	c.mu.Unlock()
-}
-
-// cachedRun executes one already-scaled config through the cache.
-// Completed entries return immediately without touching the worker
-// semaphore. An abort or cancellation observed before the entry is claimed
-// leaves it unclaimed, and an entry whose run was cancelled mid-flight is
-// forgotten — so neither aborts nor cancellations poison the cache.
-func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool) (*Result, error) {
-	if cfg.Observer != nil {
-		return nil, errCampaignObserver
-	}
-	key := configKey(cfg)
-	c.mu.Lock()
-	e := c.cache[key]
-	if e == nil {
-		e = &cacheEntry{done: make(chan struct{})}
-		c.cache[key] = e
-	}
-	c.mu.Unlock()
-	if e.completed() {
-		return e.res, e.err
-	}
-	return c.withSlot(ctx, abort, func() (*Result, error) {
-		e.once.Do(func() {
-			e.res, e.err = c.runStored(ctx, key, cfg)
-			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-				c.forget(key, e)
-			}
-			close(e.done)
-		})
-		return e.res, e.err
+	e.once.Do(func() {
+		defer close(e.done)
+		var stored bool
+		if e.res, stored = c.storeGet(key); stored {
+			return
+		}
+		e.res, e.err = c.runCore(ctx, cfg)
+		switch {
+		case e.err == nil:
+			c.executed.Add(1)
+			c.storePut(key, e.res)
+		case errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded):
+			// Cancellation says nothing about the config itself: drop the
+			// entry so a later caller re-runs it.
+			c.mu.Lock()
+			delete(c.cache, key)
+			c.mu.Unlock()
+		}
 	})
+	return e.res, e.err
 }
 
 // Run executes one config — scaled to the campaign's Scale — through the
 // cache (and, when configured, the persistent store).
 func (c *Campaign) Run(ctx context.Context, cfg Config) (*Result, error) {
-	if err := c.ready(); err != nil {
+	if err := c.Ready(); err != nil {
 		return nil, err
 	}
 	return c.cachedRun(ctx, c.scaled(cfg), nil)
@@ -424,7 +356,7 @@ func (c *Campaign) RunScenario(ctx context.Context, scn *Scenario, opts ...Optio
 // RunAll executes configs in parallel, preserving order and returning the
 // first failure without draining the rest of the sweep.
 func (c *Campaign) RunAll(ctx context.Context, cfgs []Config) ([]*Result, error) {
-	if err := c.ready(); err != nil {
+	if err := c.Ready(); err != nil {
 		return nil, err
 	}
 	return c.runParallel(len(cfgs), func(i int, abort *atomic.Bool) (*Result, error) {
@@ -604,7 +536,7 @@ func (c *Campaign) Sweep(ctx context.Context, sw Sweep) ([]Cell, error) {
 // completion order. A nil onRun is Sweep. The callback must not block
 // for long — it is on the completion path of every worker.
 func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(SweepEvent)) ([]Cell, error) {
-	if err := c.ready(); err != nil {
+	if err := c.Ready(); err != nil {
 		return nil, err
 	}
 	if len(sw.Scenarios) == 0 {
@@ -687,67 +619,46 @@ func (cell *Cell) aggregate() {
 
 // OptimalUDPGap finds the paced-UDP inter-packet time that maximizes
 // goodput for a chain of the given hop count, following the paper's
-// procedure: start from the analytic 4-hop propagation delay and increase
-// t gradually, keeping the best measured goodput. The winning gap is
-// memoized per campaign, and with a store attached (WithStore) the probe
-// runs themselves persist, so repeating the search in a fresh process
-// executes zero simulations.
+// procedure: start from the analytic 4-hop propagation delay t0 and
+// increase t gradually, keeping the best measured goodput. The candidates
+// are the eight gaps 1.0·t0, 1.1·t0, … 1.7·t0, each probed with a quarter
+// of the campaign's budget. The probes are ordinary campaign runs: a
+// repeated search is served from the cache, and with a store attached
+// (WithStore) from disk, so it executes zero simulations even in a fresh
+// process.
 func (c *Campaign) OptimalUDPGap(ctx context.Context, hops int, rate Rate) (time.Duration, error) {
-	if err := c.ready(); err != nil {
-		return 0, err
-	}
-	key := fmt.Sprintf("%d@%v", hops, rate)
-	c.gapMu.Lock()
-	if g, ok := c.gapMemo[key]; ok {
-		c.gapMu.Unlock()
-		return g, nil
-	}
-	c.gapMu.Unlock()
-
 	t0 := FourHopPropagationDelay(rate)
 	if hops < 4 {
 		// Short chains have no 4-hop pipelining: the whole chain is one
 		// contention domain, so start from the serial per-hop cost.
 		t0 = time.Duration(hops) * ExchangeTime(rate, pkt.TCPDataSize)
 	}
-	var cfgs []Config
-	var gaps []time.Duration
-	for f := 1.0; f <= 1.8; f += 0.1 {
-		gap := time.Duration(float64(t0) * f).Round(100 * time.Microsecond)
-		gaps = append(gaps, gap)
-		cfg := Config{
+	cfgs := make([]Config, 8)
+	for i := range cfgs {
+		cfgs[i] = Config{
 			Scenario:  Chain(hops),
 			Bandwidth: rate,
-			Transport: TransportSpec{Protocol: PacedUDP, UDPGap: gap},
-			// The sweep uses a quarter of the budget per candidate.
+			Transport: TransportSpec{
+				Protocol: PacedUDP,
+				UDPGap:   time.Duration(float64(t0) * float64(10+i) / 10).Round(100 * time.Microsecond),
+			},
 			TotalPackets: c.Scale.TotalPackets / 4,
 			BatchPackets: c.Scale.BatchPackets / 4,
 			Seed:         c.Scale.Seed,
 		}
-		if cfg.BatchPackets == 0 {
-			cfg.BatchPackets = cfg.TotalPackets / 11
+		if cfgs[i].BatchPackets == 0 {
+			cfgs[i].BatchPackets = cfgs[i].TotalPackets / 11
 		}
-		cfgs = append(cfgs, cfg)
 	}
-	// Bypass the scale rewrite and the in-memory cache — these
-	// quarter-budget probes are keyed by the memo — but go through the
-	// persistent store, so the search is free across processes too.
-	results, err := c.runParallel(len(cfgs), func(i int, abort *atomic.Bool) (*Result, error) {
-		return c.withSlot(ctx, abort, func() (*Result, error) {
-			return c.runStored(ctx, cfgs[i].CacheKey(), cfgs[i])
-		})
-	})
+	results, err := c.RunAll(ctx, cfgs)
 	if err != nil {
 		return 0, err
 	}
-	best, bestG := gaps[0], -1.0
+	best := 0
 	for i, res := range results {
-		if g := res.AggGoodput.Mean; g > bestG {
-			best, bestG = gaps[i], g
+		if res.AggGoodput.Mean > results[best].AggGoodput.Mean {
+			best = i
 		}
 	}
-	c.gapMu.Lock()
-	c.gapMemo[key] = best
-	c.gapMu.Unlock()
-	return best, nil
+	return cfgs[best].Transport.UDPGap, nil
 }

@@ -53,15 +53,12 @@ func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	reused := NewCampaign(BenchScale)
-	reused.Workers = 4
+	reused := NewCampaign(BenchScale, WithWorkers(4))
 	got, err := reused.RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewCampaign(BenchScale)
-	fresh.Workers = 4
-	fresh.DisableArenaReuse = true
+	fresh := NewCampaign(BenchScale, WithWorkers(4), WithoutArenaReuse())
 	want, err := fresh.RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -105,18 +102,13 @@ func TestConfigCacheKeyIsCanonicalJSON(t *testing.T) {
 	if got := cfg.CacheKey(); got != string(want) {
 		t.Fatalf("CacheKey = %s, want the canonical JSON %s", got, want)
 	}
-	if got := configKey(cfg); got != cfg.CacheKey() {
-		t.Fatal("campaign cache key diverged from Config.CacheKey")
-	}
 }
 
 // TestCampaignParallelReturnsFirstErrorWithoutDraining pins the
 // short-circuit contract: one failing work item must surface immediately
 // even while a sibling is still running.
 func TestCampaignParallelReturnsFirstErrorWithoutDraining(t *testing.T) {
-	c := NewCampaign(BenchScale)
-	c.Workers = 2
-	c.init()
+	c := NewCampaign(BenchScale, WithWorkers(2))
 	boom := errors.New("boom")
 	hang := make(chan struct{})
 	defer close(hang) // let the straggler goroutine exit after the test
@@ -145,13 +137,13 @@ func TestCampaignParallelReturnsFirstErrorWithoutDraining(t *testing.T) {
 // failure never executes: once the abort flag is up, slot acquisition
 // bails out before running.
 func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
-	c := NewCampaign(BenchScale)
-	c.Workers = 1
-	c.init()
+	c := NewCampaign(BenchScale, WithWorkers(1))
+	if err := c.Ready(); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	boom := errors.New("boom")
 	release := make(chan struct{})
-	var ran atomic.Int32
 	var stragglers atomic.Int32
 	_, err := c.runParallel(4, func(i int, abort *atomic.Bool) (*Result, error) {
 		if i == 0 {
@@ -159,10 +151,9 @@ func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
 		}
 		defer stragglers.Add(1)
 		<-release // held until the error has already been returned
-		return c.withSlot(ctx, abort, func() (*Result, error) {
-			ran.Add(1)
-			return &Result{}, nil
-		})
+		cfg := benchChainCfg(2)
+		cfg.Seed = int64(i)
+		return c.cachedRun(ctx, c.scaled(cfg), abort)
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -174,7 +165,7 @@ func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
 	if stragglers.Load() != 3 {
 		t.Fatalf("only %d/3 stragglers finished", stragglers.Load())
 	}
-	if n := ran.Load(); n != 0 {
+	if n := c.Executed(); n != 0 {
 		t.Errorf("%d queued work items ran after the failure, want 0", n)
 	}
 }
@@ -507,24 +498,21 @@ func TestCellKeyAddressing(t *testing.T) {
 
 func TestCampaignOptionsConfigure(t *testing.T) {
 	c := NewCampaign(BenchScale, WithWorkers(3), WithoutArenaReuse())
-	if c.Workers != 3 || !c.DisableArenaReuse {
-		t.Fatalf("options not applied: workers=%d reuse-disabled=%v", c.Workers, c.DisableArenaReuse)
+	if c.workers != 3 || !c.disableArenaReuse {
+		t.Fatalf("options not applied: workers=%d reuse-disabled=%v", c.workers, c.disableArenaReuse)
 	}
-	// The deprecated field forms keep working.
-	legacy := NewCampaign(BenchScale)
-	legacy.Workers = 2
-	legacy.DisableArenaReuse = true
-	if _, err := legacy.Run(context.Background(), benchChainCfg(2)); err != nil {
+	if _, err := c.Run(context.Background(), benchChainCfg(2)); err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Workers != 2 {
-		t.Fatal("legacy Workers field overridden by init")
+	if cap(c.sem) != 3 || c.arenas != nil {
+		t.Fatalf("initialization ignored the options: %d worker slots, arena pool %v", cap(c.sem), c.arenas)
 	}
 }
 
-// TestOptimalUDPGapProbesPersist runs the paper's pacing search twice —
-// second time from a fresh campaign over the same store — and requires
-// the repeat to execute zero simulations while agreeing on the gap.
+// TestOptimalUDPGapProbesPersist runs the paper's pacing search three
+// times — again on the same campaign, then from a fresh campaign over the
+// same store — and requires both repeats to execute zero simulations
+// while agreeing on the gap.
 func TestOptimalUDPGapProbesPersist(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -533,8 +521,17 @@ func TestOptimalUDPGapProbesPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Executed() == 0 {
-		t.Fatal("gap search executed no probe runs")
+	// Eight candidates, 1.0·t0 … 1.7·t0: a ninth would change which gap
+	// wins and every figure drawn with it.
+	if got := first.Executed(); got != 8 {
+		t.Fatalf("gap search executed %d probe runs, want 8", got)
+	}
+	again, err := first.OptimalUDPGap(ctx, 2, Rate2Mbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Executed(); got != 8 || again != gap1 {
+		t.Fatalf("repeat on the same campaign: gap %v after %d executions, want %v after 8 (served from the cache)", again, got, gap1)
 	}
 	second := NewCampaign(BenchScale, WithStore(dir))
 	gap2, err := second.OptimalUDPGap(ctx, 2, Rate2Mbps)

@@ -130,10 +130,6 @@ func parseSeconds(val string) (time.Duration, error) {
 func listFaults() {
 	fmt.Println("registered faults (inject with -fault <name>@k=v,...):")
 	for _, info := range manetsim.Faults() {
-		name := info.Name
-		if len(info.Aliases) > 0 {
-			name += " (" + strings.Join(info.Aliases, ", ") + ")"
-		}
-		fmt.Printf("  %-26s %s\n", name, info.Description)
+		listEntry(info.Name, info.Aliases, info.Description)
 	}
 }

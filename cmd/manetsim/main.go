@@ -270,15 +270,20 @@ func main() {
 	}
 }
 
+// listEntry prints one registry entry: its name, aliases in parentheses,
+// and description.
+func listEntry(name string, aliases []string, desc string) {
+	if len(aliases) > 0 {
+		name += " (" + strings.Join(aliases, ", ") + ")"
+	}
+	fmt.Printf("  %-26s %s\n", name, desc)
+}
+
 // listTransports prints the transport registry, one variant per line.
 func listTransports() {
 	fmt.Println("registered transports (select with -protocol <name>):")
 	for _, info := range manetsim.Transports() {
-		name := info.Name
-		if len(info.Aliases) > 0 {
-			name += " (" + strings.Join(info.Aliases, ", ") + ")"
-		}
-		fmt.Printf("  %-26s %s\n", name, info.Description)
+		listEntry(info.Name, info.Aliases, info.Description)
 	}
 }
 
@@ -286,11 +291,7 @@ func listTransports() {
 func listLinkModels() {
 	fmt.Println("registered link models (select with -link-model <name>):")
 	for _, info := range manetsim.LinkModels() {
-		name := info.Name
-		if len(info.Aliases) > 0 {
-			name += " (" + strings.Join(info.Aliases, ", ") + ")"
-		}
-		fmt.Printf("  %-26s %s\n", name, info.Description)
+		listEntry(info.Name, info.Aliases, info.Description)
 	}
 }
 

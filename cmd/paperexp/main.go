@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"manetsim"
 	"manetsim/internal/exp"
 )
 
@@ -38,14 +39,14 @@ func main() {
 		return
 	}
 
-	var sc exp.Scale
+	var sc manetsim.Scale
 	switch strings.ToLower(*scale) {
 	case "quick":
-		sc = exp.QuickScale
+		sc = manetsim.QuickScale
 	case "paper":
-		sc = exp.PaperScale
+		sc = manetsim.PaperScale
 	case "bench":
-		sc = exp.BenchScale
+		sc = manetsim.BenchScale
 	default:
 		fatalf("unknown scale %q (quick, paper, bench)", *scale)
 	}
@@ -61,14 +62,14 @@ func main() {
 		fatalf("need -id or -all (use -list for available ids)")
 	}
 
-	h := exp.NewHarness(sc)
+	camp := manetsim.NewCampaign(sc)
 	for _, eid := range ids {
 		runner, ok := exp.Lookup(eid)
 		if !ok {
 			fatalf("unknown experiment %q (use -list)", eid)
 		}
 		start := time.Now()
-		fig, err := runner(h)
+		fig, err := runner(camp)
 		if err != nil {
 			fatalf("%s: %v", eid, err)
 		}

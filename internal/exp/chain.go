@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/mac"
 	"manetsim/internal/phy"
@@ -26,7 +28,7 @@ func kbit(bps float64) float64 { return bps / 1e3 }
 
 // Table2 reproduces the paper's Table 2 analytically: the 4-hop
 // propagation delay per bandwidth.
-func Table2(_ *Harness) (*Figure, error) {
+func Table2(_ *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID:     "table2",
 		Title:  "4-hop propagation delay for different bandwidths",
@@ -43,7 +45,7 @@ func Table2(_ *Harness) (*Figure, error) {
 }
 
 // vegasAlphaSweep runs Vegas with α ∈ {2,3,4} over the chain lengths.
-func vegasAlphaSweep(h *Harness, metric func(*core.Result) float64, id, title, ylabel string) (*Figure, error) {
+func vegasAlphaSweep(c *manetsim.Campaign, metric func(*core.Result) float64, id, title, ylabel string) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "hops", YLabel: ylabel}
 	for _, alpha := range []int{2, 3, 4} {
 		var cfgs []core.Config
@@ -52,7 +54,7 @@ func vegasAlphaSweep(h *Harness, metric func(*core.Result) float64, id, title, y
 				Protocol: core.ProtoVegas, Alpha: alpha,
 			}))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -66,19 +68,19 @@ func vegasAlphaSweep(h *Harness, metric func(*core.Result) float64, id, title, y
 }
 
 // Fig2: h-hop chain, 2 Mbit/s — Vegas goodput vs hops for α = 2, 3, 4.
-func Fig2(h *Harness) (*Figure, error) {
-	return vegasAlphaSweep(h, func(r *core.Result) float64 { return kbit(r.AggGoodput.Mean) },
+func Fig2(c *manetsim.Campaign) (*Figure, error) {
+	return vegasAlphaSweep(c, func(r *core.Result) float64 { return kbit(r.AggGoodput.Mean) },
 		"fig2", "h-hop chain, 2 Mbit/s: Vegas goodput vs hops", "goodput [kbit/s]")
 }
 
 // Fig3: h-hop chain, 2 Mbit/s — Vegas average window vs hops.
-func Fig3(h *Harness) (*Figure, error) {
-	return vegasAlphaSweep(h, func(r *core.Result) float64 { return r.AvgWindow.Mean },
+func Fig3(c *manetsim.Campaign) (*Figure, error) {
+	return vegasAlphaSweep(c, func(r *core.Result) float64 { return r.AvgWindow.Mean },
 		"fig3", "h-hop chain, 2 Mbit/s: Vegas average window size vs hops", "window [packets]")
 }
 
 // Fig4: 7-hop chain — Vegas goodput per bandwidth for α = 2, 3, 4.
-func Fig4(h *Harness) (*Figure, error) {
+func Fig4(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "fig4", Title: "7-hop chain: Vegas goodput for different bandwidths",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "goodput [kbit/s]",
@@ -88,7 +90,7 @@ func Fig4(h *Harness) (*Figure, error) {
 		for _, r := range rates {
 			cfgs = append(cfgs, chainCfg(7, r, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: alpha}))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +105,7 @@ func Fig4(h *Harness) (*Figure, error) {
 
 // Fig5: h-hop chain, 2 Mbit/s — Vegas α=2 vs Vegas with ACK thinning for
 // α = 2, 3, 4.
-func Fig5(h *Harness) (*Figure, error) {
+func Fig5(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "fig5", Title: "h-hop chain, 2 Mbit/s: Vegas with ACK thinning, goodput vs hops",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
@@ -122,7 +124,7 @@ func Fig5(h *Harness) (*Figure, error) {
 		for _, hops := range chainHops {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -147,14 +149,14 @@ var chainVariants = []struct {
 
 // chainComparison builds a Figures-6..9 style figure over the chain with
 // the TCP variants and optionally the optimally paced UDP.
-func chainComparison(h *Harness, id, title, ylabel string, includeUDP bool, metric func(*core.Result) float64) (*Figure, error) {
+func chainComparison(c *manetsim.Campaign, id, title, ylabel string, includeUDP bool, metric func(*core.Result) float64) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "hops", YLabel: ylabel}
 	for _, v := range chainVariants {
 		var cfgs []core.Config
 		for _, hops := range chainHops {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -167,11 +169,11 @@ func chainComparison(h *Harness, id, title, ylabel string, includeUDP bool, metr
 	if includeUDP {
 		s := Series{Name: "Paced UDP"}
 		for _, hops := range chainHops {
-			gap, err := h.OptimalUDPGap(hops, phy.Rate2Mbps)
+			gap, err := c.OptimalUDPGap(context.Background(), hops, phy.Rate2Mbps)
 			if err != nil {
 				return nil, err
 			}
-			res, err := h.Run(chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
+			res, err := c.Run(context.Background(), chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
 				Protocol: core.ProtoPacedUDP, UDPGap: gap,
 			}))
 			if err != nil {
@@ -186,31 +188,31 @@ func chainComparison(h *Harness, id, title, ylabel string, includeUDP bool, metr
 }
 
 // Fig6: goodput vs hops for Vegas, NewReno, NewReno+thinning and paced UDP.
-func Fig6(h *Harness) (*Figure, error) {
-	return chainComparison(h, "fig6", "h-hop chain, 2 Mbit/s: goodput vs hops",
+func Fig6(c *manetsim.Campaign) (*Figure, error) {
+	return chainComparison(c, "fig6", "h-hop chain, 2 Mbit/s: goodput vs hops",
 		"goodput [kbit/s]", true, func(r *core.Result) float64 { return kbit(r.AggGoodput.Mean) })
 }
 
 // Fig7: transport retransmissions per delivered packet vs hops.
-func Fig7(h *Harness) (*Figure, error) {
-	return chainComparison(h, "fig7", "h-hop chain, 2 Mbit/s: retransmissions vs hops",
+func Fig7(c *manetsim.Campaign) (*Figure, error) {
+	return chainComparison(c, "fig7", "h-hop chain, 2 Mbit/s: retransmissions vs hops",
 		"retransmissions per delivered packet", false, func(r *core.Result) float64 { return r.Rtx.Mean })
 }
 
 // Fig8: average window size vs hops.
-func Fig8(h *Harness) (*Figure, error) {
-	return chainComparison(h, "fig8", "h-hop chain, 2 Mbit/s: window size vs hops",
+func Fig8(c *manetsim.Campaign) (*Figure, error) {
+	return chainComparison(c, "fig8", "h-hop chain, 2 Mbit/s: window size vs hops",
 		"window [packets]", false, func(r *core.Result) float64 { return r.AvgWindow.Mean })
 }
 
 // Fig9: false route failures vs hops (including paced UDP).
-func Fig9(h *Harness) (*Figure, error) {
-	return chainComparison(h, "fig9", "h-hop chain, 2 Mbit/s: false route failures vs hops",
+func Fig9(c *manetsim.Campaign) (*Figure, error) {
+	return chainComparison(c, "fig9", "h-hop chain, 2 Mbit/s: false route failures vs hops",
 		"false route failures (measured portion)", true, func(r *core.Result) float64 { return float64(r.FalseRouteFailures) })
 }
 
 // Fig10: 7-hop chain, 2 Mbit/s — paced UDP goodput vs inter-packet time.
-func Fig10(h *Harness) (*Figure, error) {
+func Fig10(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "fig10", Title: "7-hop chain, 2 Mbit/s: paced UDP goodput vs packet inter-sending time",
 		XLabel: "gap [ms]", YLabel: "goodput [kbit/s]",
@@ -225,7 +227,7 @@ func Fig10(h *Harness) (*Figure, error) {
 			Protocol: core.ProtoPacedUDP, UDPGap: gap,
 		}))
 	}
-	results, err := h.RunAll(cfgs)
+	results, err := c.RunAll(context.Background(), cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -16,7 +18,7 @@ import (
 // (time in outage, recovery after heal, frames cut at the PHY) land in
 // the notes. Fault transitions draw no randomness, so the figure also
 // pins that faulted runs stay byte-deterministic per seed.
-func Chaos(h *Harness) (*Figure, error) {
+func Chaos(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "chaos", Title: "4-hop chain, 2 Mbit/s: goodput under injected faults (2 s outage at t=10s)",
 		XLabel: "fault", YLabel: "goodput [kbit/s]",
@@ -44,7 +46,7 @@ func Chaos(h *Harness) (*Figure, error) {
 			cfg.Faults = fs.spec
 			cfgs = append(cfgs, cfg)
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}

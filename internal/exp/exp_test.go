@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -52,29 +54,13 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 	}
 }
 
-func TestHarnessCacheDedupsRuns(t *testing.T) {
-	h := NewHarness(BenchScale)
-	cfg := chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2})
-	a, err := h.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("identical configs were not served from the cache")
-	}
-}
-
 func TestHarnessRunAllPreservesOrder(t *testing.T) {
-	h := NewHarness(BenchScale)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
 	cfgs := []core.Config{
 		chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
 		chainCfg(3, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
 	}
-	results, err := h.RunAll(cfgs)
+	results, err := camp.RunAll(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,25 +102,25 @@ func TestFigureRenderAndCSV(t *testing.T) {
 }
 
 func TestOptimalUDPGapShortVsLongChain(t *testing.T) {
-	h := NewHarness(BenchScale)
-	short, err := h.OptimalUDPGap(2, phy.Rate2Mbps)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	short, err := camp.OptimalUDPGap(context.Background(), 2, phy.Rate2Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := h.OptimalUDPGap(8, phy.Rate2Mbps)
+	long, err := camp.OptimalUDPGap(context.Background(), 8, phy.Rate2Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if short <= 0 || long <= 0 {
 		t.Fatalf("gaps = %v, %v; want positive", short, long)
 	}
-	// Memoization: second call hits the memo.
-	again, err := h.OptimalUDPGap(8, phy.Rate2Mbps)
+	// A repeated search is served from the campaign cache.
+	again, err := camp.OptimalUDPGap(context.Background(), 8, phy.Rate2Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != long {
-		t.Error("gap memoization broken")
+		t.Error("repeated gap search disagrees with the first")
 	}
 }
 
@@ -142,8 +128,8 @@ func TestFig10FindsInteriorOptimum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig10 sweep is slow")
 	}
-	h := NewHarness(BenchScale)
-	f, err := Fig10(h)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	f, err := Fig10(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,51 +154,12 @@ func TestFig10FindsInteriorOptimum(t *testing.T) {
 	}
 }
 
-func TestHarnessCacheKeyStableAcrossEqualScenarios(t *testing.T) {
-	// The cache key is derived from values, following the Scenario pointer
-	// into its nodes and flows: two independently built but equal
-	// scenarios must share one cached run.
-	mk := func() core.Config {
-		scn := core.Grid().WithFlows(
-			core.Flow{Src: 0, Dst: 13, Transport: core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-			core.Flow{Src: 7, Dst: 20, Transport: core.TransportSpec{Protocol: core.ProtoNewReno}},
-		)
-		return core.Config{
-			Scenario:  scn,
-			Bandwidth: phy.Rate2Mbps,
-			Transport: core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2},
-		}
-	}
-	h := NewHarness(BenchScale)
-	ra, err := h.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := h.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra != rb {
-		t.Error("equal configs carrying distinct scenario pointers were not served from the cache")
-	}
-	// Differing flow sets must key differently.
-	c := mk()
-	c.Scenario.Flows[1].Dst = 19
-	rc, err := h.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc == ra {
-		t.Error("configs with different flows shared a cache entry")
-	}
-}
-
 func TestMobilityRunnerShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mobility sweep is slow")
 	}
-	h := NewHarness(BenchScale)
-	f, err := Mobility(h)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	f, err := Mobility(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +178,37 @@ func TestMobilityRunnerShape(t *testing.T) {
 	}
 	if len(f.Notes) != 4*len(mobilitySpeeds) {
 		t.Errorf("notes = %d, want one per run", len(f.Notes))
+	}
+}
+
+// TestRunAllFailsFastOnInvalidConfig exercises the fail-fast contract the
+// runners rely on: an invalid config in a sweep reports its error.
+func TestRunAllFailsFastOnInvalidConfig(t *testing.T) {
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	cfgs := []core.Config{
+		{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}, // invalid flow
+		chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas}),
+	}
+	if _, err := camp.RunAll(context.Background(), cfgs); err == nil {
+		t.Fatal("invalid config did not fail the sweep")
+	}
+}
+
+// TestRunAllAbortDoesNotPoisonCache runs a failing sweep and then the same
+// valid config again: a skipped (aborted) run must not leave a poisoned
+// cache entry behind.
+func TestRunAllAbortDoesNotPoisonCache(t *testing.T) {
+	camp := manetsim.NewCampaign(manetsim.BenchScale, manetsim.WithWorkers(1))
+	good := chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas})
+	bad := core.Config{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}
+	if _, err := camp.RunAll(context.Background(), []core.Config{bad, good, good, good}); err == nil {
+		t.Fatal("failing sweep reported success")
+	}
+	res, err := camp.Run(context.Background(), good)
+	if err != nil {
+		t.Fatalf("valid config failed after an aborted sweep: %v", err)
+	}
+	if res == nil || res.Delivered == 0 {
+		t.Error("post-abort rerun returned an empty result")
 	}
 }

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -11,7 +13,7 @@ import (
 // study the paper's related work discusses: all four TCP variants (Tahoe,
 // Reno, NewReno, Vegas) over the chain at 2 Mbit/s. Expectation from the
 // literature (and the paper's §2): Vegas ahead, Tahoe trailing.
-func TCPVariants(h *Harness) (*Figure, error) {
+func TCPVariants(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "tcpvariants", Title: "h-hop chain, 2 Mbit/s: TCP variant comparison (Tahoe/Reno/NewReno/Vegas)",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
@@ -31,7 +33,7 @@ func TCPVariants(h *Harness) (*Figure, error) {
 		for _, hops := range hopsAxis {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +50,7 @@ func TCPVariants(h *Harness) (*Figure, error) {
 // three Vegas and three NewReno flows share the grid. The literature
 // predicts loss-based NewReno crowds out delay-based Vegas; the per-group
 // goodput and fairness quantify it here.
-func Coexist(h *Harness) (*Figure, error) {
+func Coexist(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "coexist", Title: "grid: 3 Vegas flows vs 3 NewReno flows sharing the medium",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "per-group goodput [kbit/s]",
@@ -70,7 +72,7 @@ func Coexist(h *Harness) (*Figure, error) {
 	vSeries.Name = "Vegas group"
 	nSeries.Name = "NewReno group"
 	for _, r := range rates {
-		res, err := h.Run(core.Config{
+		res, err := c.Run(context.Background(), core.Config{
 			Scenario:  grid,
 			Bandwidth: r,
 			Transport: vegas, // base spec (every flow overrides it)
@@ -100,7 +102,7 @@ func Coexist(h *Harness) (*Figure, error) {
 // an artificial window bound swept from 1 to 16 on the 8-hop chain. The
 // goodput peak should sit near 2-3 packets, where the paper's MaxWin=3
 // (for 7 hops) and Vegas' self-selected ~3-4 packet window land.
-func OptWindow(h *Harness) (*Figure, error) {
+func OptWindow(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "optwindow", Title: "8-hop chain, 2 Mbit/s: NewReno goodput vs artificial window bound",
 		XLabel: "MaxWindow [packets]", YLabel: "goodput [kbit/s]",
@@ -112,7 +114,7 @@ func OptWindow(h *Harness) (*Figure, error) {
 			Protocol: core.ProtoNewReno, MaxWindow: w,
 		}))
 	}
-	results, err := h.RunAll(cfgs)
+	results, err := c.RunAll(context.Background(), cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +135,7 @@ func OptWindow(h *Harness) (*Figure, error) {
 // Latency is an extension experiment: end-to-end packet delay of the TCP
 // variants on the 7-hop chain (mean and p95), quantifying how NewReno's
 // big window inflates queueing delay.
-func Latency(h *Harness) (*Figure, error) {
+func Latency(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "latency", Title: "7-hop chain, 2 Mbit/s: end-to-end packet delay",
 		XLabel: "variant", YLabel: "delay [ms]",
@@ -144,7 +146,7 @@ func Latency(h *Harness) (*Figure, error) {
 		if v.udp {
 			continue
 		}
-		res, err := h.Run(chainCfg(7, phy.Rate2Mbps, v.t))
+		res, err := c.Run(context.Background(), chainCfg(7, phy.Rate2Mbps, v.t))
 		if err != nil {
 			return nil, err
 		}

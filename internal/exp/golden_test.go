@@ -7,6 +7,8 @@ import (
 	"flag"
 	"runtime"
 	"testing"
+
+	"manetsim"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -47,7 +49,7 @@ func figureDigest(t *testing.T, id string) string {
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
-	fig, err := runner(NewHarness(BenchScale))
+	fig, err := runner(manetsim.NewCampaign(manetsim.BenchScale))
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

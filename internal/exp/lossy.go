@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -14,7 +16,7 @@ import (
 // Westwood+'s bandwidth-estimate backoff holds its rate — the gap is
 // the non-congestion-loss argument of the wireless TCP literature made
 // measurable.
-func Lossy(h *Harness) (*Figure, error) {
+func Lossy(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "lossy", Title: "7-hop chain, 2 Mbit/s: goodput vs uniform frame loss (Reno vs Westwood+)",
 		XLabel: "frame loss [%]", YLabel: "goodput [kbit/s]",
@@ -36,7 +38,7 @@ func Lossy(h *Harness) (*Figure, error) {
 			}
 			cfgs = append(cfgs, cfg)
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}

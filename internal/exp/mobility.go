@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -63,7 +65,7 @@ func speedLabel(v float64) string { return fmt.Sprintf("%g", v) }
 // split in the notes. At speed 0 every route failure is false (the paper's
 // pathology); at nonzero speed genuine breaks appear and goodput degrades
 // with speed.
-func Mobility(h *Harness) (*Figure, error) {
+func Mobility(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID:     "mobility",
 		Title:  "grid field, random waypoint: goodput vs maximum node speed",
@@ -75,7 +77,7 @@ func Mobility(h *Harness) (*Figure, error) {
 		for _, speed := range mobilitySpeeds {
 			cfgs = append(cfgs, mobilityCfg(speed, v.t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}

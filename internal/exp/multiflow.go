@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -21,14 +23,14 @@ var multiflowVariants = []struct {
 
 // aggregateGoodputFigure renders Figures 16/18: aggregate goodput per
 // bandwidth and variant for a multiflow scenario.
-func aggregateGoodputFigure(h *Harness, id, title string, scn *core.Scenario) (*Figure, error) {
+func aggregateGoodputFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "bandwidth [Mbit/s]", YLabel: "aggregate goodput [kbit/s]"}
 	for _, v := range multiflowVariants {
 		var cfgs []core.Config
 		for _, r := range rates {
 			cfgs = append(cfgs, core.Config{Scenario: scn, Bandwidth: r, Transport: v.t})
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -47,10 +49,10 @@ func aggregateGoodputFigure(h *Harness, id, title string, scn *core.Scenario) (*
 
 // perFlowFigure renders Figures 17/19: per-flow goodput plus the aggregate
 // at 11 Mbit/s for a multiflow scenario.
-func perFlowFigure(h *Harness, id, title string, scn *core.Scenario) (*Figure, error) {
+func perFlowFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "flow", YLabel: "goodput [kbit/s]"}
 	for _, v := range multiflowVariants {
-		res, err := h.Run(core.Config{Scenario: scn, Bandwidth: phy.Rate11Mbps, Transport: v.t})
+		res, err := c.Run(context.Background(), core.Config{Scenario: scn, Bandwidth: phy.Rate11Mbps, Transport: v.t})
 		if err != nil {
 			return nil, err
 		}
@@ -66,12 +68,12 @@ func perFlowFigure(h *Harness, id, title string, scn *core.Scenario) (*Figure, e
 
 // jainTable renders Tables 3/4: Jain's fairness index with 95% confidence
 // intervals per bandwidth and variant.
-func jainTable(h *Harness, id, title string, scn *core.Scenario) (*Figure, error) {
+func jainTable(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "bandwidth [Mbit/s]", YLabel: "Jain's fairness index [95% CI]"}
 	for _, v := range multiflowVariants {
 		s := Series{Name: v.name}
 		for _, r := range rates {
-			res, err := h.Run(core.Config{Scenario: scn, Bandwidth: r, Transport: v.t})
+			res, err := c.Run(context.Background(), core.Config{Scenario: scn, Bandwidth: r, Transport: v.t})
 			if err != nil {
 				return nil, err
 			}
@@ -83,31 +85,31 @@ func jainTable(h *Harness, id, title string, scn *core.Scenario) (*Figure, error
 }
 
 // Fig16: grid topology — aggregate goodput for different bandwidths.
-func Fig16(h *Harness) (*Figure, error) {
-	return aggregateGoodputFigure(h, "fig16", "grid topology (21 nodes, 6 flows): aggregate goodput", core.Grid())
+func Fig16(c *manetsim.Campaign) (*Figure, error) {
+	return aggregateGoodputFigure(c, "fig16", "grid topology (21 nodes, 6 flows): aggregate goodput", core.Grid())
 }
 
 // Fig17: grid topology — per-flow goodput at 11 Mbit/s.
-func Fig17(h *Harness) (*Figure, error) {
-	return perFlowFigure(h, "fig17", "grid topology: per-flow goodput at 11 Mbit/s", core.Grid())
+func Fig17(c *manetsim.Campaign) (*Figure, error) {
+	return perFlowFigure(c, "fig17", "grid topology: per-flow goodput at 11 Mbit/s", core.Grid())
 }
 
 // Table3: grid topology — Jain's fairness index.
-func Table3(h *Harness) (*Figure, error) {
-	return jainTable(h, "table3", "grid topology: Jain's fairness index", core.Grid())
+func Table3(c *manetsim.Campaign) (*Figure, error) {
+	return jainTable(c, "table3", "grid topology: Jain's fairness index", core.Grid())
 }
 
 // Fig18: random topology — aggregate goodput for different bandwidths.
-func Fig18(h *Harness) (*Figure, error) {
-	return aggregateGoodputFigure(h, "fig18", "random topology (120 nodes, 10 flows): aggregate goodput", core.Random())
+func Fig18(c *manetsim.Campaign) (*Figure, error) {
+	return aggregateGoodputFigure(c, "fig18", "random topology (120 nodes, 10 flows): aggregate goodput", core.Random())
 }
 
 // Fig19: random topology — per-flow goodput at 11 Mbit/s.
-func Fig19(h *Harness) (*Figure, error) {
-	return perFlowFigure(h, "fig19", "random topology: per-flow goodput at 11 Mbit/s", core.Random())
+func Fig19(c *manetsim.Campaign) (*Figure, error) {
+	return perFlowFigure(c, "fig19", "random topology: per-flow goodput at 11 Mbit/s", core.Random())
 }
 
 // Table4: random topology — Jain's fairness index.
-func Table4(h *Harness) (*Figure, error) {
-	return jainTable(h, "table4", "random topology: Jain's fairness index", core.Random())
+func Table4(c *manetsim.Campaign) (*Figure, error) {
+	return jainTable(c, "table4", "random topology: Jain's fairness index", core.Random())
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"testing"
+
+	"manetsim"
 )
 
 // TestTable3FairnessOrdering regenerates the grid fairness table at bench
@@ -11,8 +13,8 @@ func TestTable3FairnessOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep is slow")
 	}
-	h := NewHarness(BenchScale)
-	f, err := Table3(h)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	f, err := Table3(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +54,8 @@ func TestCoexistNewRenoDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep is slow")
 	}
-	h := NewHarness(BenchScale)
-	f, err := Coexist(h)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	f, err := Coexist(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +84,8 @@ func TestOptWindowPeaksSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("window sweep is slow")
 	}
-	h := NewHarness(BenchScale)
-	f, err := OptWindow(h)
+	camp := manetsim.NewCampaign(manetsim.BenchScale)
+	f, err := OptWindow(camp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -24,7 +26,7 @@ var sevenHopVariants = []struct {
 
 // sevenHopComparison renders one of Figures 11-14: a metric for every
 // variant at 2, 5.5 and 11 Mbit/s on the 7-hop chain.
-func sevenHopComparison(h *Harness, id, title, ylabel string, includeUDP bool, metric func(*core.Result) float64) (*Figure, error) {
+func sevenHopComparison(c *manetsim.Campaign, id, title, ylabel string, includeUDP bool, metric func(*core.Result) float64) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "bandwidth [Mbit/s]", YLabel: ylabel}
 	for _, v := range sevenHopVariants {
 		if v.udp && !includeUDP {
@@ -34,13 +36,13 @@ func sevenHopComparison(h *Harness, id, title, ylabel string, includeUDP bool, m
 		for _, r := range rates {
 			t := v.t
 			if v.udp {
-				gap, err := h.OptimalUDPGap(7, r)
+				gap, err := c.OptimalUDPGap(context.Background(), 7, r)
 				if err != nil {
 					return nil, err
 				}
 				t.UDPGap = gap
 			}
-			res, err := h.Run(chainCfg(7, r, t))
+			res, err := c.Run(context.Background(), chainCfg(7, r, t))
 			if err != nil {
 				return nil, err
 			}
@@ -52,33 +54,33 @@ func sevenHopComparison(h *Harness, id, title, ylabel string, includeUDP bool, m
 }
 
 // Fig11: 7-hop chain — goodput for different bandwidths, all variants.
-func Fig11(h *Harness) (*Figure, error) {
-	return sevenHopComparison(h, "fig11", "7-hop chain: goodput for different bandwidths",
+func Fig11(c *manetsim.Campaign) (*Figure, error) {
+	return sevenHopComparison(c, "fig11", "7-hop chain: goodput for different bandwidths",
 		"goodput [kbit/s]", true, func(r *core.Result) float64 { return kbit(r.AggGoodput.Mean) })
 }
 
 // Fig12: 7-hop chain — transport retransmissions for different bandwidths.
-func Fig12(h *Harness) (*Figure, error) {
-	return sevenHopComparison(h, "fig12", "7-hop chain: retransmissions for different bandwidths",
+func Fig12(c *manetsim.Campaign) (*Figure, error) {
+	return sevenHopComparison(c, "fig12", "7-hop chain: retransmissions for different bandwidths",
 		"retransmissions per delivered packet", false, func(r *core.Result) float64 { return r.Rtx.Mean })
 }
 
 // Fig13: 7-hop chain — average window size for different bandwidths.
-func Fig13(h *Harness) (*Figure, error) {
-	return sevenHopComparison(h, "fig13", "7-hop chain: window size for different bandwidths",
+func Fig13(c *manetsim.Campaign) (*Figure, error) {
+	return sevenHopComparison(c, "fig13", "7-hop chain: window size for different bandwidths",
 		"window [packets]", false, func(r *core.Result) float64 { return r.AvgWindow.Mean })
 }
 
 // Fig14: 7-hop chain — link-layer dropping probability for different
 // bandwidths (per-attempt failure rate; see DESIGN.md).
-func Fig14(h *Harness) (*Figure, error) {
-	return sevenHopComparison(h, "fig14", "7-hop chain: packet dropping probability at link layer",
+func Fig14(c *manetsim.Campaign) (*Figure, error) {
+	return sevenHopComparison(c, "fig14", "7-hop chain: packet dropping probability at link layer",
 		"per-attempt failure probability", true, func(r *core.Result) float64 { return r.DropProb.Mean })
 }
 
 // Energy is an extension experiment quantifying the paper's energy-saving
 // claims: joules per delivered megabyte on the 7-hop chain.
-func Energy(h *Harness) (*Figure, error) {
+func Energy(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "energy", Title: "7-hop chain: radio energy per delivered megabyte",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "J/MB",
@@ -89,7 +91,7 @@ func Energy(h *Harness) (*Figure, error) {
 		}
 		s := Series{Name: v.name}
 		for _, r := range rates {
-			res, err := h.Run(chainCfg(7, r, v.t))
+			res, err := c.Run(context.Background(), chainCfg(7, r, v.t))
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +105,7 @@ func Energy(h *Harness) (*Figure, error) {
 // Ablation quantifies the two modelling decisions DESIGN.md calls out, on
 // the 8-hop chain at 2 Mbit/s: the PHY capture rule and AODV's reaction to
 // MAC failures.
-func Ablation(h *Harness) (*Figure, error) {
+func Ablation(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "ablation", Title: "8-hop chain, 2 Mbit/s: model ablations (Vegas / NewReno)",
 		XLabel: "model", YLabel: "goodput [kbit/s] (+notes)",
@@ -126,7 +128,7 @@ func Ablation(h *Harness) (*Figure, error) {
 	} {
 		s := Series{Name: proto.Label()}
 		for _, v := range variants {
-			res, err := h.Run(v.cfg(chainCfg(8, phy.Rate2Mbps, proto)))
+			res, err := c.Run(context.Background(), v.cfg(chainCfg(8, phy.Rate2Mbps, proto)))
 			if err != nil {
 				return nil, err
 			}

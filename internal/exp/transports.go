@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"manetsim"
 	"manetsim/internal/core"
 	"manetsim/internal/phy"
 )
@@ -14,7 +16,7 @@ import (
 // figure experiments it fixes the UDP pacing gap (36 ms, the paper's
 // 7-hop optimum at 2 Mbit/s) instead of sweeping for it, so the digest
 // covers exactly one deterministic run per variant and hop count.
-func Transports(h *Harness) (*Figure, error) {
+func Transports(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "transports", Title: "h-hop chain, 2 Mbit/s: every transport variant",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
@@ -35,7 +37,7 @@ func Transports(h *Harness) (*Figure, error) {
 		for _, hops := range hopsAxis {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +58,7 @@ func Transports(h *Harness) (*Figure, error) {
 // context, on the 4- and 7-hop chains at 2 Mbit/s. Selection goes through
 // TransportSpec.Name, so the digest also pins name-based registry
 // resolution end to end.
-func CCExtensions(h *Harness) (*Figure, error) {
+func CCExtensions(c *manetsim.Campaign) (*Figure, error) {
 	f := &Figure{
 		ID: "ccextensions", Title: "h-hop chain, 2 Mbit/s: Westwood+ and adaptive pacing vs the paper's variants",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
@@ -73,7 +75,7 @@ func CCExtensions(h *Harness) (*Figure, error) {
 		for _, hops := range hopsAxis {
 			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, t))
 		}
-		results, err := h.RunAll(cfgs)
+		results, err := c.RunAll(context.Background(), cfgs)
 		if err != nil {
 			return nil, err
 		}

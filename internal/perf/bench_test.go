@@ -30,6 +30,7 @@ func BenchmarkCampaignReplicates(b *testing.B)     { BenchCampaignReplicates(b) 
 func BenchmarkCampaignReplicatesRebuild(b *testing.B) {
 	BenchCampaignReplicatesRebuild(b)
 }
+func BenchmarkFigureTCPVariants(b *testing.B) { BenchFigureTCPVariants(b) }
 
 // TestSuiteNamesMatchWrappers guards the Suite()/wrapper pairing: a case
 // added to one side but not the other would silently vanish from either
@@ -49,6 +50,7 @@ func TestSuiteNamesMatchWrappers(t *testing.T) {
 		"BenchmarkRunWithFaults":              true,
 		"BenchmarkCampaignReplicates":         true,
 		"BenchmarkCampaignReplicatesRebuild":  true,
+		"BenchmarkFigureTCPVariants":          true,
 	}
 	got := Suite()
 	if len(got) != len(want) {

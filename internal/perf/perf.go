@@ -49,6 +49,7 @@ func Suite() []Case {
 		{"BenchmarkRunWithFaults", BenchRunWithFaults},
 		{"BenchmarkCampaignReplicates", BenchCampaignReplicates},
 		{"BenchmarkCampaignReplicatesRebuild", BenchCampaignReplicatesRebuild},
+		{"BenchmarkFigureTCPVariants", BenchFigureTCPVariants},
 	}
 }
 
@@ -354,7 +355,7 @@ func newFaultedPair() (*sim.Scheduler, *phy.Radio, *sinkHandler, *fault.Plane) {
 // all included. Its gap to BenchmarkEndToEndBenchScale bounds the cost
 // of carrying a fault schedule.
 func BenchRunWithFaults(b *testing.B) {
-	scale := exp.BenchScale
+	scale := manetsim.BenchScale
 	cfg := core.Config{
 		Scenario:     core.Chain(4),
 		Bandwidth:    phy.Rate2Mbps,
@@ -390,9 +391,9 @@ func BenchRunWithFaults(b *testing.B) {
 // budget: a 210-node static-routed grid (route computation is cubic in
 // node count) sampled for a small packet budget across many seeds. One
 // campaign persists across iterations — seeds never repeat, so every run
-// simulates — and rebuild toggles DisableArenaReuse, making the pair a
-// direct fresh-build-vs-arena comparison.
-func benchCampaignReplicates(b *testing.B, rebuild bool) {
+// simulates — and the rebuild variant passes WithoutArenaReuse, making the
+// pair a direct fresh-build-vs-arena comparison.
+func benchCampaignReplicates(b *testing.B, opts ...manetsim.CampaignOption) {
 	const (
 		cols, rows = 15, 14
 		seeds      = 32
@@ -404,8 +405,7 @@ func benchCampaignReplicates(b *testing.B, rebuild bool) {
 		}
 	}
 	scn.AddFlow(0, 2)
-	camp := manetsim.NewCampaign(manetsim.BenchScale)
-	camp.DisableArenaReuse = rebuild
+	camp := manetsim.NewCampaign(manetsim.BenchScale, opts...)
 	next := int64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -432,19 +432,21 @@ func benchCampaignReplicates(b *testing.B, rebuild bool) {
 
 // BenchCampaignReplicates measures replicate throughput with the default
 // per-worker arena pool: world setup amortizes across the sweep.
-func BenchCampaignReplicates(b *testing.B) { benchCampaignReplicates(b, false) }
+func BenchCampaignReplicates(b *testing.B) { benchCampaignReplicates(b) }
 
 // BenchCampaignReplicatesRebuild is the same sweep with arena reuse
 // disabled — every replicate rebuilds its world from scratch. The ratio to
 // BenchCampaignReplicates is the arena speedup.
-func BenchCampaignReplicatesRebuild(b *testing.B) { benchCampaignReplicates(b, true) }
+func BenchCampaignReplicatesRebuild(b *testing.B) {
+	benchCampaignReplicates(b, manetsim.WithoutArenaReuse())
+}
 
 // BenchEndToEndBenchScale is the headline end-to-end figure: one complete
 // 8-hop Vegas chain run at the BenchScale measurement budget (the same
 // 11-batch structure the figures use). ns/op is the cost of regenerating
 // one run; packets/s is raw simulator throughput.
 func BenchEndToEndBenchScale(b *testing.B) {
-	scale := exp.BenchScale
+	scale := manetsim.BenchScale
 	var res *core.Result
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -466,5 +468,19 @@ func BenchEndToEndBenchScale(b *testing.B) {
 	if res != nil {
 		b.ReportMetric(float64(res.Delivered)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
 		b.ReportMetric(res.AggGoodput.Mean/1e3, "kbit/s")
+	}
+}
+
+// BenchFigureTCPVariants regenerates one whole figure per iteration — the
+// golden-pinned Tahoe/Reno/NewReno/Vegas chain comparison, 12 runs at
+// BenchScale on a fresh campaign — so the ledger holds the cost of the
+// experiment shape users actually run (build the sweep, fan it out,
+// render the series), not only of its parts.
+func BenchFigureTCPVariants(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.TCPVariants(manetsim.NewCampaign(manetsim.BenchScale)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

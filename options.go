@@ -80,15 +80,13 @@ func WithRTSThreshold(bytes int) Option {
 }
 
 // CampaignOption configures a Campaign at construction (NewCampaign),
-// mirroring Run's functional options. The exported Campaign struct
-// fields these replace (Workers, DisableArenaReuse) keep working as
-// deprecated aliases.
+// mirroring Run's functional options.
 type CampaignOption func(*Campaign)
 
 // WithWorkers bounds the campaign's parallel simulations (default
 // GOMAXPROCS). Cache and store hits never occupy a worker slot.
 func WithWorkers(n int) CampaignOption {
-	return func(c *Campaign) { c.Workers = n }
+	return func(c *Campaign) { c.workers = n }
 }
 
 // WithoutArenaReuse makes every campaign run build its world from
@@ -97,7 +95,7 @@ func WithWorkers(n int) CampaignOption {
 // is a diagnostic escape hatch and the honest baseline for the
 // replicate-throughput benchmark.
 func WithoutArenaReuse() CampaignOption {
-	return func(c *Campaign) { c.DisableArenaReuse = true }
+	return func(c *Campaign) { c.disableArenaReuse = true }
 }
 
 // WithStore attaches a persistent, content-addressed result store rooted
