@@ -58,8 +58,9 @@ func TestQuickStaticRouterPathsTerminate(t *testing.T) {
 		// Build next-hop tables for every node via NewStatic (MAC unused
 		// for the path-walk check).
 		routers := make([]*StaticRouter, n)
+		adj := geo.Neighbors(pts, 300)
 		for i := range pts {
-			routers[i] = NewStatic(pkt.NodeID(i), nil, pts, 300, func(*pkt.Packet) {})
+			routers[i] = NewStatic(pkt.NodeID(i), nil, adj, func(*pkt.Packet) {})
 		}
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {

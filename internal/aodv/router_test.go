@@ -299,6 +299,7 @@ func TestTableInvalidateNextHop(t *testing.T) {
 
 func TestStaticRouterChain(t *testing.T) {
 	positions := geo.Chain(4)
+	adj := geo.Neighbors(positions, phy.TxRange)
 	sched := sim.NewScheduler(1)
 	ch := phy.NewChannel(sched, positions)
 	var uids pkt.UIDSource
@@ -311,7 +312,7 @@ func TestStaticRouterChain(t *testing.T) {
 			Deliver:     func(p *pkt.Packet, from pkt.NodeID) { routers[i].HandlePacket(p, from) },
 			LinkFailure: func(p *pkt.Packet, nh pkt.NodeID) { routers[i].HandleLinkFailure(p, nh) },
 		})
-		routers[i] = NewStatic(pkt.NodeID(i), macs[i], positions, phy.TxRange, func(p *pkt.Packet) {
+		routers[i] = NewStatic(pkt.NodeID(i), macs[i], adj, func(p *pkt.Packet) {
 			if i == 4 {
 				delivered = append(delivered, p)
 			}

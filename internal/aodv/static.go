@@ -3,7 +3,6 @@ package aodv
 import (
 	"fmt"
 
-	"manetsim/internal/geo"
 	"manetsim/internal/mac"
 	"manetsim/internal/pkt"
 )
@@ -24,14 +23,15 @@ type StaticRouter struct {
 	Counters Counters
 }
 
-// NewStatic builds a static router for node id over the unit-disk graph of
-// positions with the given radio range, using BFS hop counts.
-func NewStatic(id pkt.NodeID, m *mac.DCF, positions []geo.Point, radioRange float64, deliver func(p *pkt.Packet)) *StaticRouter {
+// NewStatic builds a static router for node id over the graph whose
+// adjacency lists are adj (geo.Neighbors of the placement at the radio
+// range), using BFS hop counts. The adjacency is only read, so the routers of
+// one placement share a single one.
+func NewStatic(id pkt.NodeID, m *mac.DCF, adj [][]int, deliver func(p *pkt.Packet)) *StaticRouter {
 	if deliver == nil {
 		panic("aodv: deliver callback required")
 	}
-	n := len(positions)
-	adj := geo.Neighbors(positions, radioRange)
+	n := len(adj)
 	next := make([]pkt.NodeID, n)
 	for d := 0; d < n; d++ {
 		next[d] = pkt.Broadcast // unreachable marker

@@ -27,6 +27,9 @@ type scenarioState struct {
 	obs   Observer
 	sched *sim.Scheduler
 	uids  pkt.UIDSource
+	// onDeliveryFn is the onDelivery method value, bound once: evaluating
+	// it per node and build would allocate a closure each time.
+	onDeliveryFn func(flow int, n int64)
 
 	positions []geo.Point
 	flows     []Flow
@@ -45,6 +48,7 @@ type scenarioState struct {
 	// for a different flow identity is rebound by the layer's Reset.
 	arenaRouters []*aodv.Router
 	statics      []*aodv.StaticRouter
+	adj          [][]int // TxRange adjacency the statics route over; nil when they do not match positions
 	arenaEng     []*tcp.Engine
 	arenaSink    []*tcp.Sink
 	arenaUSrc    []*udp.Sender
@@ -281,6 +285,7 @@ func (s *scenarioState) build(reuse bool) error {
 		// Routing entities hold MAC bindings from the torn-down stacks.
 		s.arenaRouters = nil
 		s.statics = nil
+		s.adj = nil
 	}
 	ch := s.channel
 	ch.NoCapture = s.cfg.NoCapture
@@ -316,8 +321,21 @@ func (s *scenarioState) build(reuse bool) error {
 	} else {
 		s.plane = nil
 	}
+	if s.onDeliveryFn == nil {
+		s.onDeliveryFn = s.onDelivery
+	}
 	for _, n := range s.nodes {
-		n.OnFlowDelivery = s.onDelivery
+		n.OnFlowDelivery = s.onDeliveryFn
+	}
+	// Static routes are a pure function of the placement: the adjacency,
+	// computed once for all routers, and the routers built from it are
+	// reusable exactly when the placement repeated (the common case in a
+	// seed sweep over an explicit scenario) with no other routing in between.
+	sameRoutes := samePlacement && s.adj != nil
+	if scn.Routing != RoutingStatic {
+		s.adj = nil
+	} else if !sameRoutes {
+		s.adj = geo.Neighbors(pts, phy.TxRange)
 	}
 	s.routers = resetSlice(s.routers, len(pts))
 	s.arenaRouters = growSlice(s.arenaRouters, len(pts))
@@ -344,14 +362,11 @@ func (s *scenarioState) build(reuse bool) error {
 			s.routers[i] = r
 			n.SetRouter(r)
 		case RoutingStatic:
-			// Static routes are a pure function of the placement: reusable
-			// exactly when the placement repeated (the common case in a
-			// seed sweep over an explicit scenario).
 			sr := s.statics[i]
-			if sr != nil && samePlacement {
+			if sr != nil && sameRoutes {
 				sr.Reset()
 			} else {
-				sr = aodv.NewStatic(id, n.MAC, pts, phy.TxRange, n.Deliver)
+				sr = aodv.NewStatic(id, n.MAC, s.adj, n.Deliver)
 				s.statics[i] = sr
 			}
 			n.SetRouter(sr)

@@ -143,3 +143,93 @@ func TestWorldErrorDoesNotPoison(t *testing.T) {
 		t.Error("arena result differs from fresh after an intervening build error")
 	}
 }
+
+// lineScenario places four static-routed nodes on a line at the given x
+// coordinates (a permutation of 0, 200, 400, 600) with one flow from node 0
+// to node 3, so the node order decides the route.
+func lineScenario(xs ...float64) *Scenario {
+	scn := NewScenario("line").WithRouting(RoutingStatic)
+	for _, x := range xs {
+		scn.AddNode(x, 0)
+	}
+	return scn.AddFlow(0, 3)
+}
+
+// TestWorldAdjacencyFollowsPlacement: the arena computes the static-route
+// adjacency once per placement — a repeated placement reuses it and the
+// routers built from it, a different one (same node count, so every other
+// layer is rewound in place) rebuilds both — and an AODV run in between
+// must not leave routes of the placement before it behind.
+func TestWorldAdjacencyFollowsPlacement(t *testing.T) {
+	tspec := TransportSpec{Name: "newreno"}
+	a, b := lineScenario(0, 200, 400, 600), lineScenario(0, 400, 200, 600)
+	w := NewWorld()
+	run := func(scn *Scenario, seed int64) {
+		t.Helper()
+		cfg := worldTestConfig(scn, tspec, seed)
+		fresh, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena, err := w.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest(t, fresh) != digest(t, arena) {
+			t.Errorf("%s seed %d: arena result differs from fresh", scn.Name, seed)
+		}
+	}
+	run(a, 1)
+	adj, router := w.s.adj, w.s.statics[0]
+	if got := router.NextHop(3); got != 1 {
+		t.Fatalf("placement a: next hop 0->3 = %d, want 1", got)
+	}
+	run(a, 2)
+	if &w.s.adj[0] != &adj[0] || w.s.statics[0] != router {
+		t.Error("same placement: adjacency or routers rebuilt")
+	}
+	run(b, 3)
+	if &w.s.adj[0] == &adj[0] || w.s.statics[0] == router {
+		t.Error("different placement: adjacency or routers reused")
+	}
+	if got := w.s.statics[0].NextHop(3); got != 2 {
+		t.Errorf("placement b: next hop 0->3 = %d, want 2", got)
+	}
+	run(a.Clone().WithRouting(RoutingAODV), 4)
+	if w.s.adj != nil {
+		t.Error("adjacency kept across an AODV run")
+	}
+	run(a, 5)
+	if got := w.s.statics[0].NextHop(3); got != 1 {
+		t.Errorf("placement a after AODV on a: next hop 0->3 = %d, want 1 (routes of placement b reused)", got)
+	}
+}
+
+// TestWorldResetAllocatesLessThanOncePerNode pins what arena reuse is for on
+// a wide world: rewinding 210 stacks for a short replicate allocates for the
+// run (flows, batches, the result), never per node — a closure or buffer
+// re-made for every node and reset shows up as 210 allocations at once.
+func TestWorldResetAllocatesLessThanOncePerNode(t *testing.T) {
+	scn := NewScenario("grid-15x14").WithRouting(RoutingStatic)
+	for row := 0; row < 14; row++ {
+		for col := 0; col < 15; col++ {
+			scn.AddNode(float64(col)*200, float64(row)*200)
+		}
+	}
+	scn.AddFlow(0, 2)
+	for _, spec := range []TransportSpec{{Name: "vegas"}, {Name: "newreno"}} {
+		w := NewWorld()
+		seed := int64(0)
+		run := func() {
+			seed++
+			cfg := Config{Scenario: scn, Transport: spec, Seed: seed, TotalPackets: 110, BatchPackets: 10}
+			if _, err := w.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(10, run); allocs >= float64(scn.NumNodes()) {
+			t.Errorf("%s: a reset run on %d nodes allocates %.0f times", spec.Name, scn.NumNodes(), allocs)
+		}
+	}
+}

@@ -105,6 +105,10 @@ type DCF struct {
 	// releases them, so steady-state traffic builds frames without
 	// allocating.
 	freeFrame *Frame //manetsim:resetsafe freelist survives resets; frames are re-zeroed on release
+	// releaseFn is the frameReleased method value, bound once in New: the
+	// radio forgets its hook on reset, and re-evaluating the method value
+	// to reinstall it would allocate a closure per node and run.
+	releaseFn func(frame any) //manetsim:resetsafe bound to this MAC for life
 
 	Counters Counters
 }
@@ -137,7 +141,8 @@ func New(sched *sim.Scheduler, radio *phy.Radio, cfg Config, cb Callbacks) *DCF 
 	d.ackTimer = sim.NewTimer(sched, d.onAckTimeout)
 	d.navTimer = sim.NewTimer(sched, d.kick)
 	radio.SetHandler(d)
-	radio.OnFrameReleased = d.frameReleased
+	d.releaseFn = d.frameReleased
+	radio.OnFrameReleased = d.releaseFn
 	return d
 }
 
@@ -185,7 +190,7 @@ func (d *DCF) Reset(cfg Config) {
 	d.seenIdx = 0
 	d.Counters = Counters{}
 	d.radio.SetHandler(d)
-	d.radio.OnFrameReleased = d.frameReleased
+	d.radio.OnFrameReleased = d.releaseFn
 }
 
 // Deactivate crashes the MAC mid-run: every timer stops, the queue and

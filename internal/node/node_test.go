@@ -25,9 +25,10 @@ func buildStack(t *testing.T, hops int) (*sim.Scheduler, []*Node, *pkt.UIDSource
 	for i := range pts {
 		nodes[i] = New(sched, ch.Radio(pkt.NodeID(i)), mac.Config{DataRate: phy.Rate2Mbps})
 	}
+	adj := geo.Neighbors(pts, phy.TxRange)
 	for i := range pts {
 		n := nodes[i]
-		n.SetRouter(aodv.NewStatic(pkt.NodeID(i), n.MAC, pts, phy.TxRange, n.Deliver))
+		n.SetRouter(aodv.NewStatic(pkt.NodeID(i), n.MAC, adj, n.Deliver))
 	}
 	return sched, nodes, uids
 }

@@ -3,6 +3,7 @@ package phy
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -115,10 +116,12 @@ type Channel struct {
 	// their previous positions. Reused across epochs, never escapes.
 	moved    []*Radio    //manetsim:resetsafe scratch, truncated at the start of every epoch tick
 	movedOld []geo.Point //manetsim:resetsafe scratch, truncated alongside moved
-	// Scratch for neighborsOf: the entries as the grid yields them and the
-	// packed sort keys that order them. Reused across rebuilds.
-	stage []neighbor //manetsim:resetsafe scratch, truncated at the start of every rebuild
-	keys  []uint64   //manetsim:resetsafe scratch, truncated alongside stage
+	// Scratch for neighborsOf, reused across rebuilds: the distance to and
+	// the membership bit of every in-range radio, indexed by node id, and
+	// the packed arrival-order keys.
+	dist    []float64 //manetsim:resetsafe scratch, written for every id before it is read
+	inRange []uint64  //manetsim:resetsafe scratch, every rebuild leaves it all zero
+	keys    []uint64  //manetsim:resetsafe scratch, truncated at the start of every rebuild
 
 	// Freelist of per-transmission records. A transmission needs one
 	// txRecord, which carries its per-receiver signals inline and is
@@ -253,6 +256,8 @@ func (c *Channel) SetFaultPlane(p *fault.Plane) { c.faults = p }
 
 func (c *Channel) makeRadios(positions []geo.Point) {
 	c.radios = make([]*Radio, len(positions))
+	c.dist = make([]float64, len(positions))
+	c.inRange = make([]uint64, (len(positions)+63)/64)
 	for i := range positions {
 		r := &Radio{ch: c, id: pkt.NodeID(i), pos: positions[i]}
 		c.radios[i] = r
@@ -301,75 +306,132 @@ func (c *Channel) refreshPositions() {
 	c.sched.AfterFunc(c.interval, refreshPositionsFn, c)
 }
 
-// invalidateNb marks one radio's neighbor cache stale. A package-level
-// function, so passing it to forNear allocates nothing.
-func invalidateNb(o *Radio) { o.nbValid = false }
-
 // markNear invalidates the neighbor caches of every radio that could have p
-// inside its carrier-sense range. forNear over-approximates by cell blocks;
+// inside its carrier-sense range. The cell block over-approximates;
 // over-marking only costs a rebuild, never correctness — rebuilt sets are
-// exact (distance-filtered and id-sorted), so dirty marking changes when
+// exact (distance-filtered and id-ordered), so dirty marking changes when
 // caches rebuild but never what they contain.
 func (c *Channel) markNear(p geo.Point) {
-	c.grid.forNear(p, CSRange, invalidateNb)
+	lo, hi := c.grid.span(p, CSRange)
+	for x := lo.x; x <= hi.x; x++ {
+		for y := lo.y; y <= hi.y; y++ {
+			for _, r := range c.grid.cells[cellKey{x, y}] {
+				r.nbValid = false
+			}
+		}
+	}
 }
+
+// nearSq is the squared pre-reject radius of a neighbor rebuild: CSRange
+// plus a meter of slack, so the cheap squared test never drops a candidate
+// the exact Distance test (which decides, and whose value is kept) admits.
+const nearSq = (CSRange + 1) * (CSRange + 1)
+
+// departed marks the arrival-order slot of a neighbor that left the set.
+const departed = ^uint64(0)
 
 // neighborsOf returns r's current neighbor set, rebuilding the cached slice
 // from the spatial grid when an epoch tick dirtied it. Entries are
 // ordered by node id so sequence numbers and link-model draws — and
 // therefore whole runs — stay deterministic regardless of grid-map
 // iteration order; each entry's rank is its place in arrival order, which
-// is where Transmit files the copy so the walk needs no sorting.
+// is where Transmit files the copy so the walk needs no sorting. The cache
+// check is all there is to a hit, so it inlines into Transmit.
 //
 //manetsim:hotpath
 func (c *Channel) neighborsOf(r *Radio) []neighbor {
 	if r.nbValid {
 		return r.nbCache
 	}
-	c.stage, c.keys = c.stage[:0], c.keys[:0]
-	// The capturing visitor below runs only on the rebuild path (cache
-	// miss after an epoch tick); the steady state returns the cached slice
-	// above without allocating.
-	//manetsim:allow hotpathalloc rebuild path, amortized by the neighbor cache
-	c.grid.forNear(r.pos, CSRange, func(other *Radio) {
-		if other == r {
-			return
+	return c.rebuildNeighbors(r)
+}
+
+// rebuildNeighbors recomputes r's neighbor cache for the current positions.
+// It sorts nothing and allocates nothing: in-range ids are collected in a
+// bitset and read back in id order, the previous cache — walked alongside —
+// hands each surviving neighbor its link state and its old arrival rank, and
+// the arrival order of the last epoch, which movement between two epochs
+// barely disturbs, is repaired by insertion.
+//
+//manetsim:hotpath
+func (c *Channel) rebuildNeighbors(r *Radio) []neighbor {
+	lo, hi := c.grid.span(r.pos, CSRange)
+	for x := lo.x; x <= hi.x; x++ {
+		for y := lo.y; y <= hi.y; y++ {
+			for _, o := range c.grid.cells[cellKey{x, y}] {
+				dx, dy := o.pos.X-r.pos.X, o.pos.Y-r.pos.Y
+				if dx*dx+dy*dy > nearSq || o == r {
+					continue
+				}
+				if d := r.pos.Distance(o.pos); d <= CSRange {
+					c.dist[o.id] = d
+					c.inRange[o.id>>6] |= 1 << (o.id & 63)
+				}
+			}
 		}
-		d := r.pos.Distance(other.pos)
-		if d <= CSRange {
-			c.keys = append(c.keys, uint64(other.id)<<32|uint64(len(c.stage)))
-			c.stage = append(c.stage, neighbor{
-				radio:     other,
+	}
+	// keys[:len(prev)] are last epoch's arrival slots, filled by the
+	// survivors; newcomers queue up behind them.
+	prev := r.nbCache
+	next := r.nbSpare[:0]
+	c.keys = c.keys[:0]
+	for range prev {
+		c.keys = append(c.keys, departed)
+	}
+	impaired := c.impaired()
+	j := 0
+	for w, word := range c.inRange {
+		c.inRange[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := pkt.NodeID(w<<6 | bits.TrailingZeros64(word))
+			d := c.dist[id]
+			nb := neighbor{
+				radio:     c.radios[id],
 				propDelay: PropagationDelay(d),
 				decodable: d <= c.decodeRange,
 				power:     rxPower(d),
 				dist:      d,
-			})
+			}
+			key := uint64(nb.propDelay)<<32 | uint64(len(next))
+			for j < len(prev) && prev[j].radio.id < id {
+				j++
+			}
+			if j < len(prev) && prev[j].radio.id == id {
+				c.keys[prev[j].rank] = key
+				nb.link = prev[j].link
+			} else {
+				c.keys = append(c.keys, key)
+			}
+			if !impaired {
+				nb.link = nil
+			} else if nb.link == nil || !nb.link.Seeded() {
+				nb.link = r.linkState(id)
+			}
+			next = append(next, nb)
 		}
-	})
-	// Both orders come from sorting packed keys, which needs no comparator
-	// and moves no structs: id<<32|index gathers the staged entries in id
-	// order, propDelay<<32|index then ranks them by arrival.
-	slices.Sort(c.keys)
-	r.nbCache = r.nbCache[:0]
-	impaired := c.impaired()
+	}
+	// Close the gaps the departed left, then repair the order: the key
+	// propDelay<<32|index compares as (propDelay, id) does.
+	order := c.keys[:0]
 	for _, key := range c.keys {
-		nb := c.stage[uint32(key)]
-		if impaired {
-			nb.link = r.linkState(nb.radio.id)
+		if key != departed {
+			order = append(order, key)
 		}
-		r.nbCache = append(r.nbCache, nb)
 	}
-	c.keys = c.keys[:0]
-	for i := range r.nbCache {
-		c.keys = append(c.keys, uint64(r.nbCache[i].propDelay)<<32|uint64(i))
+	for i := 1; i < len(order); i++ {
+		key := order[i]
+		k := i
+		for ; k > 0 && order[k-1] > key; k-- {
+			order[k] = order[k-1]
+		}
+		order[k] = key
 	}
-	slices.Sort(c.keys)
-	for rank, key := range c.keys {
-		r.nbCache[uint32(key)].rank = int32(rank)
+	for rank, key := range order {
+		next[uint32(key)].rank = int32(rank)
 	}
+	r.nbCache, r.nbSpare = next, prev
 	r.nbValid = true
-	return r.nbCache
+	return next
 }
 
 // impaired reports whether frame copies take per-link draws (loss, jitter).
@@ -387,16 +449,17 @@ func (c *Channel) Distance(a, b pkt.NodeID) float64 {
 	return c.radios[a].pos.Distance(c.radios[b].pos)
 }
 
-// Reachable reports whether b is currently within transmission range of a
-// over a non-severed link. It is the omniscient link oracle routing layers
-// use to classify a MAC give-up as a genuine route break (the hop moved
-// away, crashed, or sits behind a blackout or partition) or a false one
-// (contention on a healthy link).
+// Reachable reports whether b is currently within decode range of a (the
+// range neighbor caches mark decodable: TxRange unless the link model
+// extends it) over a non-severed link. It is the omniscient link oracle
+// routing layers use to classify a MAC give-up as a genuine route break (the
+// hop moved away, crashed, or sits behind a blackout or partition) or a
+// false one (contention on a healthy link).
 func (c *Channel) Reachable(a, b pkt.NodeID) bool {
 	if !c.faults.Quiet() && c.faults.Severed(a, b) {
 		return false
 	}
-	return c.Distance(a, b) <= TxRange
+	return c.Distance(a, b) <= c.decodeRange
 }
 
 // NeighborCount returns the size of the node's current neighbor set
@@ -560,8 +623,10 @@ type Radio struct {
 	OnFrameReleased func(frame any)
 
 	// Neighbor cache, invalidated by epoch ticks that move this radio or
-	// one of its (old or new) surroundings.
+	// one of its (old or new) surroundings. A rebuild reads the outgoing
+	// cache while it fills nbSpare, then swaps the two.
 	nbCache []neighbor
+	nbSpare []neighbor //manetsim:resetsafe scratch, truncated at the start of every rebuild
 	nbValid bool
 
 	// Per-directed-link impairment streams, keyed by receiver and seeded

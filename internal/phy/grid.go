@@ -42,7 +42,7 @@ func (g *spatialGrid) insert(r *Radio) {
 }
 
 // reset empties the grid while keeping bucket capacity: entries are nilled
-// and each bucket truncated in place. Empty buckets are harmless to forNear
+// and each bucket truncated in place. Empty buckets are harmless to scans
 // and are deleted by move as radios leave them.
 func (g *spatialGrid) reset() {
 	for k, bucket := range g.cells {
@@ -76,16 +76,10 @@ func (g *spatialGrid) move(r *Radio, old geo.Point) {
 	g.cells[to] = append(g.cells[to], r)
 }
 
-// forNear visits every radio indexed within radius of p (plus cell-boundary
-// slack — callers must still filter by exact distance).
-func (g *spatialGrid) forNear(p geo.Point, radius float64, visit func(*Radio)) {
-	lo := g.keyOf(geo.Point{X: p.X - radius, Y: p.Y - radius})
-	hi := g.keyOf(geo.Point{X: p.X + radius, Y: p.Y + radius})
-	for x := lo.x; x <= hi.x; x++ {
-		for y := lo.y; y <= hi.y; y++ {
-			for _, r := range g.cells[cellKey{x, y}] {
-				visit(r)
-			}
-		}
-	}
+// span returns the corner cells of the block that holds every radio within
+// radius of p (plus cell-boundary slack — callers must still filter by exact
+// distance).
+func (g *spatialGrid) span(p geo.Point, radius float64) (lo, hi cellKey) {
+	return g.keyOf(geo.Point{X: p.X - radius, Y: p.Y - radius}),
+		g.keyOf(geo.Point{X: p.X + radius, Y: p.Y + radius})
 }
