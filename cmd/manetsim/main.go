@@ -1,7 +1,6 @@
 // Command manetsim runs a single simulation scenario and prints its
-// measurements; with the bench subcommand it drives the performance
-// benchmark suite and its CI gate, and with the serve subcommand it runs
-// as a long-lived simulation service over HTTP.
+// measurements; with the serve subcommand it runs as a long-lived
+// simulation service over HTTP.
 //
 // Examples:
 //
@@ -19,10 +18,6 @@
 //	manetsim -list-transports
 //	manetsim -list-link-models
 //	manetsim -list-faults
-//
-//	manetsim bench -json                      # run suite, write BENCH_<date>.json
-//	go test -bench=. ./internal/perf | manetsim bench -parse -out ci.json
-//	manetsim bench -compare BENCH_old.json ci.json
 //
 //	manetsim serve -addr :8971 -store /var/lib/manetsim/store
 //	curl -XPOST localhost:8971/api/v1/sweeps -d @sweep.json   # -> {"id":"sweep-1",...}
@@ -42,10 +37,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		runBench(os.Args[2:])
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		runServe(os.Args[2:])
 		return
@@ -100,6 +91,11 @@ func main() {
 	var faults faultFlags
 	flag.Var(&faults, "fault", "inject a fault: name@k=v,... e.g. crash@t=30,node=3 (repeatable; see -list-faults)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "manetsim: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listTr {
 		listTransports()

@@ -357,3 +357,120 @@ func (c *cancelOnIdle) ChannelIdle() {
 		*c.at = c.sched.Dispatched()
 	}
 }
+
+// sinkHandler is the minimal handler for the delivery gates below: it
+// counts deliveries and corruptions and ignores carrier state.
+type sinkHandler struct{ rx, corrupted int }
+
+func (h *sinkHandler) RxFrame(any, pkt.NodeID) { h.rx++ }
+func (h *sinkHandler) RxCorrupted()            { h.corrupted++ }
+func (h *sinkHandler) ChannelBusy()            {}
+func (h *sinkHandler) ChannelIdle()            {}
+func (h *sinkHandler) TxDone()                 {}
+
+// newImpairedPair builds the 3-node line every impaired-delivery
+// measurement uses — sender, decodable receiver at 200 m, gray-zone
+// listener at 400 m (energy only under the perfect channel) — with
+// bursty Gilbert-Elliott loss and delay jitter installed, and returns
+// the scheduler, sender radio and receiving sink. One warm-up transmit
+// has already run, so per-link states and the pooled transmission record
+// are allocated.
+func newImpairedPair() (*sim.Scheduler, *Radio, *sinkHandler) {
+	sched := sim.NewScheduler(1)
+	ch := NewChannel(sched, []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}})
+	ch.SetLinkModel(linkmodel.GilbertElliott{
+		PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.5,
+	}, 10*time.Microsecond, 0, 1)
+	sink := &sinkHandler{}
+	tx := ch.Radio(0)
+	tx.SetHandler(&sinkHandler{})
+	ch.Radio(1).SetHandler(sink)
+	ch.Radio(2).SetHandler(&sinkHandler{})
+	tx.Transmit("warmup", 100*time.Microsecond)
+	sched.Run()
+	return sched, tx, sink
+}
+
+// newFaultedPair is newImpairedPair with the fault plane installed and
+// active: the gray-zone link 0<->2 is blacked out, so every transmit
+// walks the severance checks on each copy with the plane in its
+// non-quiet state while the decodable receiver keeps delivering.
+func newFaultedPair() (*sim.Scheduler, *Radio, *sinkHandler, *fault.Plane) {
+	sched := sim.NewScheduler(1)
+	ch := NewChannel(sched, []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}})
+	ch.SetLinkModel(linkmodel.GilbertElliott{
+		PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.5,
+	}, 10*time.Microsecond, 0, 1)
+	plane := &fault.Plane{}
+	plane.Reset(3)
+	plane.BlockLink(0, 2)
+	plane.BlockLink(2, 0)
+	ch.SetFaultPlane(plane)
+	sink := &sinkHandler{}
+	tx := ch.Radio(0)
+	tx.SetHandler(&sinkHandler{})
+	ch.Radio(1).SetHandler(sink)
+	ch.Radio(2).SetHandler(&sinkHandler{})
+	tx.Transmit("warmup", 100*time.Microsecond)
+	sched.Run()
+	return sched, tx, sink, plane
+}
+
+// walkAllocs returns the allocations per frame sent from tx and drained,
+// after checking that the frames went the way the gates below mean to
+// measure: each one a single queue entry that walks all five callbacks of
+// a two-neighbor transmission (two signal starts, two ends, TxDone) in one
+// scheduler round trip, nothing else being queued.
+func walkAllocs(t *testing.T, sched *sim.Scheduler, tx *Radio) float64 {
+	t.Helper()
+	entries, frames, steps := 0, 0, 0
+	d0 := sched.Dispatched()
+	n := testing.AllocsPerRun(200, func() {
+		tx.Transmit("frame", 100e3)
+		entries += sched.Pending()
+		frames++
+		for sched.Step() {
+			steps++
+		}
+	})
+	if entries != frames {
+		t.Errorf("%d frames took %d queue entries, want one each", frames, entries)
+	}
+	if steps != frames {
+		t.Errorf("%d frames took %d scheduler round trips, want one each", frames, steps)
+	}
+	if got := sched.Dispatched() - d0; got != uint64(5*frames) {
+		t.Errorf("%d frames ran %d callbacks, want 5 each", frames, got)
+	}
+	return n
+}
+
+// TestChannelDeliverImpairedZeroAlloc is the hot-path gate of the
+// link-impairment subsystem: after warm-up (per-link states populated, the
+// transmission record and its signal array pooled), a frame delivery
+// through an impaired channel — loss draws, jitter draws, the arrival
+// re-sort, the walk, capture arbitration — must not allocate.
+func TestChannelDeliverImpairedZeroAlloc(t *testing.T) {
+	sched, tx, _ := newImpairedPair()
+	if n := walkAllocs(t, sched, tx); n != 0 {
+		t.Errorf("impaired delivery allocates %.1f times per frame, want 0", n)
+	}
+}
+
+// TestChannelDeliverFaultedZeroAlloc extends the gate to the fault
+// plane: with an active blackout installed on the channel, the
+// steady-state delivery path — severance checks on every copy plus the
+// usual impairment draws — must still not allocate.
+func TestChannelDeliverFaultedZeroAlloc(t *testing.T) {
+	sched, tx, sink, plane := newFaultedPair()
+	if plane.Quiet() {
+		t.Fatal("fault plane inactive; the gate would only measure the quiet path")
+	}
+	before := sink.rx + sink.corrupted
+	if n := walkAllocs(t, sched, tx); n != 0 {
+		t.Errorf("faulted delivery allocates %.1f times per frame, want 0", n)
+	}
+	if sink.rx+sink.corrupted == before {
+		t.Fatal("nothing reached the unsevered receiver")
+	}
+}
