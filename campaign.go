@@ -2,10 +2,13 @@ package manetsim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,9 +71,16 @@ type Campaign struct {
 	// executed counts simulations actually run by this campaign —
 	// in-memory cache hits and persistent-store hits excluded.
 	executed atomic.Int64
+	// storeWriteErrors counts completed results the store failed to
+	// persist (see storePut).
+	storeWriteErrors atomic.Int64
 
+	// cache holds one single-flight entry per run identity: the SHA-256 of
+	// the run's Config.CacheKey(), the very bytes the store hex-encodes for
+	// its file name, so memory and disk address a run alike without the
+	// multi-kilobyte key string staying resident.
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[[32]byte]*cacheEntry
 	sem   chan struct{}
 	once  sync.Once
 
@@ -106,7 +116,7 @@ func (c *Campaign) Ready() error {
 			c.workers = runtime.GOMAXPROCS(0)
 		}
 		c.sem = make(chan struct{}, c.workers)
-		c.cache = make(map[string]*cacheEntry)
+		c.cache = make(map[[32]byte]*cacheEntry)
 		if !c.disableArenaReuse {
 			c.arenas = make(chan *core.World, c.workers)
 		}
@@ -122,6 +132,12 @@ func (c *Campaign) Ready() error {
 // not counted. It is the observable behind resumable sweeps: re-running
 // a completed sweep against the same store executes zero simulations.
 func (c *Campaign) Executed() int64 { return c.executed.Load() }
+
+// StoreWriteErrors returns how many completed results this campaign
+// failed to persist to its store (full disk, permissions, a removed
+// directory). Each such run returned its result normally but will be
+// re-run by a fresh campaign over the same store.
+func (c *Campaign) StoreWriteErrors() int64 { return c.storeWriteErrors.Load() }
 
 // storeGet fetches a stored result by cache key; any miss, decode
 // failure or schema mismatch re-runs the simulation instead.
@@ -142,16 +158,19 @@ func (c *Campaign) storeGet(key string) (*Result, bool) {
 
 // storePut persists a completed result, best-effort: the store is a
 // cache, so a failed write (full disk, permissions) costs a future
-// re-run, never the current result.
+// re-run, never the current result. Failures are counted
+// (StoreWriteErrors).
 func (c *Campaign) storePut(key string, res *Result) {
 	if c.store == nil {
 		return
 	}
 	raw, err := json.Marshal(res)
-	if err != nil {
-		return
+	if err == nil {
+		err = c.store.Put(key, raw)
 	}
-	_ = c.store.Put(key, raw)
+	if err != nil {
+		c.storeWriteErrors.Add(1)
+	}
 }
 
 // runCore executes one fully scaled config, reusing a pooled arena when
@@ -266,72 +285,173 @@ func (c *Campaign) runParallel(n int, work func(i int, abort *atomic.Bool) (*Res
 	}
 }
 
-// cacheEntry is one single-flight cache slot: the first caller for a key
-// executes the run, concurrent duplicates wait for it and share the
-// outcome; done is closed once res/err are set.
+// cacheEntry is one single-flight cache slot: the first caller to claim
+// it executes the run, concurrent duplicates wait for it without holding
+// a worker slot and share the outcome; done is closed once res/err are
+// set.
 type cacheEntry struct {
-	once sync.Once
-	done chan struct{}
-	res  *Result
-	err  error
+	claimed atomic.Bool
+	done    chan struct{}
+	res     *Result
+	err     error
 }
 
-// cachedRun is the one path a scaled config takes to a result: the
-// in-memory cache, then — holding a worker slot — the persistent store,
-// then the simulator. Completed entries return immediately without
-// touching the worker semaphore. Cancellation and a raised abort flag are
-// both honoured while queued for a slot, leaving the entry unclaimed, and
-// an entry whose run was cancelled mid-flight is forgotten — so neither
-// aborts nor cancellations poison the cache.
+// cancelled reports an error that says nothing about the config itself,
+// only that the context it ran under ended.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// cachedRun runs one scaled config through the cache, keyed by the
+// SHA-256 of its CacheKey — the path for configs that arrive one at a
+// time (Run, RunAll); sweeps derive the same identity from a per-cell
+// keyTemplate instead.
 func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool) (*Result, error) {
+	key := cfg.CacheKey()
+	return c.runByID(ctx, cfg, sha256.Sum256([]byte(key)), func() string { return key }, abort)
+}
+
+// runByID is the one path a scaled config takes to a result: the
+// in-memory cache, then — holding a worker slot — the persistent store,
+// then the simulator. id is the SHA-256 of cfg.CacheKey(); key returns
+// that string and is called only when a store is attached, on a miss.
+//
+// Completed entries return immediately without touching the worker
+// semaphore, and a caller that finds its entry claimed by a run in
+// flight waits for it without a slot, so duplicates never starve other
+// configs of workers. Cancellation and a raised abort flag are both
+// honoured while queued for a slot, leaving the entry unclaimed, and an
+// entry whose run was cancelled mid-flight is forgotten — its waiters
+// retry under their own contexts — so neither aborts nor cancellations
+// poison the cache.
+func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key func() string, abort *atomic.Bool) (*Result, error) {
 	if cfg.Observer != nil {
 		return nil, errCampaignObserver
 	}
-	key := cfg.CacheKey()
-	c.mu.Lock()
-	e := c.cache[key]
-	if e == nil {
-		e = &cacheEntry{done: make(chan struct{})}
-		c.cache[key] = e
+	for {
+		c.mu.Lock()
+		e := c.cache[id]
+		if e == nil {
+			e = &cacheEntry{done: make(chan struct{})}
+			c.cache[id] = e
+		}
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+		default:
+			if !e.claimed.Load() {
+				select {
+				case c.sem <- struct{}{}:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				switch {
+				case abort != nil && abort.Load():
+					<-c.sem
+					return nil, errAborted
+				case ctx.Err() != nil:
+					<-c.sem
+					return nil, ctx.Err()
+				case e.claimed.CompareAndSwap(false, true):
+					c.fill(ctx, cfg, id, key, e)
+					<-c.sem
+					return e.res, e.err
+				}
+				// Claimed by another caller while this one queued.
+				<-c.sem
+			}
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		if !cancelled(e.err) {
+			return e.res, e.err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// The owner's context ended, not this caller's: run it again.
 	}
-	c.mu.Unlock()
-	select {
-	case <-e.done:
-		return e.res, e.err
-	default:
-	}
-	select {
-	case c.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-c.sem }()
-	if abort != nil && abort.Load() {
-		return nil, errAborted
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.once.Do(func() {
-		defer close(e.done)
+}
+
+// fill executes the claimed entry e — the store first, then the
+// simulator — and publishes the outcome by closing e.done. A cancelled
+// run's entry leaves the cache before done closes, so every waiter that
+// retries finds a fresh one.
+func (c *Campaign) fill(ctx context.Context, cfg Config, id [32]byte, key func() string, e *cacheEntry) {
+	defer close(e.done)
+	var k string
+	if c.store != nil {
+		k = key()
 		var stored bool
-		if e.res, stored = c.storeGet(key); stored {
+		if e.res, stored = c.storeGet(k); stored {
 			return
 		}
-		e.res, e.err = c.runCore(ctx, cfg)
-		switch {
-		case e.err == nil:
-			c.executed.Add(1)
-			c.storePut(key, e.res)
-		case errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded):
-			// Cancellation says nothing about the config itself: drop the
-			// entry so a later caller re-runs it.
-			c.mu.Lock()
-			delete(c.cache, key)
-			c.mu.Unlock()
-		}
-	})
-	return e.res, e.err
+	}
+	e.res, e.err = c.runCore(ctx, cfg)
+	switch {
+	case e.err == nil:
+		c.executed.Add(1)
+		c.storePut(k, e.res)
+	case cancelled(e.err):
+		c.mu.Lock()
+		delete(c.cache, id)
+		c.mu.Unlock()
+	}
+}
+
+// keyTemplate is one sweep cell's Config.CacheKey split around the seed.
+// encoding/json writes an int64 with strconv.AppendInt, so prefix, a
+// seed's decimal digits and suffix concatenate to the CacheKey of the
+// cell's config with that seed, byte for byte. state is the SHA-256
+// state after absorbing prefix (several kilobytes for a large scenario),
+// so a run's identity costs the hash of its seed digits and the short
+// suffix only.
+type keyTemplate struct {
+	prefix, suffix []byte
+	state          []byte
+}
+
+// newKeyTemplate builds the template of cfg's cell by encoding it with
+// seeds 1 and 2 and splitting at the first byte that differs — the seed
+// digit — so no field list is copied from Config.
+func newKeyTemplate(cfg Config) *keyTemplate {
+	cfg.Seed = 1
+	one := []byte(cfg.CacheKey())
+	cfg.Seed = 2
+	two := cfg.CacheKey()
+	i := 0
+	for one[i] == two[i] {
+		i++
+	}
+	t := &keyTemplate{prefix: one[:i], suffix: one[i+1:]}
+	h := sha256.New()
+	h.Write(t.prefix)
+	// SHA-256 state marshalling cannot fail.
+	t.state, _ = h.(encoding.BinaryMarshaler).MarshalBinary()
+	return t
+}
+
+// id returns the SHA-256 of the cell's CacheKey with the given seed.
+func (t *keyTemplate) id(seed int64) (sum [32]byte) {
+	h := sha256.New()
+	// A state MarshalBinary produced always restores.
+	_ = h.(encoding.BinaryUnmarshaler).UnmarshalBinary(t.state)
+	var digits [20]byte
+	h.Write(strconv.AppendInt(digits[:0], seed, 10))
+	h.Write(t.suffix)
+	h.Sum(sum[:0])
+	return sum
+}
+
+// key returns the cell's CacheKey with the given seed.
+func (t *keyTemplate) key(seed int64) string {
+	b := make([]byte, 0, len(t.prefix)+20+len(t.suffix))
+	b = append(b, t.prefix...)
+	b = strconv.AppendInt(b, seed, 10)
+	return string(append(b, t.suffix...))
 }
 
 // Run executes one config — scaled to the campaign's Scale — through the
@@ -545,6 +665,9 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 	transports, rates, linkModels, faults, seeds := sw.axes(c.Scale.Seed)
 	var cells []Cell
 	var cfgs []Config
+	// One key template per cell: every seed replicate of the cell keys
+	// from it without encoding its config again.
+	var keys []*keyTemplate
 	for _, scn := range sw.Scenarios {
 		for _, t := range transports {
 			for _, r := range rates {
@@ -554,15 +677,16 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 							Key:      NewCellKey(scn, t, r, lm, fs, seeds),
 							Scenario: scn, Transport: t, Rate: r, LinkModel: lm, Faults: fs, Seeds: seeds,
 						})
+						cfg := sw.Base
+						cfg.Scenario = scn
+						cfg.Transport = t
+						cfg.Bandwidth = r
+						cfg.LinkModel = lm
+						cfg.Faults = fs
+						keys = append(keys, newKeyTemplate(c.scaled(cfg)))
 						for _, seed := range seeds {
-							cfg := sw.Base
-							cfg.Scenario = scn
-							cfg.Transport = t
-							cfg.Bandwidth = r
-							cfg.LinkModel = lm
-							cfg.Faults = fs
 							cfg.Seed = seed
-							cfgs = append(cfgs, cfg)
+							cfgs = append(cfgs, c.scaled(cfg))
 						}
 					}
 				}
@@ -574,7 +698,8 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 		done       int
 	)
 	results, err := c.runParallel(len(cfgs), func(i int, abort *atomic.Bool) (*Result, error) {
-		res, err := c.cachedRun(ctx, c.scaled(cfgs[i]), abort)
+		cfg, tmpl := cfgs[i], keys[i/len(seeds)]
+		res, err := c.runByID(ctx, cfg, tmpl.id(cfg.Seed), func() string { return tmpl.key(cfg.Seed) }, abort)
 		if err == nil && onRun != nil {
 			progressMu.Lock()
 			done++

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,6 +229,182 @@ func TestCampaignCancellationDoesNotPoisonCache(t *testing.T) {
 	}
 	if res == nil || res.Delivered < 22000 {
 		t.Errorf("rerun after cancellation returned %+v, want a complete result", res)
+	}
+}
+
+// gateCC is a registered transport that, when armed by its spec
+// (Alpha == 43), announces its transfer's start on started and then holds
+// it until release closes: a run the waiter tests keep in flight at will.
+// Unarmed specs, as the registry-enumeration tests build them, behave
+// like an unarmed panicCC.
+type gateCC struct {
+	panicCC
+	started chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g *gateCC) OnStart() {
+	if g.release != nil {
+		select {
+		case g.started <- struct{}{}:
+		default:
+		}
+		<-g.release
+	}
+	g.panicCC.OnStart()
+}
+
+var (
+	registerGate sync.Once
+	// gateStarted and gateRelease are the channels armed gateCC instances
+	// bind; holdGate replaces them before any run starts.
+	gateStarted chan struct{}
+	gateRelease chan struct{}
+)
+
+func gateCCFactory(spec TransportSpec) (CongestionControl, error) {
+	if spec.Alpha != 43 {
+		return &gateCC{}, nil
+	}
+	return &gateCC{started: gateStarted, release: gateRelease}, nil
+}
+
+// holdGate returns a config whose runs hold at their start, announcing it
+// on gateStarted, until the returned release is called (at the latest
+// when the test ends).
+func holdGate(t *testing.T) (Config, func()) {
+	registerGate.Do(func() { RegisterTransport("gate-onstart", gateCCFactory) })
+	rel := make(chan struct{})
+	gateStarted, gateRelease = make(chan struct{}, 1), rel
+	var once sync.Once
+	release := func() { once.Do(func() { close(rel) }) }
+	t.Cleanup(release)
+	cfg := benchChainCfg(2)
+	cfg.Transport = TransportSpec{Name: "gate-onstart", Alpha: 43}
+	cfg.TotalPackets, cfg.BatchPackets = 5500, 500
+	return cfg, release
+}
+
+// TestCampaignWaiterHoldsNoSlot: a duplicate of a run in flight waits for
+// it without taking a worker slot, so with two workers a third config
+// still runs while the first is held and its duplicate waits.
+func TestCampaignWaiterHoldsNoSlot(t *testing.T) {
+	held, release := holdGate(t)
+	c := NewCampaign(BenchScale, WithWorkers(2))
+	ctx := context.Background()
+	var results [2]*Result
+	errs := make(chan error, len(results))
+	for i := range results {
+		go func() {
+			var err error
+			results[i], err = c.Run(ctx, held)
+			errs <- err
+		}()
+		if i == 0 {
+			<-gateStarted
+		}
+	}
+	// Give the duplicate time to reach its wait: where a waiter took a
+	// slot, it would now hold the second one.
+	time.Sleep(50 * time.Millisecond)
+	other := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx, benchChainCfg(3))
+		other <- err
+	}()
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a third config starved while a duplicate waited on a held run")
+	}
+	release()
+	for range results {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if results[0] != results[1] {
+		t.Error("the duplicate did not share the held run's result")
+	}
+	if n := c.Executed(); n != 2 {
+		t.Errorf("executed %d, want 2 (the held config once, the third once)", n)
+	}
+}
+
+// TestCampaignWaiterOutlivesCancelledOwner: cancelling the run a
+// duplicate waits on ends only the owner's call; the duplicate, whose
+// context is live, runs the config itself and returns a complete result.
+func TestCampaignWaiterOutlivesCancelledOwner(t *testing.T) {
+	held, release := holdGate(t)
+	c := NewCampaign(BenchScale, WithWorkers(2))
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ownerCtx, held)
+		ownerErr <- err
+	}()
+	<-gateStarted
+	var dupRes *Result
+	dupErr := make(chan error, 1)
+	go func() {
+		var err error
+		dupRes, err = c.Run(context.Background(), held)
+		dupErr <- err
+	}()
+	// Give the duplicate time to start waiting on the owner's run.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	release()
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled owner returned %v, want context.Canceled", err)
+	}
+	if err := <-dupErr; err != nil {
+		t.Fatalf("duplicate with a live context returned %v, want a result", err)
+	}
+	if dupRes == nil || dupRes.Delivered < held.TotalPackets {
+		t.Errorf("duplicate returned %+v, want a complete result", dupRes)
+	}
+	if n := c.Executed(); n != 1 {
+		t.Errorf("executed %d, want 1 (the duplicate's own run)", n)
+	}
+}
+
+// TestCampaignCountsStoreWriteErrors: a result the store cannot take is
+// still returned and is counted, and a fresh campaign over the store runs
+// that config again.
+func TestCampaignCountsStoreWriteErrors(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "store")
+	c := NewCampaign(BenchScale, WithStore(dir))
+	if err := c.Ready(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(ctx, benchChainCfg(2))
+	if err != nil || res == nil || res.Delivered == 0 {
+		t.Fatalf("run over an unwritable store returned %+v, %v; want its result", res, err)
+	}
+	if n := c.StoreWriteErrors(); n != 1 {
+		t.Errorf("StoreWriteErrors = %d, want 1", n)
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewCampaign(BenchScale, WithStore(dir))
+	if _, err := fresh.Run(ctx, benchChainCfg(2)); err != nil {
+		t.Fatal(err)
+	}
+	if n := fresh.Executed(); n != 1 {
+		t.Errorf("fresh campaign executed %d, want 1 (the failed write left nothing to serve)", n)
 	}
 }
 

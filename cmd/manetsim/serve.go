@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -104,7 +105,11 @@ func runServe(args []string) {
 		log.Printf("manetsim serve: drain deadline exceeded; %s", abortNote(*storeDir))
 		os.Exit(1)
 	}
-	log.Printf("manetsim serve: all sweeps drained; bye")
+	drained := "all sweeps drained"
+	if n := campaign.StoreWriteErrors(); n > 0 {
+		drained += fmt.Sprintf(" (%d results failed to reach the store; they re-run on restart)", n)
+	}
+	log.Printf("manetsim serve: %s; bye", drained)
 }
 
 func abortNote(storeDir string) string {

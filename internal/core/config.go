@@ -345,8 +345,10 @@ type Config struct {
 // no map fields, and the Scenario pointer is followed into its nodes and
 // flows, so two independently built but equal configs share a key). The
 // Observer field is excluded by its json:"-" tag — attaching one never
-// changes identity. Campaign's in-memory cache keys by this string, and
-// the persistent result store addresses files by its SHA-256.
+// changes identity. A run's identity is the SHA-256 of this string:
+// Campaign's in-memory cache keys by it, and the persistent result store
+// addresses files by its hex encoding (a sweep derives it once per cell,
+// not by encoding every run).
 func (c Config) CacheKey() string {
 	b, err := json.Marshal(c)
 	if err != nil {
