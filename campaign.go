@@ -51,15 +51,15 @@ var (
 // aggregates seed replications into confidence intervals. A Campaign is
 // safe for concurrent use; runs sharing it share its cache, so sweeps that
 // overlap (e.g. figures plotting different metrics of the same runs) pay
-// for each simulation once.
+// for each simulation once. Each worker slot carries its own reusable
+// World, so seed replicates rewind one arena per worker instead of
+// rebuilding the network for every run.
 type Campaign struct {
 	Scale Scale
 
 	// workers bounds parallel simulations (WithWorkers; default
-	// GOMAXPROCS). disableArenaReuse makes every run build its world from
-	// scratch (WithoutArenaReuse).
-	workers           int
-	disableArenaReuse bool
+	// GOMAXPROCS).
+	workers int
 
 	// storeDir, when set via WithStore, roots the persistent result
 	// store; the store itself opens at init so open errors surface from
@@ -81,21 +81,17 @@ type Campaign struct {
 	// multi-kilobyte key string staying resident.
 	mu    sync.Mutex
 	cache map[[32]byte]*cacheEntry
-	sem   chan struct{}
 	once  sync.Once
 
-	// arenas pools one reusable World per worker slot. Takes are
-	// non-blocking: a run that finds the pool momentarily empty builds
-	// fresh rather than waiting, and puts simply drop when the pool is
-	// full, so the pool can never deadlock the semaphore. With arena reuse
-	// disabled the channel stays nil — always empty, always full — so
-	// every run builds fresh and its World is dropped.
-	arenas chan *core.World
+	// slots holds one World per worker. A run receives a World to start,
+	// runs on it, and sends it back when done, so the channel is both the
+	// parallelism bound and the arena pool, and no two runs share a World.
+	slots chan *core.World
 }
 
 // NewCampaign creates a campaign at the given scale. Options configure
-// the service-level knobs: WithWorkers (parallelism), WithStore (the
-// persistent, restart-surviving result store), WithoutArenaReuse.
+// the service-level knobs: WithWorkers (parallelism) and WithStore (the
+// persistent, restart-surviving result store).
 func NewCampaign(scale Scale, opts ...CampaignOption) *Campaign {
 	c := &Campaign{Scale: scale}
 	for _, opt := range opts {
@@ -115,11 +111,11 @@ func (c *Campaign) Ready() error {
 		if c.workers <= 0 {
 			c.workers = runtime.GOMAXPROCS(0)
 		}
-		c.sem = make(chan struct{}, c.workers)
-		c.cache = make(map[[32]byte]*cacheEntry)
-		if !c.disableArenaReuse {
-			c.arenas = make(chan *core.World, c.workers)
+		c.slots = make(chan *core.World, c.workers)
+		for i := 0; i < c.workers; i++ {
+			c.slots <- core.NewWorld()
 		}
+		c.cache = make(map[[32]byte]*cacheEntry)
 		if c.storeDir != "" {
 			c.store, c.storeErr = store.Open(c.storeDir, ResultSchemaVersion)
 		}
@@ -173,31 +169,19 @@ func (c *Campaign) storePut(key string, res *Result) {
 	}
 }
 
-// runCore executes one fully scaled config, reusing a pooled arena when
-// there is one (see arenas). The caller must hold a worker slot, which is
-// what keeps concurrent arena use impossible: at most workers runs are in
-// flight and the pool holds at most workers arenas, each owned exclusively
-// while checked out.
-//
-// A panicking simulation (a registered transport or fault injector with a
-// bug) is confined to its own run: the panic converts to that run's
-// error, and the World it ran in is dropped instead of returned to the
-// pool, so its possibly-corrupt state can never leak into later runs.
-func (c *Campaign) runCore(ctx context.Context, cfg Config) (res *Result, err error) {
-	var w *core.World
-	select {
-	case w = <-c.arenas:
-	default:
-		w = core.NewWorld()
-	}
+// errPanicked marks a run whose simulation panicked (a registered
+// transport or fault injector with a bug). The panic is confined to its
+// own run: it becomes that run's error, and the worker slot gets a fresh
+// World in place of the one the run used, so possibly-corrupt arena state
+// never reaches a later run.
+var errPanicked = errors.New("manetsim: simulation panicked")
+
+// runCore executes one fully scaled config on w, the World of the worker
+// slot its caller holds, and turns a panic into an errPanicked error.
+func runCore(ctx context.Context, w *core.World, cfg Config) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("manetsim: simulation panicked: %v", p)
-			return
-		}
-		select {
-		case c.arenas <- w:
-		default:
+			res, err = nil, fmt.Errorf("%w: %v", errPanicked, p)
 		}
 	}()
 	return w.RunContext(ctx, cfg)
@@ -226,63 +210,53 @@ func (c *Campaign) scaled(cfg Config) Config {
 var errCampaignObserver = errors.New("manetsim: campaign runs do not support Config.Observer — results may be served from the shared cache without re-running, and sweeps run in parallel; attach observers to direct Run calls instead")
 
 // errAborted marks work skipped because an earlier item in the same
-// fan-out already failed. It never escapes runParallel: the first real
-// error wins the error channel before the abort flag is raised.
+// fan-out already failed. It never escapes runParallel: a failing item
+// sends its error before it raises the abort flag, so the first real
+// error is always received ahead of any errAborted.
 var errAborted = errors.New("manetsim: campaign run skipped after an earlier failure")
 
 // runParallel is the shared fan-out: it executes work(i) for every i in
 // [0,n) on its own goroutine and returns the results in input order.
-// Bounding comes from the worker slot cachedRun takes, so cache hits never
-// wait for one.
+// Bounding comes from the worker slot runByID receives, so cache hits
+// never wait for one.
 //
 // The first error returns immediately — the caller does not wait for the
-// remaining slots to drain. In-flight simulations cannot be preempted and
-// finish in the background (their cache entries stay valid), but queued
-// work that has not claimed a slot yet observes the abort flag and is
-// skipped.
+// remaining items. In-flight simulations cannot be preempted and finish
+// in the background (their cache entries stay valid), but queued work
+// that has not received a slot yet observes the abort flag and is
+// skipped. The caller receives once: every failing item sends its error,
+// and the item that completes the set sends nil. Successes only count
+// down, so a grid of cache hits wakes the caller once, not once per item.
+// The channel has room for all n sends, so no straggler ever blocks.
 func (c *Campaign) runParallel(n int, work func(i int, abort *atomic.Bool) (*Result, error)) ([]*Result, error) {
 	results := make([]*Result, n)
+	if n == 0 {
+		return results, nil
+	}
 	var (
 		abort atomic.Bool
-		wg    sync.WaitGroup
+		left  atomic.Int64
 	)
-	errc := make(chan error, 1)
+	left.Store(int64(n))
+	errc := make(chan error, n)
 	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			res, err := work(i, &abort)
 			if err != nil {
-				// First real error wins the buffered slot; errAborted from
-				// skipped work arrives only after it, so it is always
-				// dropped here.
-				select {
-				case errc <- err:
-				default:
-				}
+				errc <- err
 				abort.Store(true)
 				return
 			}
 			results[i] = res
+			if left.Add(-1) == 0 {
+				errc <- nil
+			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case err := <-errc:
+	if err := <-errc; err != nil {
 		return nil, err
-	case <-done:
-		select {
-		case err := <-errc:
-			return nil, err
-		default:
-		}
-		return results, nil
 	}
+	return results, nil
 }
 
 // cacheEntry is one single-flight cache slot: the first caller to claim
@@ -312,18 +286,19 @@ func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool
 }
 
 // runByID is the one path a scaled config takes to a result: the
-// in-memory cache, then — holding a worker slot — the persistent store,
-// then the simulator. id is the SHA-256 of cfg.CacheKey(); key returns
-// that string and is called only when a store is attached, on a miss.
+// in-memory cache, then — holding a worker slot and its World — the
+// persistent store, then the simulator. id is the SHA-256 of
+// cfg.CacheKey(); key returns that string and is called only when a store
+// is attached, on a miss.
 //
 // Completed entries return immediately without touching the worker
-// semaphore, and a caller that finds its entry claimed by a run in
-// flight waits for it without a slot, so duplicates never starve other
-// configs of workers. Cancellation and a raised abort flag are both
-// honoured while queued for a slot, leaving the entry unclaimed, and an
-// entry whose run was cancelled mid-flight is forgotten — its waiters
-// retry under their own contexts — so neither aborts nor cancellations
-// poison the cache.
+// slots, and a caller that finds its entry claimed by a run in flight
+// waits for it without a slot, so duplicates never starve other configs
+// of workers. Cancellation and a raised abort flag are both honoured
+// while queued for a slot, leaving the entry unclaimed, and an entry
+// whose run was cancelled mid-flight is forgotten — its waiters retry
+// under their own contexts — so neither aborts nor cancellations poison
+// the cache.
 func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key func() string, abort *atomic.Bool) (*Result, error) {
 	if cfg.Observer != nil {
 		return nil, errCampaignObserver
@@ -340,25 +315,29 @@ func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key fun
 		case <-e.done:
 		default:
 			if !e.claimed.Load() {
+				var w *core.World
 				select {
-				case c.sem <- struct{}{}:
+				case w = <-c.slots:
 				case <-ctx.Done():
 					return nil, ctx.Err()
 				}
 				switch {
 				case abort != nil && abort.Load():
-					<-c.sem
+					c.slots <- w
 					return nil, errAborted
 				case ctx.Err() != nil:
-					<-c.sem
+					c.slots <- w
 					return nil, ctx.Err()
 				case e.claimed.CompareAndSwap(false, true):
-					c.fill(ctx, cfg, id, key, e)
-					<-c.sem
+					c.fill(ctx, w, cfg, id, key, e)
+					if errors.Is(e.err, errPanicked) {
+						w = core.NewWorld()
+					}
+					c.slots <- w
 					return e.res, e.err
 				}
 				// Claimed by another caller while this one queued.
-				<-c.sem
+				c.slots <- w
 			}
 			select {
 			case <-e.done:
@@ -377,10 +356,10 @@ func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key fun
 }
 
 // fill executes the claimed entry e — the store first, then the
-// simulator — and publishes the outcome by closing e.done. A cancelled
-// run's entry leaves the cache before done closes, so every waiter that
-// retries finds a fresh one.
-func (c *Campaign) fill(ctx context.Context, cfg Config, id [32]byte, key func() string, e *cacheEntry) {
+// simulator on w — and publishes the outcome by closing e.done. A
+// cancelled run's entry leaves the cache before done closes, so every
+// waiter that retries finds a fresh one.
+func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]byte, key func() string, e *cacheEntry) {
 	defer close(e.done)
 	var k string
 	if c.store != nil {
@@ -390,7 +369,7 @@ func (c *Campaign) fill(ctx context.Context, cfg Config, id [32]byte, key func()
 			return
 		}
 	}
-	e.res, e.err = c.runCore(ctx, cfg)
+	e.res, e.err = runCore(ctx, w, cfg)
 	switch {
 	case e.err == nil:
 		c.executed.Add(1)

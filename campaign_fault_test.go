@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"manetsim/internal/core"
 )
 
 // TestSweepFaultsAxis sweeps a fault-free baseline against a crash
@@ -141,13 +144,37 @@ func panicCCFactory(spec TransportSpec) (CongestionControl, error) {
 	return &panicCC{armed: spec.Alpha == 42}, nil
 }
 
+// registerPanicOnce registers the panic tests' transports once, so the
+// tests stay repeatable under -count: the registry rejects a second
+// registration of a name.
+var registerPanicOnce sync.Once
+
+func registerPanicTransports() {
+	registerPanicOnce.Do(func() {
+		RegisterTransport("panic-onstart", panicCCFactory)
+		RegisterTransport("panic-onstart-2", panicCCFactory)
+	})
+}
+
+// slotWorlds returns the Worlds the campaign's worker slots hold, leaving
+// them in place. No run may be in flight.
+func slotWorlds(c *Campaign) map[*core.World]bool {
+	held := make(map[*core.World]bool, cap(c.slots))
+	for i := 0; i < cap(c.slots); i++ {
+		w := <-c.slots
+		held[w] = true
+		c.slots <- w
+	}
+	return held
+}
+
 // TestCampaignPanicIsolation: a panicking transport fails only its own
 // run — with the panic text in the error — and leaves the campaign's
-// worker pool, arena pool and cache fully usable. Exercised fresh and
-// with arena reuse disabled, since the two recovery paths differ (a
-// poisoned arena must be dropped, not returned to the pool).
+// worker slots and cache fully usable. The World the panicking run used
+// may hold corrupt state, so its slot must get a fresh one: with one
+// worker, the only slot's World changes across the panic.
 func TestCampaignPanicIsolation(t *testing.T) {
-	RegisterTransport("panic-onstart", panicCCFactory)
+	registerPanicTransports()
 	bad := benchChainCfg(2)
 	bad.Transport = TransportSpec{Name: "panic-onstart", Alpha: 42}
 	good := benchChainCfg(2)
@@ -156,17 +183,30 @@ func TestCampaignPanicIsolation(t *testing.T) {
 		name string
 		c    *Campaign
 	}{
-		{"arena", NewCampaign(BenchScale)},
-		{"fresh-builds", NewCampaign(BenchScale, WithoutArenaReuse())},
+		{"default-workers", NewCampaign(BenchScale)},
+		{"one-worker", NewCampaign(BenchScale, WithWorkers(1))},
 	} {
 		ctx := context.Background()
+		if err := tc.c.Ready(); err != nil {
+			t.Fatal(err)
+		}
+		before := slotWorlds(tc.c)
 		_, err := tc.c.Run(ctx, bad)
 		if err == nil || !strings.Contains(err.Error(), "simulation panicked") ||
 			!strings.Contains(err.Error(), "chaos monkey") {
 			t.Fatalf("%s: panicking run returned %v, want a recovered panic error", tc.name, err)
 		}
+		replaced := 0
+		for w := range slotWorlds(tc.c) {
+			if !before[w] {
+				replaced++
+			}
+		}
+		if replaced != 1 {
+			t.Fatalf("%s: %d slot Worlds replaced after a panic, want 1 (the panicking run's)", tc.name, replaced)
+		}
 		// The same campaign must still run clean configs (single-flight
-		// cache and arena pool survive the panic)...
+		// cache and worker slots survive the panic)...
 		res, err := tc.c.Run(ctx, good)
 		if err != nil || res.Delivered == 0 {
 			t.Fatalf("%s: campaign unusable after a panic: %v", tc.name, err)
@@ -183,7 +223,7 @@ func TestCampaignPanicIsolation(t *testing.T) {
 // the same config reports the failure again rather than hanging on the
 // single-flight entry.
 func TestCampaignPanicDoesNotPoisonCache(t *testing.T) {
-	RegisterTransport("panic-onstart-2", panicCCFactory)
+	registerPanicTransports()
 	bad := benchChainCfg(2)
 	bad.Transport = TransportSpec{Name: "panic-onstart-2", Alpha: 42}
 	c := NewCampaign(BenchScale)

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,11 +40,11 @@ func TestCampaignCacheDedupsRuns(t *testing.T) {
 	}
 }
 
-// TestCampaignArenaReuseMatchesFreshBuilds runs the same config grid
-// through two campaigns — one drawing pooled arenas, one forced to build
-// every world from scratch — with several workers each, and requires the
-// results to agree pairwise. Under -race this also checks that concurrent
-// workers never share an arena.
+// TestCampaignArenaReuseMatchesFreshBuilds runs a config grid through a
+// campaign whose four worker slots each rewind their World between runs,
+// and requires every result to equal a fresh build of the same scaled
+// config — a World used once. Under -race this also checks that
+// concurrent runs never share a slot's World.
 func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
 	var cfgs []Config
 	for hops := 2; hops <= 4; hops++ {
@@ -54,19 +55,18 @@ func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	reused := NewCampaign(BenchScale, WithWorkers(4))
-	got, err := reused.RunAll(ctx, cfgs)
+	c := NewCampaign(BenchScale, WithWorkers(4))
+	got, err := c.RunAll(ctx, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewCampaign(BenchScale, WithWorkers(4), WithoutArenaReuse())
-	want, err := fresh.RunAll(ctx, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
+	for i, cfg := range cfgs {
+		want, err := RunConfig(ctx, c.scaled(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
 		g, _ := json.Marshal(got[i])
-		w, _ := json.Marshal(want[i])
+		w, _ := json.Marshal(want)
 		if string(g) != string(w) {
 			t.Errorf("cfg %d (seed=%d): arena-pooled result differs from fresh build",
 				i, cfgs[i].Seed)
@@ -168,6 +168,42 @@ func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
 	}
 	if n := c.Executed(); n != 0 {
 		t.Errorf("%d queued work items ran after the failure, want 0", n)
+	}
+}
+
+// TestCampaignRunAllEmpty: an empty batch has no item to complete the
+// set, so the fan-out must return without waiting for one.
+func TestCampaignRunAllEmpty(t *testing.T) {
+	results, err := NewCampaign(BenchScale).RunAll(context.Background(), nil)
+	if err != nil || len(results) != 0 {
+		t.Fatalf("RunAll(nil) = %d results, %v; want none and no error", len(results), err)
+	}
+}
+
+// TestCampaignParallelAbortedNeverWins races a failing item against 63
+// siblings that spin until the abort flag rises and then report
+// errAborted: the call must return the real failure, never the skip
+// marker it caused. A sibling can only overtake the failure in the few
+// instructions between raising the flag and sending, so one call exposes
+// a wrong order rarely (about one in a thousand on a two-core host); the
+// loop runs at least 200 calls and keeps going for a second.
+func TestCampaignParallelAbortedNeverWins(t *testing.T) {
+	c := NewCampaign(BenchScale)
+	boom := errors.New("boom")
+	deadline := time.Now().Add(time.Second)
+	for iter := 0; iter < 200 || time.Now().Before(deadline); iter++ {
+		_, err := c.runParallel(64, func(i int, abort *atomic.Bool) (*Result, error) {
+			if i == 0 {
+				return nil, boom
+			}
+			for !abort.Load() {
+				runtime.Gosched()
+			}
+			return nil, errAborted
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("iteration %d: err = %v, want %v", iter, err, boom)
+		}
 	}
 }
 
@@ -674,15 +710,21 @@ func TestCellKeyAddressing(t *testing.T) {
 }
 
 func TestCampaignOptionsConfigure(t *testing.T) {
-	c := NewCampaign(BenchScale, WithWorkers(3), WithoutArenaReuse())
-	if c.workers != 3 || !c.disableArenaReuse {
-		t.Fatalf("options not applied: workers=%d reuse-disabled=%v", c.workers, c.disableArenaReuse)
+	c := NewCampaign(BenchScale, WithWorkers(3))
+	if c.workers != 3 {
+		t.Fatalf("options not applied: workers=%d", c.workers)
 	}
 	if _, err := c.Run(context.Background(), benchChainCfg(2)); err != nil {
 		t.Fatal(err)
 	}
-	if cap(c.sem) != 3 || c.arenas != nil {
-		t.Fatalf("initialization ignored the options: %d worker slots, arena pool %v", cap(c.sem), c.arenas)
+	if cap(c.slots) != 3 || len(c.slots) != 3 {
+		t.Fatalf("initialization ignored the options: %d worker slots holding %d Worlds after a run, want 3 and 3",
+			cap(c.slots), len(c.slots))
+	}
+	for i := 0; i < 3; i++ {
+		if <-c.slots == nil {
+			t.Fatalf("worker slot %d holds no World", i)
+		}
 	}
 }
 

@@ -48,10 +48,7 @@ func runServe(args []string) {
 		fatalf("unknown scale %q (paper, quick, bench)", *scaleName)
 	}
 
-	var opts []manetsim.CampaignOption
-	if *workers > 0 {
-		opts = append(opts, manetsim.WithWorkers(*workers))
-	}
+	opts := []manetsim.CampaignOption{manetsim.WithWorkers(*workers)}
 	if *storeDir != "" {
 		opts = append(opts, manetsim.WithStore(*storeDir))
 	}

@@ -127,10 +127,10 @@ func ExampleWorld() {
 	// Output: true
 }
 
-// Campaign pools one arena per worker automatically, so a seed-replicate
-// sweep reuses each worker's world instead of rebuilding it for every run.
-// Nothing to configure — WithoutArenaReuse exists to force fresh builds,
-// and results are identical either way.
+// Each Campaign worker slot carries its own World, so a seed-replicate
+// sweep rewinds each worker's world instead of rebuilding it for every
+// run. Nothing to configure, and results are byte-identical to fresh
+// builds — a fresh run is just a World used once.
 func ExampleCampaign_arenaReuse() {
 	campaign := manetsim.NewCampaign(manetsim.QuickScale)
 	var cfgs []manetsim.Config

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,13 +241,19 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 }
 
+// registerFlapOnce keeps TestRegisterFaultCustom repeatable under -count:
+// the fault registry rejects a second registration of a name.
+var registerFlapOnce sync.Once
+
 // TestRegisterFaultCustom registers a custom injector and drives a run
 // through it end to end.
 func TestRegisterFaultCustom(t *testing.T) {
-	RegisterFault("testflap", func(f FaultSpec) (fault.Fault, error) {
-		// A double-crash of the configured node: down at At for
-		// Duration, and again one Duration later.
-		return flapFault{node: f.Node, at: f.At, d: f.Duration}, nil
+	registerFlapOnce.Do(func() {
+		RegisterFault("testflap", func(f FaultSpec) (fault.Fault, error) {
+			// A double-crash of the configured node: down at At for
+			// Duration, and again one Duration later.
+			return flapFault{node: f.Node, at: f.At, d: f.Duration}, nil
+		})
 	})
 	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
 		FaultSpec{Name: "testflap", Node: 2, At: 2 * time.Second, Duration: time.Second})

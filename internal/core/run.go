@@ -182,21 +182,14 @@ const ctxCheckInterval = 4096
 // thousand events; a cancelled run returns ctx.Err() promptly and discards
 // its partial state. A background (non-cancellable) context takes the exact
 // code path of Run, so reproducibility and the allocation-free hot path are
-// unaffected.
+// unaffected. A fresh run is a World used once: there is no other build
+// path.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	s := &scenarioState{cfg: cfg, obs: cfg.Observer, sched: sim.NewScheduler(cfg.Seed)}
-	if err := s.build(false); err != nil {
-		return nil, err
-	}
-	return s.finishRun(ctx)
+	return NewWorld().RunContext(ctx, cfg)
 }
 
-// finishRun executes the built simulation and assembles its Result. Shared
-// by the one-shot RunContext path and World's arena path.
+// finishRun executes the built simulation and assembles its Result — the
+// second half of World.RunContext, after the build or reset.
 func (s *scenarioState) finishRun(ctx context.Context) (*Result, error) {
 	cfg := s.cfg
 	s.start()

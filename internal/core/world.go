@@ -16,9 +16,9 @@ import (
 //
 // A World is not safe for concurrent use (each run owns its state
 // exclusively, like the single-threaded scheduler underneath), but
-// separate Worlds run concurrently without restriction; Campaign pools one
-// per worker. The zero-cost escape hatch is simply not reusing it: a World
-// used once behaves exactly like RunContext.
+// separate Worlds run concurrently without restriction; each of a
+// Campaign's worker slots carries one. A fresh run is a World used once:
+// the package-level RunContext is exactly that.
 //
 // Shape changes between runs are handled transparently: a run whose node
 // count differs rebuilds the stacks, a static-routed run whose placement
@@ -37,11 +37,12 @@ func (w *World) Run(cfg Config) (*Result, error) {
 	return w.RunContext(context.Background(), cfg)
 }
 
-// RunContext executes one configured simulation on the arena under ctx,
-// with the exact semantics of the package-level RunContext — including
-// cancellation — plus arena reuse. A build error discards the arena state
-// (the next run starts fresh); a cancelled run keeps it, since the next
-// reset sweeps whatever the aborted run left behind.
+// RunContext executes one configured simulation on the arena under ctx;
+// cancellation is polled as the package-level RunContext describes. A
+// first run builds the state fresh, later runs rewind it. A build error
+// discards the arena state (the next run starts fresh); a cancelled run
+// keeps it, since the next reset sweeps whatever the aborted run left
+// behind.
 func (w *World) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

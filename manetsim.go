@@ -83,6 +83,7 @@ import (
 	"time"
 
 	"manetsim/internal/core"
+	"manetsim/internal/mac"
 	"manetsim/internal/phy"
 	"manetsim/internal/pkt"
 	"manetsim/internal/stats"
@@ -397,8 +398,8 @@ func RunConfig(ctx context.Context, cfg Config) (*Result, error) {
 // the next run instead of rebuilding from scratch. Results are
 // byte-identical to fresh runs of the same Config. A World is not safe for
 // concurrent use, but separate Worlds run concurrently without
-// restriction; Campaign pools one per worker automatically, so explicit
-// Worlds are only needed for custom replicate loops.
+// restriction; each Campaign worker slot carries one automatically, so
+// explicit Worlds are only needed for custom replicate loops.
 type World = core.World
 
 // NewWorld returns an empty arena: the first run builds the full
@@ -409,5 +410,12 @@ func NewWorld() *World { return core.NewWorld() }
 // rate: the minimal link-layer delay for a TCP data packet to advance four
 // hops along a chain with zero queueing.
 func FourHopPropagationDelay(rate Rate) time.Duration {
-	return fourHopDelay(rate)
+	return mac.FourHopPropagationDelay(rate)
+}
+
+// ExchangeTime returns the duration of one uncontended per-hop
+// DIFS + RTS/CTS/DATA/ACK exchange for a network-layer packet of the given
+// size at the given rate — useful for sizing paced-UDP sweeps.
+func ExchangeTime(rate Rate, netBytes int) time.Duration {
+	return mac.NewTiming(rate).ExchangeTime(netBytes)
 }

@@ -83,19 +83,11 @@ func WithRTSThreshold(bytes int) Option {
 // mirroring Run's functional options.
 type CampaignOption func(*Campaign)
 
-// WithWorkers bounds the campaign's parallel simulations (default
-// GOMAXPROCS). Cache and store hits never occupy a worker slot.
+// WithWorkers bounds the campaign's parallel simulations; n <= 0 selects
+// the default, GOMAXPROCS. Cache and store hits never occupy a worker
+// slot.
 func WithWorkers(n int) CampaignOption {
 	return func(c *Campaign) { c.workers = n }
-}
-
-// WithoutArenaReuse makes every campaign run build its world from
-// scratch instead of drawing a reusable arena from the per-worker pool.
-// Results are identical either way — arena reuse is byte-exact — so this
-// is a diagnostic escape hatch and the honest baseline for the
-// replicate-throughput benchmark.
-func WithoutArenaReuse() CampaignOption {
-	return func(c *Campaign) { c.disableArenaReuse = true }
 }
 
 // WithStore attaches a persistent, content-addressed result store rooted
