@@ -12,7 +12,8 @@
 //   - maporder:      no map iteration that feeds Result-reachable data,
 //     serialization or event scheduling without sorting keys first.
 //   - resetcomplete: every field of a struct with a Reset method is either
-//     assigned in Reset or explicitly marked //manetsim:resetsafe.
+//     assigned in Reset or explicitly marked //manetsim:resetsafe, and a
+//     New* constructor of such a struct ends by calling its Reset.
 //   - hotpathalloc:  no closure literals, fmt.Sprintf or method-value
 //     captures in //manetsim:hotpath functions, and no closures passed to
 //     scheduler APIs that have closure-free AtFunc/AfterFunc counterparts.

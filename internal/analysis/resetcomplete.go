@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"strings"
 )
 
 // ResetComplete verifies the arena-reuse contract: for every struct type
@@ -25,10 +27,17 @@ import (
 //   - a method call on the field (r.f.Reset(), r.src.Seed(seed)),
 //   - the field's address escaping (&r.f passed to an initializer),
 //   - the field passed to the clear, copy or delete builtins.
+//
+// The same contract has a constructor side: a run's initial state is
+// written once, in Reset. So a package-level New* function returning *T,
+// where T has a Reset method, must return only values it called Reset on
+// (or the result of another such constructor it delegates to, or nil). A
+// constructor that spells the initial state out in a struct literal instead
+// is a second copy of Reset that nothing keeps in step.
 var ResetComplete = &Analyzer{
 	Name: "resetcomplete",
 	Doc: "every field of a struct with a Reset method must be assigned in Reset " +
-		"or marked //manetsim:resetsafe",
+		"or marked //manetsim:resetsafe, and its New* constructors must end with Reset",
 	Run: runResetComplete,
 }
 
@@ -48,6 +57,7 @@ func runResetComplete(pass *Pass) error {
 	// typeName -> methodName -> summary, and typeName -> struct decl.
 	methods := map[string]map[string]*methodInfo{}
 	structs := map[string]*ast.StructType{}
+	var funcs []*ast.FuncDecl
 
 	files := pass.NonTestFiles()
 	for _, file := range files {
@@ -64,6 +74,9 @@ func runResetComplete(pass *Pass) error {
 					}
 				}
 			case *ast.FuncDecl:
+				if d.Recv == nil && d.Body != nil {
+					funcs = append(funcs, d)
+				}
 				recvType, recvName := receiver(d)
 				if recvType == "" || d.Body == nil {
 					continue
@@ -110,7 +123,58 @@ func runResetComplete(pass *Pass) error {
 			}
 		}
 	}
+	checkConstructors(pass, funcs, methods)
 	return nil
+}
+
+// checkConstructors reports every New* function returning *T, for a T with
+// a Reset method, that does not end by calling Reset on the value it
+// returns or by returning another such constructor's result.
+func checkConstructors(pass *Pass, funcs []*ast.FuncDecl, methods map[string]map[string]*methodInfo) {
+	built := map[string]string{} // constructor name -> the type it returns
+	for _, d := range funcs {
+		if res := d.Type.Results; strings.HasPrefix(d.Name.Name, "New") && res != nil && len(res.List) > 0 {
+			if star, ok := res.List[0].Type.(*ast.StarExpr); ok {
+				if id, ok := star.X.(*ast.Ident); ok && methods[id.Name]["Reset"] != nil {
+					built[d.Name.Name] = id.Name
+				}
+			}
+		}
+	}
+	for _, d := range funcs {
+		if typeName, ok := built[d.Name.Name]; ok && !endsWithReset(d.Body.List, built, typeName) {
+			pass.Reportf(d.Name.Pos(), "constructor %s does not end with (*%s).Reset; allocate in %s and write the per-run state in Reset", d.Name.Name, typeName, d.Name.Name)
+		}
+	}
+}
+
+// endsWithReset reports whether a constructor body ends `x.Reset(...);
+// return x, ...` or `return NewOther(...)` for a constructor of the same
+// type.
+func endsWithReset(body []ast.Stmt, built map[string]string, typeName string) bool {
+	n := len(body)
+	if n == 0 {
+		return false
+	}
+	ret, ok := body[n-1].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) == 0 {
+		return false
+	}
+	switch v := ret.Results[0].(type) {
+	case *ast.CallExpr:
+		return built[types.ExprString(v.Fun)] == typeName
+	case *ast.Ident:
+		if n < 2 {
+			return false
+		}
+		stmt, ok := body[n-2].(*ast.ExprStmt)
+		if !ok {
+			return false
+		}
+		call, ok := stmt.X.(*ast.CallExpr)
+		return ok && types.ExprString(call.Fun) == v.Name+".Reset"
+	}
+	return false
 }
 
 // closeOverCalls unions the handled-field sets reachable from Reset through

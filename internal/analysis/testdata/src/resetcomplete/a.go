@@ -64,3 +64,38 @@ func (e *Embeds) Reset() { e.used = false }
 type NoReset struct {
 	anything int
 }
+
+// NewArena spells the initial state out in a literal instead of ending
+// with Reset.
+func NewArena(n int) *Arena { // want `constructor NewArena does not end with \(\*Arena\)\.Reset`
+	return &Arena{buf: make([]byte, 0, n)}
+}
+
+// NewHelper allocates and ends with Reset; an early nil return and a
+// constructor that delegates to a checked one are fine.
+func NewHelper(ok bool) (*Helper, bool) {
+	if !ok {
+		return nil, false
+	}
+	h := &Helper{}
+	h.Reset()
+	return h, true
+}
+
+func NewDefaultHelper() (*Helper, bool) { return NewHelper(true) }
+
+// NewEmbeds calls Reset, but not last: configure may overwrite what it wrote.
+func NewEmbeds(configure func(*Embeds)) *Embeds { // want `constructor NewEmbeds does not end with`
+	e := &Embeds{}
+	e.Reset()
+	configure(e)
+	return e
+}
+
+// NewWipe is exempt: its Reset means something other than initialise.
+//
+//manetsim:allow resetcomplete Reset here re-arms, it does not initialise
+func NewWipe() *Wipe { return &Wipe{} }
+
+// NewNoReset builds a type without Reset, so there is nothing to call.
+func NewNoReset() *NoReset { return &NoReset{} }

@@ -84,7 +84,7 @@ type Router struct {
 	id    pkt.NodeID     //manetsim:resetsafe node identity is fixed at construction
 	mac   *mac.DCF       //manetsim:resetsafe MAC wiring; the MAC resets itself
 	cfg   Config
-	uids  *pkt.UIDSource //manetsim:resetsafe pool binding; the pool resets itself
+	uids  *pkt.Pool //manetsim:resetsafe pool binding; the pool resets itself
 
 	table   *Table
 	seqNo   uint32
@@ -113,31 +113,32 @@ type Router struct {
 
 // New creates a router for node id. deliver receives packets addressed to
 // this node. The router must be wired to the MAC by passing
-// HandlePacket/HandleLinkFailure as the MAC callbacks.
-func New(sched *sim.Scheduler, id pkt.NodeID, m *mac.DCF, uids *pkt.UIDSource, cfg Config, deliver func(p *pkt.Packet)) *Router {
+// HandlePacket/HandleLinkFailure as the MAC callbacks. It ends with Reset.
+func New(sched *sim.Scheduler, id pkt.NodeID, m *mac.DCF, uids *pkt.Pool, cfg Config, deliver func(p *pkt.Packet)) *Router {
 	if deliver == nil {
 		panic("aodv: deliver callback required")
 	}
-	return &Router{
+	r := &Router{
 		sched:   sched,
 		id:      id,
 		mac:     m,
-		cfg:     cfg.withDefaults(),
 		uids:    uids,
-		table:   NewTable(sched, cfg.withDefaults().ActiveRouteTimeout),
+		table:   NewTable(sched, 0),
 		seen:    make(map[rreqKey]sim.Time),
 		buffer:  make(map[pkt.NodeID][]*pkt.Packet),
 		pending: make(map[pkt.NodeID]*discovery),
 		deliver: deliver,
 	}
+	r.Reset(cfg)
+	return r
 }
 
-// Reset rewinds the router to its just-constructed state for a new run,
-// keeping map capacity. Call after the scheduler was reset: pending
-// discovery timers are already stale, and buffered packets from the
-// previous run belong to a pool that dropped them, so their references are
-// simply forgotten. The optional hooks (DropData, LinkAlive,
-// OnRouteFailure) are cleared; the owner reinstalls what it needs.
+// Reset sets the router up for a run, keeping map capacity; New ends with
+// it. On reuse, call after the scheduler was reset: pending discovery
+// timers are already stale, and buffered packets from the previous run
+// belong to a pool that dropped them, so their references are simply
+// forgotten. The optional hooks (DropData, LinkAlive, OnRouteFailure) are
+// cleared; the owner reinstalls what it needs.
 func (r *Router) Reset(cfg Config) {
 	r.cfg = cfg.withDefaults()
 	r.table.Reset(sim.Time(r.cfg.ActiveRouteTimeout))

@@ -19,7 +19,7 @@ type rig struct {
 	routers   []*Router
 	delivered [][]*pkt.Packet
 	dropped   [][]*pkt.Packet
-	uids      pkt.UIDSource
+	uids      pkt.Pool
 }
 
 func newRig(t *testing.T, positions []geo.Point, seed int64, cfg Config) *rig {
@@ -302,7 +302,7 @@ func TestStaticRouterChain(t *testing.T) {
 	adj := geo.Neighbors(positions, phy.TxRange)
 	sched := sim.NewScheduler(1)
 	ch := phy.NewChannel(sched, positions)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	var delivered []*pkt.Packet
 	routers := make([]*StaticRouter, len(positions))
 	macs := make([]*mac.DCF, len(positions))

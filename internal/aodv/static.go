@@ -64,13 +64,15 @@ func NewStatic(id pkt.NodeID, m *mac.DCF, adj [][]int, deliver func(p *pkt.Packe
 		}
 		next[d] = pkt.NodeID(hop)
 	}
-	return &StaticRouter{id: id, mac: m, next: next, deliver: deliver}
+	r := &StaticRouter{id: id, mac: m, next: next, deliver: deliver}
+	r.Reset()
+	return r
 }
 
 // Reset clears the per-run state (counters and the DropData hook) while
-// keeping the precomputed routes. Only valid when the node placement is
-// unchanged — the owner checks that before reusing a static router, since
-// the routes are a pure function of the positions.
+// keeping the precomputed routes; NewStatic ends with it. Only valid when
+// the node placement is unchanged — the owner checks that before reusing a
+// static router, since the routes are a pure function of the positions.
 func (r *StaticRouter) Reset() {
 	r.DropData = nil
 	r.Counters = Counters{}

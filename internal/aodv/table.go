@@ -25,11 +25,13 @@ type Table struct {
 
 // NewTable creates an empty table with the given active-route timeout.
 func NewTable(sched *sim.Scheduler, timeout sim.Time) *Table {
-	return &Table{sched: sched, entries: make(map[pkt.NodeID]*Route), timeout: timeout}
+	t := &Table{sched: sched, entries: make(map[pkt.NodeID]*Route)}
+	t.Reset(timeout)
+	return t
 }
 
-// Reset empties the table for a new run, keeping the map's capacity, and
-// installs the new active-route timeout.
+// Reset empties the table for a run, keeping the map's capacity, and
+// installs the active-route timeout; NewTable ends with it.
 func (t *Table) Reset(timeout sim.Time) {
 	clear(t.entries)
 	t.timeout = timeout

@@ -19,6 +19,7 @@ import (
 	"manetsim/internal/geo"
 	"manetsim/internal/mobility"
 	"manetsim/internal/phy"
+	"manetsim/internal/tcp"
 )
 
 // Protocol selects the transport variant under test by constant. It is a
@@ -125,7 +126,7 @@ func (t TransportSpec) Label() string {
 	} else if s == "" {
 		s = t.Protocol.String()
 	}
-	if vegas && t.Alpha != 0 && t.Alpha != 2 {
+	if vegas && t.Alpha != 0 && t.Alpha != tcp.DefaultAlpha {
 		s = fmt.Sprintf("%s(α=%d)", s, t.Alpha)
 	}
 	if t.MaxWindow > 0 {
@@ -375,7 +376,7 @@ func (c Config) withDefaults() Config {
 		c.MaxSimTime = 24 * time.Hour
 	}
 	if c.Transport.Alpha == 0 {
-		c.Transport.Alpha = 2
+		c.Transport.Alpha = tcp.DefaultAlpha
 	}
 	return c
 }
@@ -407,6 +408,12 @@ func (c Config) validate() error {
 	}
 	if c.TotalPackets < 0 || c.BatchPackets < 0 {
 		return fmt.Errorf("core: negative measurement budget (TotalPackets=%d, BatchPackets=%d)", c.TotalPackets, c.BatchPackets)
+	}
+	if c.WarmupBatches < 0 {
+		return fmt.Errorf("core: negative WarmupBatches %d (batches discarded before measuring; 0 selects the default 1)", c.WarmupBatches)
+	}
+	if c.MaxSimTime < 0 {
+		return fmt.Errorf("core: negative MaxSimTime %v (simulated-time bound; 0 selects the default 24h)", c.MaxSimTime)
 	}
 	return nil
 }

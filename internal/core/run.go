@@ -20,13 +20,13 @@ import (
 )
 
 // scenarioState holds the live state of one run. A World keeps one across
-// runs as an arena: build(reuse=true) rewinds every layer in place instead
-// of reallocating it.
+// runs as an arena: reset then build rewinds every layer whose shape still
+// fits in place instead of reallocating it.
 type scenarioState struct {
 	cfg   Config
 	obs   Observer
 	sched *sim.Scheduler
-	uids  pkt.UIDSource
+	uids  pkt.Pool
 	// onDeliveryFn is the onDelivery method value, bound once: evaluating
 	// it per node and build would allocate a closure each time.
 	onDeliveryFn func(flow int, n int64)
@@ -36,7 +36,7 @@ type scenarioState struct {
 	channel   *phy.Channel
 	nodes     []*node.Node
 	routers   []*aodv.Router // per node, nil entries under static routing
-	senders   []tcp.Sender   // per flow (nil for UDP)
+	senders   []*tcp.Engine  // per flow (nil for UDP)
 	udpSrcs   []*udp.Sender  // per flow (nil for TCP)
 	sinks     []*tcp.Sink    // per flow (nil for UDP)
 	udpSinks  []*udp.Sink
@@ -54,13 +54,13 @@ type scenarioState struct {
 	arenaUSrc    []*udp.Sender
 	arenaUSink   []*udp.Sink
 
-	// Fault plane. plane is non-nil exactly when the run schedules
-	// faults; arenaPlane keeps the allocation across arena runs.
+	// Fault plane. plane points at arenaPlane exactly when the run
+	// schedules faults, and is nil otherwise.
 	// injectors holds the built fault schedule, flowState the per-flow
 	// application state the crash/restore hooks drive, and outages/marks
 	// the recovery bookkeeping behind Result.Faults.
 	plane      *fault.Plane
-	arenaPlane *fault.Plane
+	arenaPlane fault.Plane
 	injectors  []fault.Fault
 	flowState  []uint8
 	outages    []OutageReport
@@ -85,12 +85,13 @@ type scenarioState struct {
 	lastTrueFailures uint64
 }
 
-// reset rewinds the run-global state for the next arena run. The batches
-// slice is dropped, never truncated: the previous run's Result aliases its
-// backing array.
+// reset sets the run-global state up for a run; every run, a World's first
+// included, starts with it. The batches slice is dropped, never truncated:
+// the previous run's Result aliases its backing array.
 func (s *scenarioState) reset(seed int64) {
 	s.sched.Reset(seed)
 	s.uids.Reset()
+	s.delay.Reset()
 	s.delivered = 0
 	s.nextBatchAt = 0
 	s.batches = nil
@@ -142,14 +143,6 @@ type recoveryMark struct {
 	t         sim.Time
 	outage    int
 	afterHeal bool
-}
-
-// haltResumer is the crash/restore hook of window-based senders
-// (tcp.Engine). Raw transports (paced UDP) are suspended through their
-// own Stop/Start instead.
-type haltResumer interface {
-	Halt()
-	Resume()
 }
 
 // geoEqual reports element-wise equality of two placements.
@@ -233,20 +226,20 @@ func (s *scenarioState) finishRun(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// build materializes the scenario into stacks and flows. With reuse set
-// (an arena run after reset), every layer whose shape still fits is
-// rewound in place instead of reallocated; anything whose shape changed —
-// node count, placement-derived static routes — is rebuilt fresh. Both
-// paths consume the scheduler's random stream identically (construction
-// and reset draw nothing), which is what keeps arena runs byte-identical
-// to fresh ones.
-func (s *scenarioState) build(reuse bool) error {
+// build materializes the scenario into stacks and flows, after reset. Every
+// layer whose shape still fits is rewound in place by its Reset; anything
+// missing or whose shape changed — node count, placement-derived static
+// routes — is constructed, and every constructor ends with that same Reset.
+// Reuse is read from the state (stacks for this node count, an unchanged
+// placement), so a World's first run is the one where nothing fits. Neither
+// path draws from the random stream, so arena runs match fresh ones.
+func (s *scenarioState) build() error {
 	scn := s.cfg.Scenario
 	pts, flows, err := scn.materialize(s.sched.Rand())
 	if err != nil {
 		return err
 	}
-	samePlacement := reuse && geoEqual(s.positions, pts)
+	samePlacement := geoEqual(s.positions, pts)
 	s.positions = pts
 	s.flows = flows
 	s.perFlowPackets = resetSlice(s.perFlowPackets, len(flows))
@@ -263,8 +256,7 @@ func (s *scenarioState) build(reuse bool) error {
 		return errStaticMobility
 	}
 	macCfg := mac.Config{DataRate: s.cfg.Bandwidth, RTSThreshold: s.cfg.RTSThreshold}
-	reuse = reuse && s.channel != nil && s.channel.NumRadios() == len(pts) && len(s.nodes) == len(pts)
-	if reuse {
+	if s.channel != nil && len(s.nodes) == len(pts) {
 		s.channel.Reset(model, scn.Mobility.UpdateInterval)
 		for _, n := range s.nodes {
 			n.Reset(macCfg)
@@ -303,19 +295,13 @@ func (s *scenarioState) build(reuse bool) error {
 			}
 			s.injectors = append(s.injectors, inj)
 		}
-		if s.arenaPlane == nil {
-			s.arenaPlane = new(fault.Plane)
-		}
-		s.plane = s.arenaPlane
+		s.plane = &s.arenaPlane
 		s.plane.Reset(len(pts))
 		s.plane.OnNodeDown = s.crashNode
 		s.plane.OnNodeUp = s.restoreNode
 		ch.SetFaultPlane(s.plane)
 	} else {
 		s.plane = nil
-	}
-	if s.onDeliveryFn == nil {
-		s.onDeliveryFn = s.onDelivery
 	}
 	for _, n := range s.nodes {
 		n.OnFlowDelivery = s.onDeliveryFn
@@ -376,11 +362,6 @@ func (s *scenarioState) build(reuse bool) error {
 	s.arenaSink = growSlice(s.arenaSink, len(flows))
 	s.arenaUSrc = growSlice(s.arenaUSrc, len(flows))
 	s.arenaUSink = growSlice(s.arenaUSink, len(flows))
-	if s.delay == nil {
-		s.delay = stats.NewDurationHistogram(4096, s.sched.Rand().Int63n)
-	} else {
-		s.delay.Reset()
-	}
 	for fi, f := range flows {
 		tspec := s.cfg.Transport
 		if !f.Transport.IsZero() {
@@ -521,8 +502,8 @@ func (s *scenarioState) crashNode(id pkt.NodeID) {
 	for fi := range s.flows {
 		f := &s.flows[fi]
 		if f.Src == id && s.flowState[fi] == flowRunning {
-			if h, ok := s.senders[fi].(haltResumer); ok {
-				h.Halt()
+			if snd := s.senders[fi]; snd != nil {
+				snd.Halt()
 			}
 			if u := s.udpSrcs[fi]; u != nil {
 				u.Stop()
@@ -554,8 +535,8 @@ func (s *scenarioState) restoreNode(id pkt.NodeID) {
 		}
 		switch s.flowState[fi] {
 		case flowHalted:
-			if h, ok := s.senders[fi].(haltResumer); ok {
-				h.Resume()
+			if snd := s.senders[fi]; snd != nil {
+				snd.Resume()
 			}
 			if u := s.udpSrcs[fi]; u != nil {
 				u.Start()

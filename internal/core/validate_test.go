@@ -123,6 +123,17 @@ func TestValidateNegativeBudget(t *testing.T) {
 	cfg := validChain()
 	cfg.TotalPackets = -1
 	wantError(t, cfg, "negative measurement budget")
+
+	// Unchecked, a negative warm-up count would slice the batches at
+	// [-1:] and panic, and a negative time bound would run nothing and
+	// return an empty, truncated result.
+	cfg = validChain()
+	cfg.WarmupBatches = -1
+	wantError(t, cfg, "negative WarmupBatches -1")
+
+	cfg = validChain()
+	cfg.MaxSimTime = -time.Second
+	wantError(t, cfg, "negative MaxSimTime -1s")
 }
 
 func TestValidateRandomGenerator(t *testing.T) {

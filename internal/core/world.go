@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"manetsim/internal/sim"
+	"manetsim/internal/stats"
 )
 
 // World is a reusable run arena: it keeps every allocation a simulation
@@ -11,8 +12,8 @@ import (
 // grid and transmission records, the per-node MAC/routing stacks, the transport
 // engines, the packet pool — and rewinds all of it in place for the next
 // run instead of rebuilding from scratch. Results are byte-identical to
-// fresh runs of the same Config: resets restore exactly the state a fresh
-// construction would produce, including the random stream.
+// fresh runs of the same Config: every layer's constructor ends with the
+// Reset a reused arena calls, so each initial state is written once.
 //
 // A World is not safe for concurrent use (each run owns its state
 // exclusively, like the single-threaded scheduler underneath), but
@@ -38,26 +39,27 @@ func (w *World) Run(cfg Config) (*Result, error) {
 }
 
 // RunContext executes one configured simulation on the arena under ctx;
-// cancellation is polled as the package-level RunContext describes. A
-// first run builds the state fresh, later runs rewind it. A build error
-// discards the arena state (the next run starts fresh); a cancelled run
-// keeps it, since the next reset sweeps whatever the aborted run left
-// behind.
+// cancellation is polled as the package-level RunContext describes. Every
+// run takes the same path — reset, then build — and the first run differs
+// only in finding nothing to reuse. A build error discards the arena state
+// (the next run starts from an empty arena); a cancelled run keeps it,
+// since the next reset sweeps whatever the aborted run left behind.
 func (w *World) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	s := w.s
-	reuse := s != nil
-	if reuse {
-		s.reset(cfg.Seed)
-	} else {
+	if s == nil {
+		// An empty arena: the scheduler and what is bound to it for life.
 		s = &scenarioState{sched: sim.NewScheduler(cfg.Seed)}
+		s.onDeliveryFn = s.onDelivery
+		s.delay = stats.NewDurationHistogram(4096, s.sched.Rand().Int63n)
 	}
+	s.reset(cfg.Seed)
 	s.cfg = cfg
 	s.obs = cfg.Observer
-	if err := s.build(reuse); err != nil {
+	if err := s.build(); err != nil {
 		// A half-built arena holds layers in mixed generations; safer to
 		// drop it than to reason about which resets still apply.
 		w.s = nil

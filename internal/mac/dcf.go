@@ -115,40 +115,31 @@ type DCF struct {
 
 var _ phy.Handler = (*DCF)(nil)
 
-// New creates a DCF bound to a radio and installs itself as the radio's
-// PHY handler.
+// New creates a DCF bound to a radio: its timers and duplicate ring, then
+// Reset, which installs the MAC as the radio's PHY handler.
 func New(sched *sim.Scheduler, radio *phy.Radio, cfg Config, cb Callbacks) *DCF {
 	if cb.Deliver == nil || cb.LinkFailure == nil {
 		panic("mac: both callbacks are required")
 	}
-	qcap := cfg.QueueCap
-	if qcap == 0 {
-		qcap = DefaultQueueCap
-	}
 	d := &DCF{
-		sched:        sched,
-		radio:        radio,
-		timing:       NewTiming(cfg.DataRate),
-		cb:           cb,
-		qcap:         qcap,
-		rtsThreshold: cfg.RTSThreshold,
-		cw:           CWMin,
-		seen:         make(map[uint64]bool),
-		seenRing:     make([]uint64, 128),
+		sched:    sched,
+		radio:    radio,
+		cb:       cb,
+		seen:     make(map[uint64]bool),
+		seenRing: make([]uint64, 128),
 	}
 	d.deferTimer = sim.NewTimer(sched, d.onDeferDone)
 	d.ctsTimer = sim.NewTimer(sched, d.onCTSTimeout)
 	d.ackTimer = sim.NewTimer(sched, d.onAckTimeout)
 	d.navTimer = sim.NewTimer(sched, d.kick)
-	radio.SetHandler(d)
 	d.releaseFn = d.frameReleased
-	radio.OnFrameReleased = d.releaseFn
+	d.Reset(cfg)
 	return d
 }
 
-// Reset rewinds the MAC to its just-constructed state for a new run over
-// the same radio, keeping the frame freelist, and reinstalls itself as the
-// radio's handler (a radio reset clears it). Call after the scheduler was
+// Reset sets the MAC up for a run over its radio, keeping the frame
+// freelist, and (re)installs itself as the radio's handler (a radio reset
+// clears it); New ends with it. On reuse, call after the scheduler was
 // reset: the MAC's timers and pending response events are already swept,
 // and queued or in-flight packets from the previous run belong to a pool
 // that dropped them, so the references are simply forgotten. Frames that
@@ -167,21 +158,7 @@ func (d *DCF) Reset(cfg Config) {
 	d.queue = d.queue[:0]
 	d.cur = nil
 	d.curSlot = txItem{}
-	d.ph = phaseIdle
-	d.cw = CWMin
-	d.backoffSlots = 0
-	d.counting = false
-	d.countStart = 0
-	d.curIFS = 0
-	d.useEIFS = false
-	d.deferTimer.Stop()
-	d.ctsTimer.Stop()
-	d.ackTimer.Stop()
-	d.navTimer.Stop()
-	d.navUntil = 0
-	d.ssrc, d.slrc = 0, 0
-	d.respInFlight = false
-	d.respPending = false
+	d.idle()
 	d.down = false
 	clear(d.seen)
 	for i := range d.seenRing {
@@ -201,10 +178,6 @@ func (d *DCF) Reset(cfg Config) {
 // channel keep recycling into the pool while the node is down.
 func (d *DCF) Deactivate() {
 	d.down = true
-	d.deferTimer.Stop()
-	d.ctsTimer.Stop()
-	d.ackTimer.Stop()
-	d.navTimer.Stop()
 	for i := range d.queue {
 		d.queue[i].p.Release()
 		d.queue[i] = txItem{}
@@ -215,6 +188,16 @@ func (d *DCF) Deactivate() {
 		d.cur = nil
 		d.curSlot = txItem{}
 	}
+	d.idle()
+}
+
+// idle stops every timer and returns the contention state machine to its
+// initial state: the part of Reset that a crash repeats.
+func (d *DCF) idle() {
+	d.deferTimer.Stop()
+	d.ctsTimer.Stop()
+	d.ackTimer.Stop()
+	d.navTimer.Stop()
 	d.ph = phaseIdle
 	d.cw = CWMin
 	d.backoffSlots = 0

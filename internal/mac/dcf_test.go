@@ -18,7 +18,7 @@ type macRig struct {
 	macs     []*DCF
 	received [][]*pkt.Packet
 	failures [][]*pkt.Packet
-	uids     pkt.UIDSource
+	uids     pkt.Pool
 }
 
 func newMacRig(t *testing.T, positions []geo.Point, rate phy.Rate, seed int64) *macRig {

@@ -48,7 +48,7 @@ func TestQuickDeliveryConservation(t *testing.T) {
 		sched := sim.NewScheduler(seed)
 		positions := geo.Chain(2)
 		ch := phy.NewChannel(sched, positions)
-		var uids pkt.UIDSource
+		var uids pkt.Pool
 		seen := map[uint64]int{}
 		macs := make([]*DCF, 3)
 		for i := 0; i < 3; i++ {
@@ -129,7 +129,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	positions := geo.Chain(1)
 	ch := phy.NewChannel(sched, positions)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	var got []uint64
 	macs := make([]*DCF, 2)
 	for i := 0; i < 2; i++ {
@@ -168,7 +168,7 @@ func TestNAVExpiryResumesTransmission(t *testing.T) {
 			LinkFailure: func(*pkt.Packet, pkt.NodeID) {},
 		})
 	}
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	sched.At(0, func() {
 		// Pre-load a NAV reservation, then enqueue: the packet must wait
 		// out the NAV and then go.

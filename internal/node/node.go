@@ -44,7 +44,7 @@ type Node struct {
 
 	sched *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the node
 
-	tcpSenders map[int]tcp.Sender
+	tcpSenders map[int]*tcp.Engine
 	tcpSinks   map[int]*tcp.Sink
 	udpSinks   map[int]*udp.Sink
 
@@ -58,13 +58,13 @@ type Node struct {
 }
 
 // New creates a node over the given radio and wires the MAC (configured
-// by macCfg) to the (later installed) router.
+// by macCfg) to the (later installed) router. It ends with Reset.
 func New(sched *sim.Scheduler, radio *phy.Radio, macCfg mac.Config) *Node {
 	n := &Node{
 		ID:         radio.ID(),
 		Radio:      radio,
 		sched:      sched,
-		tcpSenders: make(map[int]tcp.Sender),
+		tcpSenders: make(map[int]*tcp.Engine),
 		tcpSinks:   make(map[int]*tcp.Sink),
 		udpSinks:   make(map[int]*udp.Sink),
 	}
@@ -76,6 +76,7 @@ func New(sched *sim.Scheduler, radio *phy.Radio, macCfg mac.Config) *Node {
 			n.mustRouter().HandleLinkFailure(p, nextHop)
 		},
 	})
+	n.Reset(macCfg)
 	return n
 }
 
@@ -93,10 +94,10 @@ func (n *Node) mustRouter() Router {
 	return n.router
 }
 
-// Reset rewinds the node for a new run over the same (already reset) radio
-// and scheduler: the router is detached, the flow endpoints unregistered
-// (so Attach* accepts the new run's flows), the delivery hook cleared, and
-// the MAC reset — which also re-installs the MAC as the radio's handler.
+// Reset sets the node up for a run over its (already reset) radio: the
+// router is detached, the flow endpoints unregistered (so Attach* accepts
+// the new run's flows), the delivery hook cleared, and the MAC reset —
+// which also re-installs the MAC as the radio's handler.
 func (n *Node) Reset(macCfg mac.Config) {
 	n.router = nil
 	clear(n.tcpSenders)
@@ -118,7 +119,7 @@ func (n *Node) Output() func(p *pkt.Packet) {
 }
 
 // AttachTCPSender registers a sender for a flow originating here.
-func (n *Node) AttachTCPSender(flow int, s tcp.Sender) {
+func (n *Node) AttachTCPSender(flow int, s *tcp.Engine) {
 	if _, dup := n.tcpSenders[flow]; dup {
 		panic(fmt.Sprintf("node %d: duplicate TCP sender for flow %d", n.ID, flow))
 	}

@@ -15,12 +15,12 @@ import (
 )
 
 // buildStack wires nodes with static routing over a chain.
-func buildStack(t *testing.T, hops int) (*sim.Scheduler, []*Node, *pkt.UIDSource) {
+func buildStack(t *testing.T, hops int) (*sim.Scheduler, []*Node, *pkt.Pool) {
 	t.Helper()
 	sched := sim.NewScheduler(1)
 	pts := geo.Chain(hops)
 	ch := phy.NewChannel(sched, pts)
-	uids := &pkt.UIDSource{}
+	uids := &pkt.Pool{}
 	nodes := make([]*Node, len(pts))
 	for i := range pts {
 		nodes[i] = New(sched, ch.Radio(pkt.NodeID(i)), mac.Config{DataRate: phy.Rate2Mbps})

@@ -10,6 +10,7 @@ import (
 	"manetsim/internal/fault"
 	"manetsim/internal/geo"
 	"manetsim/internal/linkmodel"
+	"manetsim/internal/mobility"
 	"manetsim/internal/pkt"
 	"manetsim/internal/sim"
 )
@@ -136,45 +137,38 @@ type Channel struct {
 // returns it with one radio per node. The handler for each radio must be
 // set with Radio.SetHandler before any traffic flows.
 func NewChannel(sched *sim.Scheduler, positions []geo.Point) *Channel {
-	c := &Channel{sched: sched, grid: newSpatialGrid(CSRange), capture: CaptureThreshold, decodeRange: TxRange}
-	c.makeRadios(positions)
-	return c
+	return NewMobileChannel(sched, mobility.NewStationary(positions), 0)
 }
 
 // NewMobileChannel creates a channel whose node positions follow model,
 // sampled every interval (DefaultUpdateInterval when interval <= 0).
 // Between epochs positions are treated as frozen, so the approximation
 // error is bounded by maxSpeed*interval. A static model degenerates to
-// NewChannel: no epochs are ever scheduled.
+// NewChannel: no epochs are ever scheduled. Reset places the radios.
 func NewMobileChannel(sched *sim.Scheduler, model PositionModel, interval time.Duration) *Channel {
-	if model == nil {
-		panic("phy: nil position model")
+	n := model.Len()
+	c := &Channel{
+		sched:   sched,
+		radios:  make([]*Radio, n),
+		grid:    newSpatialGrid(CSRange),
+		dist:    make([]float64, n),
+		inRange: make([]uint64, (n+63)/64),
 	}
-	if interval <= 0 {
-		interval = DefaultUpdateInterval
+	for i := range c.radios {
+		c.radios[i] = &Radio{ch: c, id: pkt.NodeID(i)}
 	}
-	positions := make([]geo.Point, model.Len())
-	for i := range positions {
-		positions[i] = model.PositionAt(i, sched.Now())
-	}
-	c := &Channel{sched: sched, grid: newSpatialGrid(CSRange), capture: CaptureThreshold, decodeRange: TxRange}
-	c.makeRadios(positions)
-	if !model.Static() {
-		c.model = model
-		c.interval = interval
-		c.sched.AfterFunc(interval, refreshPositionsFn, c)
-	}
+	c.Reset(model, interval)
 	return c
 }
 
-// Reset rewinds the channel for a fresh run over the same radio set: the
-// grid is re-bucketed from the model's initial positions, every radio
-// returns to its zero state, and (for non-static models) the epoch tick is
-// re-armed. The caller must Reset the scheduler first — that sweeps the
-// previous run's pending transmission events; their in-flight txRecords
-// simply drop to the garbage collector (the freelist only ever holds
-// properly retired ones) and MAC frames they referenced are recycled by
-// the MAC's own reset.
+// Reset sets the channel up for a run over its radio set; NewMobileChannel
+// ends with it. The grid is re-bucketed from the model's initial positions
+// (each sampled once), every radio returns to its zero state, and (for
+// non-static models) the epoch tick is armed. On reuse, the caller must
+// Reset the scheduler first — that sweeps the previous run's pending
+// transmission events; their in-flight txRecords simply drop to the
+// garbage collector (the freelist only ever holds properly retired ones)
+// and MAC frames they referenced are recycled by the MAC's own reset.
 func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 	if model == nil {
 		panic("phy: nil position model")
@@ -186,11 +180,7 @@ func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 		interval = DefaultUpdateInterval
 	}
 	c.NoCapture = false
-	c.impair = nil
-	c.maxJitter = 0
-	c.capture = CaptureThreshold
-	c.impairSeed = 0
-	c.decodeRange = TxRange
+	c.SetLinkModel(nil, 0, 0, 0)
 	c.faults = nil
 	c.liveTx = 0
 	c.grid.reset()
@@ -199,13 +189,10 @@ func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 		r.reset(model.PositionAt(i, now))
 		c.grid.insert(r)
 	}
+	c.model, c.interval = nil, 0
 	if !model.Static() {
-		c.model = model
-		c.interval = interval
+		c.model, c.interval = model, interval
 		c.sched.AfterFunc(interval, refreshPositionsFn, c)
-	} else {
-		c.model = nil
-		c.interval = 0
 	}
 }
 
@@ -253,17 +240,6 @@ func (c *Channel) SetLinkModel(model linkmodel.Model, maxJitter time.Duration, c
 // failures. A nil plane restores the fault-free channel. Call after
 // construction or Reset, before traffic flows.
 func (c *Channel) SetFaultPlane(p *fault.Plane) { c.faults = p }
-
-func (c *Channel) makeRadios(positions []geo.Point) {
-	c.radios = make([]*Radio, len(positions))
-	c.dist = make([]float64, len(positions))
-	c.inRange = make([]uint64, (len(positions)+63)/64)
-	for i := range positions {
-		r := &Radio{ch: c, id: pkt.NodeID(i), pos: positions[i]}
-		c.radios[i] = r
-		c.grid.insert(r)
-	}
-}
 
 // refreshPositionsFn is the scheduler trampoline for the epoch tick, so
 // re-arming it never allocates a method-value closure.
@@ -439,9 +415,6 @@ func (c *Channel) impaired() bool { return c.impair != nil || c.maxJitter > 0 }
 
 // Radio returns the radio of node id.
 func (c *Channel) Radio(id pkt.NodeID) *Radio { return c.radios[id] }
-
-// NumRadios returns the number of radios on the channel.
-func (c *Channel) NumRadios() int { return len(c.radios) }
 
 // Distance returns the current distance between two nodes (as of the last
 // position epoch).

@@ -140,10 +140,6 @@ type Pool struct {
 	free    *Packet //manetsim:resetsafe freelist survives resets; Release re-zeroes blocks on the way in
 }
 
-// UIDSource is the historical name of Pool, kept for call sites that only
-// draw ids.
-type UIDSource = Pool
-
 // Next returns a fresh id.
 func (u *Pool) Next() uint64 {
 	u.nextUID++

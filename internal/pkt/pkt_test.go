@@ -123,8 +123,8 @@ func TestPoolSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestUIDSourceUnique(t *testing.T) {
-	var u UIDSource
+func TestPoolUIDsUnique(t *testing.T) {
+	var u Pool
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
 		id := u.Next()

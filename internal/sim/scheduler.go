@@ -108,20 +108,22 @@ const (
 	noPoll     = uint64(math.MaxUint64)
 )
 
-// NewScheduler returns a scheduler whose random source is seeded with seed.
+// NewScheduler allocates a scheduler and its random source, then Resets it.
 func NewScheduler(seed int64) *Scheduler {
-	src := rand.NewSource(seed)
-	return &Scheduler{src: src, rng: rand.New(src), deadline: noDeadline, pollAt: noPoll}
+	s := &Scheduler{src: rand.NewSource(seed), deadline: noDeadline, pollAt: noPoll}
+	s.rng = rand.New(s.src)
+	s.Reset(seed)
+	return s
 }
 
-// Reset rewinds the scheduler to the state NewScheduler(seed) would produce
-// while keeping every allocation: pending events move to the freelist, the
-// clock and sequence counter return to zero, and the random stream restarts
-// so a reset run draws the exact same values event for event. The *rand.Rand
-// returned by Rand keeps its identity across resets, so bindings taken
-// before the reset stay valid. Releasing the pending events bumps their
-// generations, which turns every outstanding EventRef (and Timer) into a
-// safe stale no-op.
+// Reset sets the scheduler up for a run from seed while keeping every
+// allocation; NewScheduler ends with it. Pending events move to the
+// freelist, the clock and sequence counter return to zero, and the random
+// stream restarts so a reset run draws the exact same values event for
+// event. The *rand.Rand returned by Rand keeps its identity across resets,
+// so bindings taken before the reset stay valid. Releasing the pending
+// events bumps their generations, which turns every outstanding EventRef
+// (and Timer) into a safe stale no-op.
 func (s *Scheduler) Reset(seed int64) {
 	for _, e := range s.heap {
 		s.release(e)

@@ -16,6 +16,8 @@ type Timer struct {
 }
 
 // NewTimer returns a stopped timer that runs fn on expiry.
+//
+//manetsim:allow resetcomplete Timer.Reset(d) re-arms a timer; a stopped timer needs no initialising
 func NewTimer(sched *Scheduler, fn func()) *Timer {
 	if sched == nil {
 		panic("sim: NewTimer with nil scheduler")

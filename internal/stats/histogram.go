@@ -31,11 +31,14 @@ func NewDurationHistogram(cap int, rng func(int64) int64) *DurationHistogram {
 	if rng == nil {
 		panic("stats: histogram needs an rng")
 	}
-	return &DurationHistogram{cap: cap, rng: rng}
+	h := &DurationHistogram{cap: cap, rng: rng}
+	h.Reset()
+	return h
 }
 
 // Reset forgets all observations while keeping the sample buffer and the
-// rng binding (which stays valid across a scheduler reseed).
+// rng binding (which stays valid across a scheduler reseed);
+// NewDurationHistogram ends with it.
 func (h *DurationHistogram) Reset() {
 	h.samples = h.samples[:0]
 	h.n = 0

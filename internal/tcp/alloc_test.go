@@ -19,7 +19,7 @@ func TestEngineHotPathZeroAllocs(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			sched := sim.NewScheduler(1)
-			var uids pkt.UIDSource
+			var uids pkt.Pool
 			out := func(p *pkt.Packet) { p.Release() }
 			e := NewEngine(sched, Config{}, 1, 0, 1, &uids, out, v.mk())
 			e.Start()

@@ -16,7 +16,7 @@ import (
 // congestion detection needs, without involving the MAC stack.
 type pipe struct {
 	sched   *sim.Scheduler
-	uids    pkt.UIDSource
+	uids    pkt.Pool
 	delay   time.Duration // one-way propagation each way
 	service time.Duration // bottleneck per-packet service time
 	qcap    int           // bottleneck queue capacity (0 = unbounded)
@@ -25,7 +25,7 @@ type pipe struct {
 	dropAck  func(h *pkt.TCPHeader) bool
 
 	lastDeparture sim.Time
-	sender        Sender
+	sender        *Engine
 	sink          *Sink
 
 	dataDelivered int

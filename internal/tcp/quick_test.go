@@ -21,9 +21,9 @@ func TestQuickWindowInvariants(t *testing.T) {
 		pp := newPipe(seed, 5*time.Millisecond, 500*time.Microsecond, 0)
 		pp.dropData = func(h *pkt.TCPHeader) bool { return rng.Intn(100) < lossPct }
 		pp.dropAck = func(h *pkt.TCPHeader) bool { return rng.Intn(100) < lossPct/2 }
-		var s Sender
+		var s *Engine
 		if vegas {
-			s = pp.connectVegas(Config{})
+			s = pp.connectVegas(Config{}).Engine
 		} else {
 			s = pp.connectNewReno(Config{})
 		}

@@ -79,7 +79,7 @@ type SinkStats struct {
 type Sink struct {
 	sched *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the sink
 	out   Output
-	uids  *pkt.UIDSource //manetsim:resetsafe pool binding; the pool resets itself
+	uids  *pkt.Pool //manetsim:resetsafe pool binding; the pool resets itself
 
 	flow     int
 	src, dst pkt.NodeID // src = this sink's node, dst = the sender
@@ -104,29 +104,19 @@ type Sink struct {
 }
 
 // NewSink creates a receiver for one flow. src is the sink's own node id,
-// dst the sender's (where ACKs go).
-func NewSink(sched *sim.Scheduler, flow int, src, dst pkt.NodeID, policy AckPolicy, uids *pkt.UIDSource, out Output) *Sink {
-	if out == nil {
-		panic("tcp: nil output")
-	}
-	s := &Sink{
-		sched:  sched,
-		out:    out,
-		uids:   uids,
-		flow:   flow,
-		src:    src,
-		dst:    dst,
-		policy: policy,
-		buffer: make(map[int64]bool),
-	}
+// dst the sender's (where ACKs go). It ends with Reset.
+func NewSink(sched *sim.Scheduler, flow int, src, dst pkt.NodeID, policy AckPolicy, uids *pkt.Pool, out Output) *Sink {
+	s := &Sink{sched: sched, uids: uids, buffer: make(map[int64]bool)}
 	s.regenTimer = sim.NewTimer(sched, s.onRegenTimeout)
+	s.Reset(flow, src, dst, policy, out)
 	return s
 }
 
-// Reset rebinds the sink to a new run, keeping the buffer map and the
-// regeneration timer. The flow identity and output are taken fresh for the
-// same reason as Engine.Reset; the Delay hook is cleared for the owner to
-// reinstall. Call after the scheduler was reset.
+// Reset sets the sink up for a run, keeping the buffer map and the
+// regeneration timer; NewSink ends with it. The flow identity and output
+// are taken fresh for the same reason as Engine.Reset; the Delay hook is
+// cleared for the owner to reinstall. On reuse, call after the scheduler
+// was reset.
 func (s *Sink) Reset(flow int, src, dst pkt.NodeID, policy AckPolicy, out Output) {
 	if out == nil {
 		panic("tcp: nil output")

@@ -11,7 +11,7 @@ import (
 // sinkRig collects the ACKs a sink emits.
 type sinkRig struct {
 	sched *sim.Scheduler
-	uids  pkt.UIDSource
+	uids  pkt.Pool
 	sink  *Sink
 	acks  []*pkt.Packet
 }

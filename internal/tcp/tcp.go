@@ -122,21 +122,6 @@ type Stats struct {
 	DupAcks     uint64
 }
 
-// Sender is the interface the scenario layer drives; Engine implements it.
-type Sender interface {
-	// Start begins transmitting (infinite backlog).
-	Start()
-	// HandleAck processes an incoming ACK for this flow.
-	HandleAck(p *pkt.Packet)
-	// Stats returns a snapshot of the sender counters.
-	Stats() Stats
-	// Window returns the current congestion window in packets.
-	Window() float64
-	// WindowTrace exposes the time-weighted window accumulator (the core
-	// layer resets it per measurement batch).
-	WindowTrace() *stats.TimeWeighted
-}
-
 // Output injects a packet into the network (the routing layer's Send).
 type Output func(p *pkt.Packet)
 
@@ -258,7 +243,7 @@ type Engine struct {
 	sched *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the engine
 	cfg   Config
 	out   Output
-	uids  *pkt.UIDSource //manetsim:resetsafe pool binding; the pool resets itself
+	uids  *pkt.Pool //manetsim:resetsafe pool binding; the pool resets itself
 	cc    CongestionControl
 
 	// afterAck is the pre-bound optional ackFinisher hook (nil for most
@@ -297,47 +282,24 @@ type Engine struct {
 	winHist stats.TimeWeighted
 }
 
-var _ Sender = (*Engine)(nil)
-
 // NewEngine builds the sender engine for one flow and binds the
-// congestion-control strategy into it. All state is allocated here; the
-// steady-state path performs no further allocations.
-func NewEngine(sched *sim.Scheduler, cfg Config, flow int, src, dst pkt.NodeID, uids *pkt.UIDSource, out Output, cc CongestionControl) *Engine {
-	if out == nil {
-		panic("tcp: nil output")
-	}
-	if cc == nil {
-		panic("tcp: nil congestion control")
-	}
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		sched:   sched,
-		cfg:     cfg,
-		out:     out,
-		uids:    uids,
-		cc:      cc,
-		flow:    flow,
-		src:     src,
-		dst:     dst,
-		cwnd:    float64(cfg.Winit),
-		sentAt:  make(map[int64]sim.Time),
-		rto:     cfg.InitialRTO,
-		backoff: 1,
-	}
+// congestion-control strategy into it. It allocates the in-flight map and
+// both timers and ends with Reset; the steady-state path allocates nothing.
+func NewEngine(sched *sim.Scheduler, cfg Config, flow int, src, dst pkt.NodeID, uids *pkt.Pool, out Output, cc CongestionControl) *Engine {
+	e := &Engine{sched: sched, uids: uids, sentAt: make(map[int64]sim.Time)}
 	e.rtxTimer = sim.NewTimer(sched, e.onRTO)
-	cc.Init(e)
-	if f, ok := cc.(ackFinisher); ok {
-		e.afterAck = f.AfterAck
-	}
+	e.paceTimer = sim.NewTimer(sched, e.pump)
+	e.Reset(cfg, flow, src, dst, out, cc)
 	return e
 }
 
-// Reset rebinds the engine to a new run over the same scheduler, exactly
-// as NewEngine would construct it, while keeping the allocated map and
-// timers. The flow identity and output are taken fresh — a reused engine
-// may serve a different flow (generator scenarios draw flows per seed) —
-// and a fresh congestion-control strategy is bound in (strategies carry
-// per-run state). Call after the scheduler was reset, which swept the
+// Reset sets the engine up for a run over its scheduler, keeping the
+// allocated map and timers. NewEngine ends with it, so this is the one
+// place a run's initial sender state is written. The flow identity and
+// output are taken fresh — a reused engine may serve a different flow
+// (generator scenarios draw flows per seed) — and a fresh
+// congestion-control strategy is bound in (strategies carry per-run
+// state). On reuse, call after the scheduler was reset, which swept the
 // retransmission and pacing timers.
 func (e *Engine) Reset(cfg Config, flow int, src, dst pkt.NodeID, out Output, cc CongestionControl) {
 	if out == nil {
@@ -349,7 +311,6 @@ func (e *Engine) Reset(cfg Config, flow int, src, dst pkt.NodeID, out Output, cc
 	e.cfg = cfg.withDefaults()
 	e.out = out
 	e.cc = cc
-	e.afterAck = nil
 	e.flow = flow
 	e.src = src
 	e.dst = dst
@@ -358,20 +319,25 @@ func (e *Engine) Reset(cfg Config, flow int, src, dst pkt.NodeID, out Output, cc
 	e.ackNext = 0
 	e.cwnd = float64(e.cfg.Winit)
 	clear(e.sentAt)
+	e.rtxTimer.Stop()
+	e.paceGap = nil
+	e.paceTimer.Stop()
+	e.halted = false
+	e.stats = Stats{}
+	e.winHist = stats.TimeWeighted{}
+	e.coldStart()
+}
+
+// coldStart forgets the RTT estimate and binds the strategy afresh: the
+// part of Reset that Resume repeats after a crash.
+func (e *Engine) coldStart() {
 	e.srtt, e.rttvar = 0, 0
 	e.hasRTT = false
 	e.rto = e.cfg.InitialRTO
 	e.backoff = 1
-	e.rtxTimer.Stop()
-	e.paceGap = nil
-	if e.paceTimer != nil {
-		e.paceTimer.Stop()
-	}
-	e.halted = false
-	e.stats = Stats{}
-	e.winHist = stats.TimeWeighted{}
-	cc.Init(e)
-	if f, ok := cc.(ackFinisher); ok {
+	e.afterAck = nil
+	e.cc.Init(e)
+	if f, ok := e.cc.(ackFinisher); ok {
 		e.afterAck = f.AfterAck
 	}
 }
@@ -419,16 +385,12 @@ func (e *Engine) SentAt(seq int64) (sim.Time, bool) {
 
 // EnablePacing switches the engine from ACK-clocked burst transmission to
 // rate pacing: as long as the window has room, one packet leaves per gap()
-// interval. Strategies call this from Init; the pacing timer is allocated
-// here, at build time, and reused when the engine is Reset for a new run.
+// interval. Strategies call this from Init.
 func (e *Engine) EnablePacing(gap func() time.Duration) {
 	if gap == nil {
 		panic("tcp: nil pacing gap")
 	}
 	e.paceGap = gap
-	if e.paceTimer == nil {
-		e.paceTimer = sim.NewTimer(e.sched, e.pump)
-	}
 }
 
 // Start begins the transfer. On a halted engine (host crashed before the
@@ -450,9 +412,7 @@ func (e *Engine) Start() {
 func (e *Engine) Halt() {
 	e.halted = true
 	e.rtxTimer.Stop()
-	if e.paceTimer != nil {
-		e.paceTimer.Stop()
-	}
+	e.paceTimer.Stop()
 }
 
 // Resume restarts a halted sender after its host came back up. The
@@ -465,15 +425,7 @@ func (e *Engine) Resume() {
 		return
 	}
 	e.halted = false
-	e.srtt, e.rttvar = 0, 0
-	e.hasRTT = false
-	e.rto = e.cfg.InitialRTO
-	e.backoff = 1
-	e.afterAck = nil
-	e.cc.Init(e)
-	if f, ok := e.cc.(ackFinisher); ok {
-		e.afterAck = f.AfterAck
-	}
+	e.coldStart()
 	e.SetWindow(float64(e.cfg.Winit))
 	e.cc.OnStart()
 	e.GoBackN()

@@ -45,7 +45,7 @@ func TestRenoMultiLossNeedsTimeoutButNewRenoDoesNot(t *testing.T) {
 			}
 			return false
 		}
-		var s Sender
+		var s *Engine
 		if newreno {
 			s = pp.connectNewReno(Config{})
 		} else {

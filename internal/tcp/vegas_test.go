@@ -30,9 +30,9 @@ func TestVegasKeepsWindowFarBelowNewReno(t *testing.T) {
 	// the essence of the paper's Figures 7 and 8.
 	run := func(vegas bool) (avgW float64, retransmits uint64) {
 		pp := newPipe(7, 10*time.Millisecond, 1*time.Millisecond, 30)
-		var s Sender
+		var s *Engine
 		if vegas {
-			s = pp.connectVegas(Config{})
+			s = pp.connectVegas(Config{}).Engine
 		} else {
 			s = pp.connectNewReno(Config{})
 		}
@@ -158,7 +158,7 @@ func TestVegasCutsWindowQuarterOncePerEpisode(t *testing.T) {
 		pp.sched.After(time.Millisecond, watch)
 	}
 	pp.sched.At(0, watch)
-	pp.sender = s
+	pp.sender = s.Engine
 	pp.sched.RunUntil(4 * time.Second)
 	after := s.Window()
 	// Window must have been reduced from the pre-loss level but not

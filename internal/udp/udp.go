@@ -18,7 +18,7 @@ import (
 type Sender struct {
 	sched *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the sender
 	out   func(p *pkt.Packet)
-	uids  *pkt.UIDSource //manetsim:resetsafe pool binding; the pool resets itself
+	uids  *pkt.Pool //manetsim:resetsafe pool binding; the pool resets itself
 
 	flow     int
 	src, dst pkt.NodeID
@@ -29,26 +29,19 @@ type Sender struct {
 	Sent    int64
 }
 
-// NewSender creates a paced source emitting one packet every gap.
-func NewSender(sched *sim.Scheduler, flow int, src, dst pkt.NodeID, gap time.Duration, uids *pkt.UIDSource, out func(p *pkt.Packet)) *Sender {
-	if gap <= 0 {
-		panic("udp: non-positive pacing gap")
-	}
-	if out == nil {
-		panic("udp: nil output")
-	}
-	s := &Sender{sched: sched, out: out, uids: uids, flow: flow, src: src, dst: dst, gap: gap}
+// NewSender creates a paced source emitting one packet every gap; it ends
+// with Reset.
+func NewSender(sched *sim.Scheduler, flow int, src, dst pkt.NodeID, gap time.Duration, uids *pkt.Pool, out func(p *pkt.Packet)) *Sender {
+	s := &Sender{sched: sched, uids: uids}
 	s.timer = sim.NewTimer(sched, s.tick)
+	s.Reset(flow, src, dst, gap, out)
 	return s
 }
 
-// Reset rebinds the source to a new run over the same scheduler, keeping
-// the timer. The flow identity, gap and output are taken fresh. Call after
-// the scheduler was reset.
+// Reset sets the source up for a run over its scheduler, keeping the
+// timer; NewSender ends with it. The flow identity, gap and output are
+// taken fresh. On reuse, call after the scheduler was reset.
 func (s *Sender) Reset(flow int, src, dst pkt.NodeID, gap time.Duration, out func(p *pkt.Packet)) {
-	if gap <= 0 {
-		panic("udp: non-positive pacing gap")
-	}
 	if out == nil {
 		panic("udp: nil output")
 	}
@@ -56,7 +49,7 @@ func (s *Sender) Reset(flow int, src, dst pkt.NodeID, gap time.Duration, out fun
 	s.flow = flow
 	s.src = src
 	s.dst = dst
-	s.gap = gap
+	s.SetGap(gap)
 	s.timer.Stop()
 	s.nextSeq = 0
 	s.Sent = 0
@@ -105,13 +98,16 @@ type Sink struct {
 	Now   func() time.Duration
 }
 
-// NewSink creates a counting sink.
+// NewSink creates a counting sink: the dedup map, then Reset.
 func NewSink() *Sink {
-	return &Sink{highest: -1, seen: make(map[int64]bool)}
+	s := &Sink{seen: make(map[int64]bool)}
+	s.Reset()
+	return s
 }
 
-// Reset rewinds the sink for a new run, keeping the dedup map's capacity.
-// The Delay/Now hooks are cleared for the owner to reinstall.
+// Reset sets the sink up for a run, keeping the dedup map's capacity;
+// NewSink ends with it. The Delay/Now hooks are cleared for the owner to
+// reinstall.
 func (s *Sink) Reset() {
 	s.Received = 0
 	s.Dups = 0

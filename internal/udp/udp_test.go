@@ -10,7 +10,7 @@ import (
 
 func TestPacedSenderEmitsAtGap(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	var times []sim.Time
 	s := NewSender(sched, 1, 0, 7, 10*time.Millisecond, &uids, func(p *pkt.Packet) {
 		times = append(times, sched.Now())
@@ -35,7 +35,7 @@ func TestPacedSenderEmitsAtGap(t *testing.T) {
 
 func TestPacedSenderStop(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	count := 0
 	s := NewSender(sched, 1, 0, 7, 10*time.Millisecond, &uids, func(*pkt.Packet) { count++ })
 	sched.At(0, s.Start)
@@ -48,7 +48,7 @@ func TestPacedSenderStop(t *testing.T) {
 
 func TestPacedSenderSetGap(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	var times []sim.Time
 	s := NewSender(sched, 1, 0, 7, 10*time.Millisecond, &uids, func(*pkt.Packet) {
 		times = append(times, sched.Now())
@@ -70,7 +70,7 @@ func TestPacedSenderSetGap(t *testing.T) {
 
 func TestSenderPanicsOnBadArgs(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	for name, fn := range map[string]func(){
 		"zero gap": func() { NewSender(sched, 1, 0, 1, 0, &uids, func(*pkt.Packet) {}) },
 		"nil out":  func() { NewSender(sched, 1, 0, 1, time.Millisecond, &uids, nil) },
@@ -88,7 +88,7 @@ func TestSenderPanicsOnBadArgs(t *testing.T) {
 
 func TestSinkCountsDistinctPackets(t *testing.T) {
 	s := NewSink()
-	var uids pkt.UIDSource
+	var uids pkt.Pool
 	mk := func(seq int64) *pkt.Packet {
 		return &pkt.Packet{UID: uids.Next(), Kind: pkt.KindUDPData, UDP: &pkt.UDPHeader{Flow: 1, Seq: seq}}
 	}

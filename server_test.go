@@ -331,6 +331,28 @@ func TestServeFailedSweepSurfacesError(t *testing.T) {
 	}
 }
 
+// TestServeNegativeWarmupFailsByName submits a sweep whose base config
+// discards -1 warm-up batches. Validation must reject it by name; unchecked,
+// every run would panic slicing its batches and the job would fail with
+// only "simulation panicked".
+func TestServeNegativeWarmupFailsByName(t *testing.T) {
+	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
+	defer ts.Close()
+
+	sw := serveSweep()
+	sw.Base.WarmupBatches = -1
+	id := postSweep(t, ts, sw)
+	waitForState(t, ts, id, "failed", time.Minute)
+
+	var st struct {
+		Error string `json:"error"`
+	}
+	getJSON(t, ts, "/api/v1/sweeps/"+id, http.StatusOK, &st)
+	if !strings.Contains(st.Error, "WarmupBatches") || strings.Contains(st.Error, "panicked") {
+		t.Fatalf("failed status carries error %q, want one naming WarmupBatches", st.Error)
+	}
+}
+
 func TestServeHealthAndTransports(t *testing.T) {
 	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
 	defer ts.Close()
