@@ -8,54 +8,11 @@
 // terminal collisions ("false route failures").
 package aodv
 
-import (
-	"fmt"
-
-	"manetsim/internal/pkt"
-)
-
 // Control message wire sizes in bytes (type + AODV fields + IP header),
 // matching ns-2's AODV packet sizing closely enough for airtime purposes.
+// The headers themselves are pkt.Control, co-allocated with the packet.
 const (
 	RREQSize = 48
 	RREPSize = 44
 	RERRSize = 32
 )
-
-// RREQ is a route request, flooded toward the destination.
-type RREQ struct {
-	ID        uint32 // per-origin flood identifier
-	Origin    pkt.NodeID
-	OriginSeq uint32
-	Dst       pkt.NodeID
-	DstSeq    uint32
-	DstKnown  bool // whether DstSeq is meaningful
-	HopCount  int
-}
-
-func (m *RREQ) String() string {
-	return fmt.Sprintf("RREQ id=%d %d->%d hops=%d", m.ID, m.Origin, m.Dst, m.HopCount)
-}
-
-// RREP is a route reply, unicast hop-by-hop back to the RREQ origin.
-type RREP struct {
-	Origin   pkt.NodeID // node the reply travels to
-	Dst      pkt.NodeID // node the route leads to
-	DstSeq   uint32
-	HopCount int // hops from the replier to Dst
-}
-
-func (m *RREP) String() string {
-	return fmt.Sprintf("RREP to=%d route-to=%d seq=%d hops=%d", m.Origin, m.Dst, m.DstSeq, m.HopCount)
-}
-
-// RERR reports broken routes; receivers using the sender as next hop for a
-// listed destination invalidate the route and propagate.
-type RERR struct {
-	Unreachable []pkt.NodeID
-	Seqs        []uint32
-}
-
-func (m *RERR) String() string {
-	return fmt.Sprintf("RERR unreachable=%v", m.Unreachable)
-}

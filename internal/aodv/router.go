@@ -71,10 +71,18 @@ type rreqKey struct {
 	id     uint32
 }
 
-// discovery tracks an in-progress route discovery at the origin.
+// seenPruneFloor is the duplicate-suppression map size at which gcSeen
+// starts pruning expired entries.
+const seenPruneFloor = 4096
+
+// discovery is the origin's route-discovery record for one destination.
+// It is made on the first discovery toward dst, with its timer bound once,
+// and reused by every later one; active says whether one is running.
 type discovery struct {
+	dst     pkt.NodeID
 	timer   *sim.Timer
 	retries int
+	active  bool
 }
 
 // Router is the per-node AODV entity. It sits between the transport layer
@@ -86,13 +94,20 @@ type Router struct {
 	cfg   Config
 	uids  *pkt.Pool //manetsim:resetsafe pool binding; the pool resets itself
 
-	table   *Table
-	seqNo   uint32
-	rreqID  uint32
-	seen    map[rreqKey]sim.Time
-	buffer  map[pkt.NodeID][]*pkt.Packet
-	pending map[pkt.NodeID]*discovery
-	down    bool // crashed by fault injection (see Deactivate)
+	table    *Table
+	seqNo    uint32
+	rreqID   uint32
+	seen     map[rreqKey]sim.Time
+	seenMark int // len(seen) at which gcSeen prunes next
+	// Per-destination send buffers. A flushed buffer stays in the map at
+	// length 0, so buffering toward a known destination does not allocate.
+	buffer      map[pkt.NodeID][]*pkt.Packet
+	spare       []*pkt.Packet //manetsim:resetsafe empty between calls; capacity handed between buffers on flush
+	discoveries map[pkt.NodeID]*discovery
+	lost        []pkt.Unreachable //manetsim:resetsafe scratch for the next RERR, overwritten before every use
+	down        bool              // crashed by fault injection (see Deactivate)
+
+	rebroadcast func(any) //manetsim:resetsafe bound once in New: enqueues a forwarded RREQ
 
 	deliver func(p *pkt.Packet) //manetsim:resetsafe upward wiring to the node; rebound only on rebuild
 	// DropData, if set, observes every data packet the router drops
@@ -119,34 +134,44 @@ func New(sched *sim.Scheduler, id pkt.NodeID, m *mac.DCF, uids *pkt.Pool, cfg Co
 		panic("aodv: deliver callback required")
 	}
 	r := &Router{
-		sched:   sched,
-		id:      id,
-		mac:     m,
-		uids:    uids,
-		table:   NewTable(sched, 0),
-		seen:    make(map[rreqKey]sim.Time),
-		buffer:  make(map[pkt.NodeID][]*pkt.Packet),
-		pending: make(map[pkt.NodeID]*discovery),
-		deliver: deliver,
+		sched:       sched,
+		id:          id,
+		mac:         m,
+		uids:        uids,
+		table:       NewTable(sched, 0),
+		seen:        make(map[rreqKey]sim.Time),
+		buffer:      make(map[pkt.NodeID][]*pkt.Packet),
+		discoveries: make(map[pkt.NodeID]*discovery),
+		deliver:     deliver,
 	}
+	r.rebroadcast = r.enqueueBroadcast
 	r.Reset(cfg)
 	return r
 }
 
-// Reset sets the router up for a run, keeping map capacity; New ends with
-// it. On reuse, call after the scheduler was reset: pending discovery
-// timers are already stale, and buffered packets from the previous run
-// belong to a pool that dropped them, so their references are simply
-// forgotten. The optional hooks (DropData, LinkAlive, OnRouteFailure) are
-// cleared; the owner reinstalls what it needs.
+// enqueueBroadcast is the rebroadcast callback: it hands a forwarded RREQ,
+// scheduled by handleRREQ after its jitter, to the MAC.
+func (r *Router) enqueueBroadcast(p any) { r.mac.Enqueue(p.(*pkt.Packet), pkt.Broadcast) }
+
+// Reset sets the router up for a run, keeping map capacity, send-buffer
+// storage and discovery records; New ends with it. On reuse, call after
+// the scheduler was reset: pending discovery timers are already stale, and
+// buffered packets from the previous run belong to a pool that dropped
+// them, so their references are simply forgotten. The optional hooks
+// (DropData, LinkAlive, OnRouteFailure) are cleared; the owner reinstalls
+// what it needs.
 func (r *Router) Reset(cfg Config) {
 	r.cfg = cfg.withDefaults()
 	r.table.Reset(sim.Time(r.cfg.ActiveRouteTimeout))
 	r.seqNo = 0
 	r.rreqID = 0
 	clear(r.seen)
-	clear(r.buffer)
-	clear(r.pending)
+	r.seenMark = seenPruneFloor
+	for dst, q := range r.buffer {
+		clear(q)
+		r.buffer[dst] = q[:0]
+	}
+	r.stopDiscoveries()
 	r.down = false
 	r.DropData = nil
 	r.LinkAlive = nil
@@ -162,18 +187,25 @@ func (r *Router) Reset(cfg Config) {
 // so the run's cumulative batch deltas stay consistent.
 func (r *Router) Deactivate() {
 	r.down = true
-	for dst, d := range r.pending {
-		d.timer.Stop()
-		delete(r.pending, dst)
-	}
+	r.stopDiscoveries()
 	for dst, q := range r.buffer {
 		for _, p := range q {
 			p.Release()
 		}
-		delete(r.buffer, dst)
+		clear(q)
+		r.buffer[dst] = q[:0]
 	}
 	r.table.Reset(sim.Time(r.cfg.ActiveRouteTimeout))
 	clear(r.seen)
+	r.seenMark = seenPruneFloor
+}
+
+// stopDiscoveries ends every running discovery, keeping the records.
+func (r *Router) stopDiscoveries() {
+	for _, d := range r.discoveries {
+		d.timer.Stop()
+		d.active = false
+	}
 }
 
 // Activate restarts a crashed router with an empty table.
@@ -209,7 +241,10 @@ func (r *Router) bufferPacket(p *pkt.Packet) {
 		r.Counters.BufferDrops++
 		r.dropData(q[0])
 		q[0].Release()
-		q = q[1:]
+		// Shift rather than reslice, so the buffer keeps its storage.
+		n := copy(q, q[1:])
+		q[n] = nil
+		q = q[:n]
 	}
 	r.buffer[p.Dst] = append(q, p)
 }
@@ -224,32 +259,39 @@ func (r *Router) dropData(p *pkt.Packet) {
 
 // startDiscovery begins or continues a route discovery toward dst.
 func (r *Router) startDiscovery(dst pkt.NodeID) {
-	if _, ok := r.pending[dst]; ok {
+	d := r.discoveries[dst]
+	if d == nil {
+		d = &discovery{dst: dst}
+		d.timer = sim.NewTimer(r.sched, func() { r.discoveryTimeout(d) })
+		r.discoveries[dst] = d
+	} else if d.active {
 		return // discovery already running
 	}
-	d := &discovery{}
-	d.timer = sim.NewTimer(r.sched, func() { r.discoveryTimeout(dst) })
-	r.pending[dst] = d
-	r.sendRREQ(dst, d)
+	d.active = true
+	d.retries = 0
+	r.sendRREQ(d)
 }
 
-func (r *Router) sendRREQ(dst pkt.NodeID, d *discovery) {
+//manetsim:hotpath
+func (r *Router) sendRREQ(d *discovery) {
 	r.seqNo++
 	r.rreqID++
-	req := &RREQ{ID: r.rreqID, Origin: r.id, OriginSeq: r.seqNo, Dst: dst}
-	if e := r.table.Entry(dst); e != nil {
-		req.DstSeq = e.SeqNo
-		req.DstKnown = true
-	}
 	// Suppress our own flood coming back.
-	r.seen[rreqKey{origin: r.id, id: req.ID}] = r.sched.Now() + sim.Time(r.cfg.SeenLifetime)
-	p := r.uids.New()
-	p.Kind = pkt.KindRouting
+	r.seen[rreqKey{origin: r.id, id: r.rreqID}] = r.sched.Now() + sim.Time(r.cfg.SeenLifetime)
+	p := r.uids.NewRREQ()
 	p.Size = RREQSize
 	p.Src = r.id
 	p.Dst = pkt.Broadcast
 	p.TTL = r.cfg.TTL
-	p.Routing = req
+	req := p.Routing
+	req.ID = r.rreqID
+	req.Origin = r.id
+	req.OriginSeq = r.seqNo
+	req.Dst = d.dst
+	if e := r.table.Entry(d.dst); e != nil {
+		req.DstSeq = e.SeqNo
+		req.DstKnown = true
+	}
 	r.Counters.RREQSent++
 	r.mac.Enqueue(p, pkt.Broadcast)
 	timeout := r.cfg.RREQTimeout << uint(d.retries)
@@ -257,37 +299,38 @@ func (r *Router) sendRREQ(dst pkt.NodeID, d *discovery) {
 }
 
 // discoveryTimeout retries the flood or gives up and flushes the buffer.
-func (r *Router) discoveryTimeout(dst pkt.NodeID) {
-	d := r.pending[dst]
-	if d == nil {
+func (r *Router) discoveryTimeout(d *discovery) {
+	if !d.active {
 		return
 	}
 	d.retries++
 	if d.retries < r.cfg.RREQRetries {
-		r.sendRREQ(dst, d)
+		r.sendRREQ(d)
 		return
 	}
-	delete(r.pending, dst)
+	d.active = false
 	r.Counters.DiscoveryFailures++
-	for _, p := range r.buffer[dst] {
+	q := r.buffer[d.dst]
+	for _, p := range q {
 		r.Counters.BufferDrops++
 		r.dropData(p)
 		p.Release()
 	}
-	delete(r.buffer, dst)
+	clear(q)
+	r.buffer[d.dst] = q[:0]
 }
 
 // HandlePacket is the MAC's Deliver callback: process routing control or
 // forward/deliver data.
 func (r *Router) HandlePacket(p *pkt.Packet, from pkt.NodeID) {
 	if p.Kind == pkt.KindRouting {
-		switch m := p.Routing.(type) {
-		case *RREQ:
-			r.handleRREQ(p, m, from)
-		case *RREP:
-			r.handleRREP(m, from)
-		case *RERR:
-			r.handleRERR(m, from)
+		switch c := p.Routing; c.Type {
+		case pkt.RREQ:
+			r.handleRREQ(p, c, from)
+		case pkt.RREP:
+			r.handleRREP(c, from)
+		case pkt.RERR:
+			r.handleRERR(c, from)
 		}
 		// Control payloads are consumed in place (forwarding builds fresh
 		// packets), so the delivered reference ends here.
@@ -311,7 +354,8 @@ func (r *Router) HandlePacket(p *pkt.Packet, from pkt.NodeID) {
 	dst := p.Dst
 	r.dropData(p)
 	p.Release()
-	r.sendRERR([]pkt.NodeID{dst}, []uint32{r.bumpedSeq(dst)})
+	r.lost = append(r.lost[:0], pkt.Unreachable{Dst: dst, Seq: r.bumpedSeq(dst)})
+	r.sendRERR(r.lost)
 }
 
 func (r *Router) bumpedSeq(dst pkt.NodeID) uint32 {
@@ -321,7 +365,8 @@ func (r *Router) bumpedSeq(dst pkt.NodeID) uint32 {
 	return 0
 }
 
-func (r *Router) handleRREQ(p *pkt.Packet, req *RREQ, from pkt.NodeID) {
+//manetsim:hotpath
+func (r *Router) handleRREQ(p *pkt.Packet, req *pkt.Control, from pkt.NodeID) {
 	key := rreqKey{origin: req.Origin, id: req.ID}
 	now := r.sched.Now()
 	if exp, ok := r.seen[key]; ok && exp > now {
@@ -352,12 +397,14 @@ func (r *Router) handleRREQ(p *pkt.Packet, req *RREQ, from pkt.NodeID) {
 		if req.DstKnown && req.DstSeq == r.seqNo {
 			r.seqNo++
 		}
+		r.Counters.RREPSent++
 		r.sendRREP(req.Origin, r.id, r.seqNo, 0, from)
 		return
 	}
 	if rt := r.table.Lookup(req.Dst); rt != nil && (!req.DstKnown || !seqGreater(req.DstSeq, rt.SeqNo)) {
 		// Intermediate node with a fresh-enough route replies on behalf of
 		// the destination.
+		r.Counters.RREPSent++
 		r.sendRREP(req.Origin, req.Dst, rt.SeqNo, rt.HopCount, from)
 		return
 	}
@@ -365,30 +412,30 @@ func (r *Router) handleRREQ(p *pkt.Packet, req *RREQ, from pkt.NodeID) {
 	if p.TTL <= 1 {
 		return
 	}
-	fwd := &RREQ{
-		ID: req.ID, Origin: req.Origin, OriginSeq: req.OriginSeq,
-		Dst: req.Dst, DstSeq: req.DstSeq, DstKnown: req.DstKnown,
-		HopCount: req.HopCount + 1,
-	}
-	np := r.uids.New()
-	np.Kind = pkt.KindRouting
+	np := r.uids.NewRREQ()
 	np.Size = RREQSize
 	np.Src = req.Origin
 	np.Dst = pkt.Broadcast
 	np.TTL = p.TTL - 1
-	np.Routing = fwd
+	fwd := np.Routing
+	fwd.ID = req.ID
+	fwd.Origin = req.Origin
+	fwd.OriginSeq = req.OriginSeq
+	fwd.Dst = req.Dst
+	fwd.DstSeq = req.DstSeq
+	fwd.DstKnown = req.DstKnown
+	fwd.HopCount = req.HopCount + 1
 	r.Counters.RREQForwarded++
 	jitter := sim.Time(r.sched.Rand().Int63n(int64(r.cfg.MaxJitter) + 1))
-	// Route discovery is the cold path (once per RREQ forward, not per data
-	// frame) and the rebroadcast captures both the router and the packet.
-	//manetsim:allow hotpathalloc
-	r.sched.After(jitter, func() { r.mac.Enqueue(np, pkt.Broadcast) })
+	r.sched.AfterFunc(jitter, r.rebroadcast, np)
 }
 
 // gcSeen prunes expired duplicate-suppression entries opportunistically to
-// bound memory on long runs.
+// bound memory on long runs. Pruning starts at seenPruneFloor entries and
+// runs again only once the map has doubled since the last prune, so a
+// network with that many live floods is not rescanned on every RREQ.
 func (r *Router) gcSeen(now sim.Time) {
-	if len(r.seen) < 4096 {
+	if len(r.seen) < r.seenMark {
 		return
 	}
 	for k, exp := range r.seen {
@@ -396,36 +443,46 @@ func (r *Router) gcSeen(now sim.Time) {
 			delete(r.seen, k)
 		}
 	}
+	r.seenMark = max(seenPruneFloor, 2*len(r.seen))
 }
 
-// sendRREP emits a reply toward origin through nextHop.
+// sendRREP emits a reply toward origin through nextHop, originated
+// (handleRREQ) or forwarded (handleRREP); the caller counts it.
+//
+//manetsim:hotpath
 func (r *Router) sendRREP(origin, dst pkt.NodeID, dstSeq uint32, hopCount int, nextHop pkt.NodeID) {
-	rep := &RREP{Origin: origin, Dst: dst, DstSeq: dstSeq, HopCount: hopCount}
-	p := r.uids.New()
-	p.Kind = pkt.KindRouting
+	p := r.uids.NewRREP()
 	p.Size = RREPSize
 	p.Src = r.id
 	p.Dst = origin
 	p.TTL = r.cfg.TTL
-	p.Routing = rep
-	r.Counters.RREPSent++
+	rep := p.Routing
+	rep.Origin = origin
+	rep.Dst = dst
+	rep.DstSeq = dstSeq
+	rep.HopCount = hopCount
 	r.mac.Enqueue(p, nextHop)
 }
 
-func (r *Router) handleRREP(rep *RREP, from pkt.NodeID) {
+//manetsim:hotpath
+func (r *Router) handleRREP(rep *pkt.Control, from pkt.NodeID) {
 	// Forward route to the replied destination.
 	r.table.Update(rep.Dst, from, rep.HopCount+1, rep.DstSeq)
 	if rep.Origin == r.id {
 		// Discovery complete: flush buffered traffic.
-		if d := r.pending[rep.Dst]; d != nil {
+		if d := r.discoveries[rep.Dst]; d != nil && d.active {
 			d.timer.Stop()
-			delete(r.pending, rep.Dst)
+			d.active = false
 		}
+		// Detach the buffer before resending: a packet that still finds no
+		// route is buffered again, into the spare storage.
 		q := r.buffer[rep.Dst]
-		delete(r.buffer, rep.Dst)
+		r.buffer[rep.Dst], r.spare = r.spare, nil
 		for _, p := range q {
 			r.Send(p)
 		}
+		clear(q)
+		r.spare = q[:0]
 		return
 	}
 	// Forward the RREP along the reverse route.
@@ -433,46 +490,39 @@ func (r *Router) handleRREP(rep *RREP, from pkt.NodeID) {
 	if rt == nil {
 		return
 	}
-	fwd := &RREP{Origin: rep.Origin, Dst: rep.Dst, DstSeq: rep.DstSeq, HopCount: rep.HopCount + 1}
-	p := r.uids.New()
-	p.Kind = pkt.KindRouting
-	p.Size = RREPSize
-	p.Src = r.id
-	p.Dst = rep.Origin
-	p.TTL = r.cfg.TTL
-	p.Routing = fwd
 	r.Counters.RREPForwarded++
-	r.mac.Enqueue(p, rt.NextHop)
+	r.sendRREP(rep.Origin, rep.Dst, rep.DstSeq, rep.HopCount+1, rt.NextHop)
 }
 
-func (r *Router) handleRERR(e *RERR, from pkt.NodeID) {
-	var dsts []pkt.NodeID
-	var seqs []uint32
-	for i, dst := range e.Unreachable {
-		rt := r.table.Entry(dst)
+func (r *Router) handleRERR(e *pkt.Control, from pkt.NodeID) {
+	r.lost = r.lost[:0]
+	for _, u := range e.Unreachable {
+		rt := r.table.Entry(u.Dst)
 		if rt != nil && rt.Valid && rt.NextHop == from {
 			rt.Valid = false
-			if seqGreater(e.Seqs[i], rt.SeqNo) {
-				rt.SeqNo = e.Seqs[i]
+			if seqGreater(u.Seq, rt.SeqNo) {
+				rt.SeqNo = u.Seq
 			}
-			dsts = append(dsts, dst)
-			seqs = append(seqs, rt.SeqNo)
+			r.lost = append(r.lost, pkt.Unreachable{Dst: u.Dst, Seq: rt.SeqNo})
 		}
 	}
-	if len(dsts) > 0 {
-		r.sendRERR(dsts, seqs)
+	if len(r.lost) > 0 {
+		r.sendRERR(r.lost)
 	}
 }
 
-// sendRERR broadcasts a route error for the given destinations.
-func (r *Router) sendRERR(dsts []pkt.NodeID, seqs []uint32) {
-	p := r.uids.New()
-	p.Kind = pkt.KindRouting
-	p.Size = RERRSize + 8*len(dsts)
+// sendRERR broadcasts a route error for the given destinations, copying
+// them into the packet block. Callers check lost is non-empty first: every
+// packet drawn takes a UID.
+//
+//manetsim:hotpath
+func (r *Router) sendRERR(lost []pkt.Unreachable) {
+	p := r.uids.NewRERR()
+	p.Size = RERRSize + 8*len(lost)
 	p.Src = r.id
 	p.Dst = pkt.Broadcast
 	p.TTL = 1
-	p.Routing = &RERR{Unreachable: dsts, Seqs: seqs}
+	p.Routing.Unreachable = append(p.Routing.Unreachable, lost...)
 	r.Counters.RERRSent++
 	r.mac.Enqueue(p, pkt.Broadcast)
 }
@@ -493,7 +543,7 @@ func (r *Router) HandleLinkFailure(p *pkt.Packet, nextHop pkt.NodeID) {
 	if r.OnRouteFailure != nil {
 		r.OnRouteFailure(falseFailure)
 	}
-	dsts, seqs := r.table.InvalidateNextHop(nextHop)
+	r.lost = r.table.InvalidateNextHop(nextHop, r.lost)
 
 	// Drop the failed packet and everything queued behind it for the same
 	// next hop.
@@ -504,7 +554,7 @@ func (r *Router) HandleLinkFailure(p *pkt.Packet, nextHop pkt.NodeID) {
 		r.dropData(fp)
 		fp.Release()
 	}
-	if len(dsts) > 0 {
-		r.sendRERR(dsts, seqs)
+	if len(r.lost) > 0 {
+		r.sendRERR(r.lost)
 	}
 }

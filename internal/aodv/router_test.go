@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -281,9 +282,9 @@ func TestTableInvalidateNextHop(t *testing.T) {
 	tb.Update(5, 1, 3, 10)
 	tb.Update(6, 1, 4, 2)
 	tb.Update(7, 2, 2, 7)
-	dsts, seqs := tb.InvalidateNextHop(1)
-	if len(dsts) != 2 || len(seqs) != 2 {
-		t.Fatalf("invalidated %v, want routes to 5 and 6", dsts)
+	lost := tb.InvalidateNextHop(1, nil)
+	if want := []pkt.Unreachable{{Dst: 5, Seq: 11}, {Dst: 6, Seq: 3}}; !slices.Equal(lost, want) {
+		t.Fatalf("invalidated %v, want %v", lost, want)
 	}
 	if tb.Lookup(5) != nil || tb.Lookup(6) != nil {
 		t.Error("invalidated routes still resolvable")
@@ -398,5 +399,32 @@ func TestDestinationBumpsSeqOnKnownSeqRREQ(t *testing.T) {
 	}
 	if !seqGreater(e.SeqNo, firstSeq) {
 		t.Errorf("rediscovered seq %d not greater than first %d", e.SeqNo, firstSeq)
+	}
+}
+
+// TestSeenPruneHighWaterMark: once the duplicate-suppression map holds
+// seenPruneFloor live entries, a new RREQ must not rescan it every time.
+// Each step below adds one live entry and re-adds one expired sentinel,
+// so every prune is visible as the sentinel's removal: 20 000 live floods
+// take one prune at 4 096 entries and one per doubling after it.
+func TestSeenPruneHighWaterMark(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	r := New(sched, 0, nil, &pkt.Pool{}, Config{}, func(*pkt.Packet) {})
+	live := sim.Time(time.Hour)
+	expired := rreqKey{origin: 2}
+	prunes := 0
+	for i := 0; i < 20000; i++ {
+		r.seen[rreqKey{origin: 1, id: uint32(i)}] = live
+		r.seen[expired] = 0
+		r.gcSeen(sched.Now())
+		if _, ok := r.seen[expired]; !ok {
+			prunes++
+		}
+	}
+	if prunes != 3 {
+		t.Errorf("20000 live floods pruned the map %d times, want 3 (at 4096, 8190 and 16378 entries)", prunes)
+	}
+	if _, ok := r.seen[rreqKey{origin: 1, id: 0}]; !ok {
+		t.Error("a prune removed a live entry")
 	}
 }

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"cmp"
 	"slices"
 
 	"manetsim/internal/pkt"
@@ -20,6 +21,7 @@ type Route struct {
 type Table struct {
 	sched   *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the table
 	entries map[pkt.NodeID]*Route
+	slab    []Route  //manetsim:resetsafe unused tail of the current slab; carved routes live in entries
 	timeout sim.Time // active route timeout
 }
 
@@ -56,7 +58,12 @@ func (t *Table) Entry(dst pkt.NodeID) *Route { return t.entries[dst] }
 // active-route timeout would otherwise hold a Valid-flagged corpse that
 // rejects equal-sequence routes through other neighbors, turning every
 // rediscovery into a no-route drop at this hop. It reports whether the
-// entry changed.
+// entry changed. The entry is rewritten in place, and a destination's
+// first insert carves it from a slab, so updates do not allocate; callers
+// read a *Route from Lookup or Entry before the next table write, which
+// may rewrite it.
+//
+//manetsim:hotpath
 func (t *Table) Update(dst, nextHop pkt.NodeID, hopCount int, seqNo uint32) bool {
 	cur := t.entries[dst]
 	curUsable := cur != nil && cur.Valid && cur.Expiry > t.sched.Now()
@@ -70,7 +77,17 @@ func (t *Table) Update(dst, nextHop pkt.NodeID, hopCount int, seqNo uint32) bool
 		}
 		return false
 	}
-	t.entries[dst] = &Route{
+	if cur == nil {
+		if len(t.slab) == 0 {
+			// A new slab holds as many routes as the table has, so a
+			// table allocates O(log destinations) times per run.
+			t.slab = make([]Route, max(8, len(t.entries)))
+		}
+		cur = &t.slab[0]
+		t.slab = t.slab[1:]
+		t.entries[dst] = cur
+	}
+	*cur = Route{
 		NextHop:  nextHop,
 		HopCount: hopCount,
 		SeqNo:    seqNo,
@@ -101,23 +118,23 @@ func (t *Table) Invalidate(dst pkt.NodeID) bool {
 }
 
 // InvalidateNextHop tears down every valid route whose next hop is nh and
-// returns the affected destinations with their bumped sequence numbers.
-// Destinations are sorted so the RERR payload built from them is
-// independent of map iteration order.
-func (t *Table) InvalidateNextHop(nh pkt.NodeID) (dsts []pkt.NodeID, seqs []uint32) {
+// returns the affected destinations with their bumped sequence numbers,
+// overwriting lost and reusing its capacity. Destinations are sorted so
+// the RERR payload built from them is independent of map iteration order.
+func (t *Table) InvalidateNextHop(nh pkt.NodeID, lost []pkt.Unreachable) []pkt.Unreachable {
+	lost = lost[:0]
 	for dst, r := range t.entries {
 		if r.Valid && r.NextHop == nh {
 			r.Valid = false
 			r.SeqNo++
-			dsts = append(dsts, dst)
+			lost = append(lost, pkt.Unreachable{Dst: dst, Seq: r.SeqNo})
 		}
 	}
-	slices.Sort(dsts)
-	for _, dst := range dsts {
-		seqs = append(seqs, t.entries[dst].SeqNo)
-	}
-	return dsts, seqs
+	slices.SortFunc(lost, byDst)
+	return lost
 }
+
+func byDst(a, b pkt.Unreachable) int { return cmp.Compare(a.Dst, b.Dst) }
 
 // seqGreater compares AODV sequence numbers with wraparound (RFC 3561 §6.1).
 func seqGreater(a, b uint32) bool {

@@ -603,10 +603,12 @@ type Radio struct {
 	nbValid bool
 
 	// Per-directed-link impairment streams, keyed by receiver and seeded
-	// from the channel's impairSeed (see linkState). Entries are allocated
-	// once per link ever contacted and reused across arena runs; the map
-	// owns them, the transmit path reads them through the neighbor cache.
-	links map[pkt.NodeID]*linkmodel.State
+	// from the channel's impairSeed (see linkState). Entries are carved
+	// from linkSlab once per link ever contacted and reused across arena
+	// runs; the map owns them, the transmit path reads them through the
+	// neighbor cache.
+	links    map[pkt.NodeID]*linkmodel.State
+	linkSlab []linkmodel.State //manetsim:resetsafe unused tail of the current slab; carved states live in links
 
 	txUntil   sim.Time // end of own transmission (0 => not transmitting)
 	airCount  int      // signals currently arriving (any strength)
@@ -634,7 +636,13 @@ func (r *Radio) linkState(to pkt.NodeID) *linkmodel.State {
 		if r.links == nil {
 			r.links = make(map[pkt.NodeID]*linkmodel.State, 8)
 		}
-		st = new(linkmodel.State)
+		if len(r.linkSlab) == 0 {
+			// Each slab is as large as all earlier ones together, so a
+			// radio allocates O(log links) times.
+			r.linkSlab = make([]linkmodel.State, max(8, len(r.links)))
+		}
+		st = &r.linkSlab[0]
+		r.linkSlab = r.linkSlab[1:]
 		r.links[to] = st
 	}
 	if !st.Seeded() {

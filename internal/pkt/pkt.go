@@ -1,6 +1,6 @@
 // Package pkt defines the network-layer packet representation shared by
 // every protocol layer: transport headers (TCP/UDP at ns-2-style packet
-// granularity), routing payloads, and the wire sizes the paper fixes
+// granularity), AODV control headers, and the wire sizes the paper fixes
 // (1460-byte TCP payloads).
 package pkt
 
@@ -82,6 +82,40 @@ type UDPHeader struct {
 	SentAt time.Duration
 }
 
+// ControlType says which AODV message a Control header carries.
+type ControlType uint8
+
+// AODV control messages (RFC 3561 §5).
+const (
+	RREQ ControlType = iota + 1 // route request, flooded toward Dst
+	RREP                        // route reply, unicast hop by hop back to Origin
+	RERR                        // route error, broadcast to upstream neighbors
+)
+
+// Control is an AODV control header. The three messages share one struct,
+// so a pooled block carries any of them in a single co-allocated slot;
+// fields a message does not use stay zero.
+type Control struct {
+	Type      ControlType
+	DstKnown  bool   // RREQ: whether DstSeq is meaningful
+	ID        uint32 // RREQ: per-origin flood identifier
+	OriginSeq uint32 // RREQ
+	DstSeq    uint32 // RREQ, RREP
+	Origin    NodeID // RREQ: flood origin; RREP: node the reply travels to
+	Dst       NodeID // RREQ: sought node; RREP: node the route leads to
+	HopCount  int    // RREQ: hops from Origin; RREP: hops from the replier to Dst
+	// RERR: the destinations that became unreachable, with their
+	// sequence numbers. A pooled block keeps the backing array across
+	// recycles, so steady-state route errors do not allocate.
+	Unreachable []Unreachable
+}
+
+// Unreachable is one RERR entry: a lost destination and its sequence number.
+type Unreachable struct {
+	Dst NodeID
+	Seq uint32
+}
+
 // Packet is one network-layer datagram. Packets are passed by pointer and
 // never mutated after construction except for hop-by-hop fields (TTL);
 // layered headers are nil when absent.
@@ -104,17 +138,18 @@ type Packet struct {
 
 	TCP     *TCPHeader
 	UDP     *UDPHeader
-	Routing any // routing-protocol payload (owned by the routing package)
+	Routing *Control // AODV control header
 
-	// Pool plumbing. The transport headers are co-allocated in the same
-	// block: a pooled TCP packet costs one allocation on first use and
-	// zero at steady state, instead of separate packet+header allocations
-	// per transmission.
+	// Pool plumbing. Every header is co-allocated in the same block: a
+	// pooled packet costs one allocation on first use and zero at steady
+	// state, instead of separate packet+header allocations per
+	// transmission.
 	pool   *Pool
 	refs   int32
 	next   *Packet // freelist link
 	ownTCP TCPHeader
 	ownUDP UDPHeader
+	ownCtl Control
 }
 
 // String renders a compact trace representation.
@@ -189,9 +224,25 @@ func (u *Pool) NewUDP() *Packet {
 	return p
 }
 
-// New returns a pooled packet with no transport header (routing traffic).
-func (u *Pool) New() *Packet {
-	return u.get()
+// NewRREQ returns a pooled routing packet with a zeroed co-allocated
+// RREQ header; NewRREP and NewRERR do the same for the other two messages.
+// The caller fills Size, addresses, TTL and the header fields.
+func (u *Pool) NewRREQ() *Packet { return u.newControl(RREQ) }
+
+// NewRREP returns a pooled routing packet with a zeroed RREP header.
+func (u *Pool) NewRREP() *Packet { return u.newControl(RREP) }
+
+// NewRERR returns a pooled routing packet with an RERR header whose
+// Unreachable list is empty but keeps the capacity of the block's last
+// route error.
+func (u *Pool) NewRERR() *Packet { return u.newControl(RERR) }
+
+func (u *Pool) newControl(t ControlType) *Packet {
+	p := u.get()
+	p.Kind = KindRouting
+	p.ownCtl = Control{Type: t, Unreachable: p.ownCtl.Unreachable[:0]}
+	p.Routing = &p.ownCtl
+	return p
 }
 
 // Retain adds a reference to a pooled packet (no-op for literals).
@@ -219,6 +270,8 @@ func (p *Packet) Release() {
 	if p.refs < 0 {
 		panic(fmt.Sprintf("pkt: over-released packet #%d", p.UID))
 	}
-	*p = Packet{pool: pl, next: pl.free}
+	// Keep the RERR list's backing array, at length 0, for the next
+	// route error the block carries.
+	*p = Packet{pool: pl, next: pl.free, ownCtl: Control{Unreachable: p.ownCtl.Unreachable[:0]}}
 	pl.free = p
 }

@@ -3,6 +3,7 @@ package pkt
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestWireSizes(t *testing.T) {
@@ -80,21 +81,21 @@ func TestPoolRecyclesBlocks(t *testing.T) {
 
 func TestPoolRefcountKeepsPacketLive(t *testing.T) {
 	var pl Pool
-	p := pl.New()
+	p := pl.NewTCP()
 	p.Retain() // second reference (e.g. a frame on the air)
 	p.Release()
-	if q := pl.New(); q == p {
+	if q := pl.NewTCP(); q == p {
 		t.Fatal("block recycled while a reference was still held")
 	}
 	p.Release() // last reference
-	if q := pl.New(); q != p {
+	if q := pl.NewTCP(); q != p {
 		t.Error("block not recycled after the last release")
 	}
 }
 
 func TestPoolOverReleasePanics(t *testing.T) {
 	var pl Pool
-	p := pl.New()
+	p := pl.NewTCP()
 	p.Release()
 	defer func() {
 		if recover() == nil {
@@ -135,5 +136,65 @@ func TestPoolUIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate uid %d", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestPoolRecyclesControlBlocks pins the recycling law for co-allocated
+// AODV headers: a recycled block carries nothing over from its last
+// message except the RERR list's storage.
+func TestPoolRecyclesControlBlocks(t *testing.T) {
+	var pl Pool
+	p := pl.NewRREQ()
+	if p.Kind != KindRouting || p.Routing == nil || p.Routing.Type != RREQ || p.TCP != nil || p.UDP != nil {
+		t.Fatalf("NewRREQ = kind %v, routing %v; want a routing packet with only an RREQ header", p.Kind, p.Routing)
+	}
+	p.Routing.DstKnown = true
+	p.Routing.HopCount = 5
+	p.Routing.Origin = 3
+	p.Release()
+	q := pl.NewRREQ()
+	if q != p {
+		t.Fatal("released block was not reused")
+	}
+	if c := *q.Routing; c.DstKnown || c.HopCount != 0 || c.Origin != 0 || c.Type != RREQ || len(c.Unreachable) != 0 {
+		t.Errorf("recycled RREQ header = %+v, want zero", *q.Routing)
+	}
+	q.Release()
+
+	tp := pl.NewTCP()
+	if tp != p {
+		t.Fatal("released control block was not reused")
+	}
+	if tp.Routing != nil || tp.Kind != 0 {
+		t.Errorf("NewTCP on a recycled control block: routing %v, kind %v; want nil, 0", tp.Routing, tp.Kind)
+	}
+	tp.Release()
+
+	e := pl.NewRERR()
+	e.Routing.Unreachable = append(e.Routing.Unreachable, Unreachable{Dst: 1, Seq: 2}, Unreachable{Dst: 3, Seq: 4})
+	capacity := cap(e.Routing.Unreachable)
+	e.Release()
+	e = pl.NewRERR()
+	if got := e.Routing.Unreachable; len(got) != 0 || cap(got) != capacity {
+		t.Errorf("recycled RERR list len %d cap %d, want 0 and %d", len(got), cap(got), capacity)
+	}
+	if e.Routing.Type != RERR {
+		t.Errorf("NewRERR type = %v", e.Routing.Type)
+	}
+	e.Release()
+
+	defer func() {
+		if recover() == nil {
+			t.Error("double release of a control packet did not panic")
+		}
+	}()
+	e.Release()
+}
+
+// TestPacketBlockSize keeps the co-allocated block small: it holds every
+// header kind, and one size class more per packet is paid by every flow.
+func TestPacketBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 224 {
+		t.Errorf("Packet is %d bytes, want at most 224", got)
 	}
 }
