@@ -300,3 +300,37 @@ func TestFaultLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlappingCrashesNest crashes the relay of a 2-hop chain twice,
+// over [3 s, 5 s) and [4 s, 8 s): the relay stays down until the last
+// restore, so nothing is delivered before 8 s and no packet crosses the
+// chain while either crash is in force.
+func TestOverlappingCrashesNest(t *testing.T) {
+	cfg := Config{
+		Scenario:  Chain(2),
+		Transport: TransportSpec{Protocol: ProtoNewReno},
+		Faults: []FaultSpec{
+			CrashFault(1, 3*time.Second, 2*time.Second),
+			CrashFault(1, 4*time.Second, 4*time.Second),
+		},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Faults
+	if rep.TimeInOutage != 5*time.Second {
+		t.Errorf("TimeInOutage %v, want 5s", rep.TimeInOutage)
+	}
+	if rep.DeliveredDuring != 0 {
+		t.Errorf("%d packets delivered while the relay was down", rep.DeliveredDuring)
+	}
+	second := rep.Outages[1]
+	if !second.Recovered || second.Start+second.TimeToRecover < 8*time.Second {
+		t.Errorf("first delivery after the second crash at %v, want >= 8s (%+v)",
+			second.Start+second.TimeToRecover, second)
+	}
+	if !res.Faults.Outages[0].RecoveredAfterHeal || res.Delivered < cfg.withDefaults().TotalPackets {
+		t.Errorf("chain never recovered after the last restore: delivered %d", res.Delivered)
+	}
+}

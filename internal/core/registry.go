@@ -20,7 +20,7 @@ import (
 // (TransportSpec.Params plus the legacy Alpha/MaxWindow fields).
 type CCFactory func(spec TransportSpec) (tcp.CongestionControl, error)
 
-// rawBuilder attaches fully custom endpoints for transports that are not
+// rawBuilder builds fully custom endpoints for transports that are not
 // realized by the shared engine (paced UDP). Internal-only: it needs the
 // live scenario state.
 type rawBuilder func(s *scenarioState, fi int, f Flow, spec TransportSpec) error
@@ -192,29 +192,23 @@ func ccConfig(t TransportSpec) tcp.Config {
 	}
 }
 
-// buildPacedUDP attaches the constant-bit-rate UDP source and counting
+// buildPacedUDP builds the constant-bit-rate UDP source and counting
 // sink (the paper's optimally paced reference transport).
 func buildPacedUDP(s *scenarioState, fi int, f Flow, tspec TransportSpec) error {
-	src, dst := s.nodes[f.Src], s.nodes[f.Dst]
-	usrc := s.arenaUSrc[fi]
-	if usrc != nil {
-		usrc.Reset(fi, f.Src, f.Dst, tspec.UDPGap, src.Output())
+	sl := &s.slots[fi]
+	sl.udp = true
+	out := s.stacks[f.Src].output
+	if sl.usrc != nil {
+		sl.usrc.Reset(fi, f.Src, f.Dst, tspec.UDPGap, out)
 	} else {
-		usrc = udp.NewSender(s.sched, fi, f.Src, f.Dst, tspec.UDPGap, &s.uids, src.Output())
-		s.arenaUSrc[fi] = usrc
+		sl.usrc = udp.NewSender(s.sched, fi, f.Src, f.Dst, tspec.UDPGap, &s.uids, out)
 	}
-	usink := s.arenaUSink[fi]
-	if usink != nil {
-		usink.Reset()
+	if sl.usink != nil {
+		sl.usink.Reset()
 	} else {
-		usink = udp.NewSink()
-		s.arenaUSink[fi] = usink
+		sl.usink = udp.NewSink(s.sched)
 	}
-	usink.Delay = s.delay
-	usink.Now = s.sched.Now
-	dst.AttachUDPSink(fi, usink)
-	s.udpSrcs[fi] = usrc
-	s.udpSinks[fi] = usink
+	sl.usink.Delay = s.delay
 	return nil
 }
 

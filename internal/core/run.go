@@ -10,13 +10,11 @@ import (
 	"manetsim/internal/fault"
 	"manetsim/internal/geo"
 	"manetsim/internal/mac"
-	"manetsim/internal/node"
 	"manetsim/internal/phy"
 	"manetsim/internal/pkt"
 	"manetsim/internal/sim"
 	"manetsim/internal/stats"
 	"manetsim/internal/tcp"
-	"manetsim/internal/udp"
 )
 
 // scenarioState holds the live state of one run. A World keeps one across
@@ -27,58 +25,48 @@ type scenarioState struct {
 	obs   Observer
 	sched *sim.Scheduler
 	uids  pkt.Pool
-	// onDeliveryFn is the onDelivery method value, bound once: evaluating
-	// it per node and build would allocate a closure each time.
-	onDeliveryFn func(flow int, n int64)
+	// deliverFn is the deliverLocal method value, bound once: evaluating
+	// it per router and build would allocate a closure each time.
+	deliverFn func(p *pkt.Packet)
 
 	positions []geo.Point
 	flows     []Flow
 	channel   *phy.Channel
-	nodes     []*node.Node
+	stacks    []*stack       // per node
 	routers   []*aodv.Router // per node, nil entries under static routing
-	senders   []*tcp.Engine  // per flow (nil for UDP)
-	udpSrcs   []*udp.Sender  // per flow (nil for TCP)
-	sinks     []*tcp.Sink    // per flow (nil for UDP)
-	udpSinks  []*udp.Sink
+	// slots is the flow table: slots[i] holds flow i's endpoints. It only
+	// grows, so endpoints built for a flow index survive runs with fewer
+	// flows; a slot reused for a different flow is rebound by the
+	// endpoints' Reset.
+	slots []flowSlot
 
-	// Arena pools, preserved across runs. The active slices above are
-	// rebuilt (and nil-zeroed) every run; these keep the allocated objects
-	// so a reused World resets them instead of reallocating. Entries index
-	// by node (routers, statics) or flow slot (transports); a slot reused
-	// for a different flow identity is rebound by the layer's Reset.
+	// Routing arenas, preserved across runs and indexed by node: a reused
+	// World resets these instead of reallocating them.
 	arenaRouters []*aodv.Router
 	statics      []*aodv.StaticRouter
 	adj          [][]int // TxRange adjacency the statics route over; nil when they do not match positions
-	arenaEng     []*tcp.Engine
-	arenaSink    []*tcp.Sink
-	arenaUSrc    []*udp.Sender
-	arenaUSink   []*udp.Sink
 
 	// Fault plane. plane points at arenaPlane exactly when the run
 	// schedules faults, and is nil otherwise.
-	// injectors holds the built fault schedule, flowState the per-flow
-	// application state the crash/restore hooks drive, and outages/marks
-	// the recovery bookkeeping behind Result.Faults.
+	// injectors holds the built fault schedule, and outages/marks the
+	// recovery bookkeeping behind Result.Faults.
 	plane      *fault.Plane
 	arenaPlane fault.Plane
 	injectors  []fault.Fault
-	flowState  []uint8
 	outages    []OutageReport
 	marks      []recoveryMark
 	nextMark   int
 
 	deliveredDuring int64 // deliveries while >=1 fault active
 
-	delivered      int64
-	nextBatchAt    int64
-	perFlowPackets []int64
-	delay          *stats.DurationHistogram
+	delivered   int64
+	nextBatchAt int64
+	delay       *stats.DurationHistogram
 
 	batches []Batch
 	cur     Batch // batch being accumulated
 
 	// Cumulative counters snapshotted at the previous batch boundary.
-	lastRtx          []uint64
 	lastDrops        uint64
 	lastSubmit       uint64
 	lastFailures     uint64
@@ -125,17 +113,6 @@ func growSlice[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// Per-flow application states driven by the fault hooks: a flow whose
-// start time arrived while its source was down is due (it launches at
-// restore), a running flow whose source crashes is halted (it resumes at
-// restore, congestion state cold).
-const (
-	flowNotStarted uint8 = iota
-	flowRunning
-	flowHalted
-	flowDue
-)
 
 // recoveryMark is one pending recovery measurement: the first delivery at
 // or after t resolves it (see OutageReport).
@@ -208,8 +185,8 @@ func (s *scenarioState) finishRun(ctx context.Context) (*Result, error) {
 	res.Batches = s.batches[warm:]
 	res.aggregate()
 	s.fillEnergy(res)
-	for _, n := range s.nodes {
-		res.ImpairedFrames += n.Radio.FramesImpaired
+	for _, st := range s.stacks {
+		res.ImpairedFrames += st.radio.FramesImpaired
 	}
 	if s.plane != nil {
 		res.Faults = s.faultReport(res)
@@ -242,9 +219,6 @@ func (s *scenarioState) build() error {
 	samePlacement := geoEqual(s.positions, pts)
 	s.positions = pts
 	s.flows = flows
-	s.perFlowPackets = resetSlice(s.perFlowPackets, len(flows))
-	s.lastRtx = resetSlice(s.lastRtx, len(flows))
-	s.flowState = resetSlice(s.flowState, len(flows))
 
 	// Mobility models are cheap and draw nothing at construction; always
 	// rebuilding keeps the reuse path trivially draw-order identical.
@@ -256,16 +230,16 @@ func (s *scenarioState) build() error {
 		return errStaticMobility
 	}
 	macCfg := mac.Config{DataRate: s.cfg.Bandwidth, RTSThreshold: s.cfg.RTSThreshold}
-	if s.channel != nil && len(s.nodes) == len(pts) {
+	if s.channel != nil && len(s.stacks) == len(pts) {
 		s.channel.Reset(model, scn.Mobility.UpdateInterval)
-		for _, n := range s.nodes {
-			n.Reset(macCfg)
+		for _, st := range s.stacks {
+			st.mac.Reset(macCfg)
 		}
 	} else {
 		s.channel = phy.NewMobileChannel(s.sched, model, scn.Mobility.UpdateInterval)
-		s.nodes = make([]*node.Node, len(pts))
+		s.stacks = make([]*stack, len(pts))
 		for i := range pts {
-			s.nodes[i] = node.New(s.sched, s.channel.Radio(pkt.NodeID(i)), macCfg)
+			s.stacks[i] = newStack(s.sched, s.channel.Radio(pkt.NodeID(i)), macCfg)
 		}
 		// Routing entities hold MAC bindings from the torn-down stacks.
 		s.arenaRouters = nil
@@ -303,9 +277,6 @@ func (s *scenarioState) build() error {
 	} else {
 		s.plane = nil
 	}
-	for _, n := range s.nodes {
-		n.OnFlowDelivery = s.onDeliveryFn
-	}
 	// Static routes are a pure function of the placement: the adjacency,
 	// computed once for all routers, and the routers built from it are
 	// reusable exactly when the placement repeated (the common case in a
@@ -321,14 +292,14 @@ func (s *scenarioState) build() error {
 	s.statics = growSlice(s.statics, len(pts))
 	for i := range pts {
 		id := pkt.NodeID(i)
-		n := s.nodes[i]
+		st := s.stacks[i]
 		switch scn.Routing {
 		case RoutingAODV:
 			r := s.arenaRouters[i]
 			if r != nil {
 				r.Reset(aodv.Config{})
 			} else {
-				r = aodv.New(s.sched, id, n.MAC, &s.uids, aodv.Config{}, n.Deliver)
+				r = aodv.New(s.sched, id, st.mac, &s.uids, aodv.Config{}, s.deliverFn)
 				s.arenaRouters[i] = r
 			}
 			// Omniscient link oracle: lets the measurement layer tell
@@ -339,30 +310,24 @@ func (s *scenarioState) build() error {
 				r.OnRouteFailure = func(falseFailure bool) { s.obs.OnRouteFailure(id, falseFailure) }
 			}
 			s.routers[i] = r
-			n.SetRouter(r)
+			st.router = r
 		case RoutingStatic:
 			sr := s.statics[i]
 			if sr != nil && sameRoutes {
 				sr.Reset()
 			} else {
-				sr = aodv.NewStatic(id, n.MAC, s.adj, n.Deliver)
+				sr = aodv.NewStatic(id, st.mac, s.adj, s.deliverFn)
 				s.statics[i] = sr
 			}
-			n.SetRouter(sr)
+			st.router = sr
 		default:
 			return errUnknownRouting(scn.Routing)
 		}
 	}
 
-	s.senders = resetSlice(s.senders, len(flows))
-	s.udpSrcs = resetSlice(s.udpSrcs, len(flows))
-	s.sinks = resetSlice(s.sinks, len(flows))
-	s.udpSinks = resetSlice(s.udpSinks, len(flows))
-	s.arenaEng = growSlice(s.arenaEng, len(flows))
-	s.arenaSink = growSlice(s.arenaSink, len(flows))
-	s.arenaUSrc = growSlice(s.arenaUSrc, len(flows))
-	s.arenaUSink = growSlice(s.arenaUSink, len(flows))
+	s.slots = growSlice(s.slots, len(flows))
 	for fi, f := range flows {
+		s.slots[fi].state, s.slots[fi].lastRtx = flowNotStarted, 0
 		tspec := s.cfg.Transport
 		if !f.Transport.IsZero() {
 			tspec = f.Transport
@@ -374,9 +339,9 @@ func (s *scenarioState) build() error {
 	return nil
 }
 
-// buildFlow attaches one flow's transport endpoints, resolving the spec
+// buildFlow sets up one flow's transport endpoints, resolving the spec
 // through the transport registry: window-based variants share the engine
-// and sink wiring, raw transports (paced UDP) attach their own endpoints.
+// and sink wiring, raw transports (paced UDP) build their own endpoints.
 func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	if err := tspec.validate(flowContext(fi), false); err != nil {
 		return err
@@ -388,7 +353,7 @@ func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	if tr.build != nil {
 		return tr.build(s, fi, f, tspec)
 	}
-	src, dst := s.nodes[f.Src], s.nodes[f.Dst]
+	src, dst := s.stacks[f.Src], s.stacks[f.Dst]
 	tcfg := ccConfig(tspec)
 	if s.obs != nil {
 		tcfg.OnRetransmit = func() { s.obs.OnRetransmit(fi) }
@@ -397,12 +362,12 @@ func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	if err != nil {
 		return fmt.Errorf("core: %s (%s): %w", tr.name, flowContext(fi), err)
 	}
-	snd := s.arenaEng[fi]
-	if snd != nil {
-		snd.Reset(tcfg, fi, f.Src, f.Dst, src.Output(), cc)
+	sl := &s.slots[fi]
+	sl.udp = false
+	if sl.eng != nil {
+		sl.eng.Reset(tcfg, fi, f.Src, f.Dst, src.output, cc)
 	} else {
-		snd = tcp.NewEngine(s.sched, tcfg, fi, f.Src, f.Dst, &s.uids, src.Output(), cc)
-		s.arenaEng[fi] = snd
+		sl.eng = tcp.NewEngine(s.sched, tcfg, fi, f.Src, f.Dst, &s.uids, src.output, cc)
 	}
 	policy := tcp.AckEveryPacket
 	if tspec.AckThinning {
@@ -410,18 +375,12 @@ func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	} else if tspec.DelayedAck {
 		policy = tcp.AckDelayed
 	}
-	sink := s.arenaSink[fi]
-	if sink != nil {
-		sink.Reset(fi, f.Dst, f.Src, policy, dst.Output())
+	if sl.sink != nil {
+		sl.sink.Reset(fi, f.Dst, f.Src, policy, dst.output)
 	} else {
-		sink = tcp.NewSink(s.sched, fi, f.Dst, f.Src, policy, &s.uids, dst.Output())
-		s.arenaSink[fi] = sink
+		sl.sink = tcp.NewSink(s.sched, fi, f.Dst, f.Src, policy, &s.uids, dst.output)
 	}
-	sink.Delay = s.delay
-	src.AttachTCPSender(fi, snd)
-	dst.AttachTCPSink(fi, sink)
-	s.senders[fi] = snd
-	s.sinks[fi] = sink
+	sl.sink.Delay = s.delay
 	return nil
 }
 
@@ -444,16 +403,10 @@ func (s *scenarioState) start() {
 			if s.plane != nil && s.plane.NodeDown(s.flows[fi].Src) {
 				// Start time arrived mid-crash: the application launches
 				// when its host restarts (see restoreNode).
-				s.flowState[fi] = flowDue
+				s.slots[fi].state = flowDue
 				return
 			}
-			s.flowState[fi] = flowRunning
-			if snd := s.senders[fi]; snd != nil {
-				snd.Start()
-			}
-			if u := s.udpSrcs[fi]; u != nil {
-				u.Start()
-			}
+			s.slots[fi].start()
 		})
 	}
 	if s.plane != nil {
@@ -495,26 +448,12 @@ func (s *scenarioState) scheduleFaults() {
 // frames finish on the air — the radio layer suppresses their decode and
 // completion callbacks.
 func (s *scenarioState) crashNode(id pkt.NodeID) {
-	s.nodes[id].MAC.Deactivate()
+	s.stacks[id].mac.Deactivate()
 	if r := s.routers[id]; r != nil {
 		r.Deactivate()
 	}
 	for fi := range s.flows {
-		f := &s.flows[fi]
-		if f.Src == id && s.flowState[fi] == flowRunning {
-			if snd := s.senders[fi]; snd != nil {
-				snd.Halt()
-			}
-			if u := s.udpSrcs[fi]; u != nil {
-				u.Stop()
-			}
-			s.flowState[fi] = flowHalted
-		}
-		if f.Dst == id {
-			if snk := s.sinks[fi]; snk != nil {
-				snk.Halt()
-			}
-		}
+		s.slots[fi].halt(&s.flows[fi], id)
 	}
 }
 
@@ -524,32 +463,13 @@ func (s *scenarioState) crashNode(id pkt.NodeID) {
 // their first unacknowledged packet with freshly initialized congestion
 // state, and flows whose start time passed during the outage launch now.
 func (s *scenarioState) restoreNode(id pkt.NodeID) {
-	s.nodes[id].MAC.Activate()
+	s.stacks[id].mac.Activate()
 	if r := s.routers[id]; r != nil {
 		r.Activate()
 	}
 	for fi := range s.flows {
-		f := &s.flows[fi]
-		if f.Src != id {
-			continue
-		}
-		switch s.flowState[fi] {
-		case flowHalted:
-			if snd := s.senders[fi]; snd != nil {
-				snd.Resume()
-			}
-			if u := s.udpSrcs[fi]; u != nil {
-				u.Start()
-			}
-			s.flowState[fi] = flowRunning
-		case flowDue:
-			if snd := s.senders[fi]; snd != nil {
-				snd.Start()
-			}
-			if u := s.udpSrcs[fi]; u != nil {
-				u.Start()
-			}
-			s.flowState[fi] = flowRunning
+		if s.flows[fi].Src == id {
+			s.slots[fi].resume()
 		}
 	}
 }
@@ -570,7 +490,6 @@ func (s *scenarioState) onDelivery(flow int, n int64) {
 		s.noteFaultDelivery(n)
 	}
 	s.delivered += n
-	s.perFlowPackets[flow] += n
 	s.cur.PerFlowPackets[flow] += n
 
 	if s.delivered >= s.nextBatchAt || s.delivered >= s.cfg.TotalPackets {
@@ -655,8 +574,8 @@ func (s *scenarioState) faultReport(res *Result) *FaultReport {
 	if secs := (res.SimTime - inOutage).Seconds(); secs > 0 {
 		rep.GoodputOutsideBps = float64(rep.DeliveredOutside) * pkt.TCPPayloadSize * 8 / secs
 	}
-	for _, n := range s.nodes {
-		rep.FramesCut += n.Radio.FramesFaulted
+	for _, st := range s.stacks {
+		rep.FramesCut += st.radio.FramesFaulted
 	}
 	for _, r := range s.routers {
 		if r != nil {
@@ -674,17 +593,19 @@ func (s *scenarioState) closeBatch() {
 	b.End = now
 
 	for fi := range s.flows {
-		if snd := s.senders[fi]; snd != nil {
-			cum := snd.Stats().Retransmits
-			b.PerFlowRtx[fi] = cum - s.lastRtx[fi]
-			s.lastRtx[fi] = cum
-			b.PerFlowWindow[fi] = snd.WindowTrace().AverageAt(now)
-			snd.WindowTrace().Reset(now)
+		sl := &s.slots[fi]
+		if sl.udp {
+			continue
 		}
+		cum := sl.eng.Stats().Retransmits
+		b.PerFlowRtx[fi] = cum - sl.lastRtx
+		sl.lastRtx = cum
+		b.PerFlowWindow[fi] = sl.eng.WindowTrace().AverageAt(now)
+		sl.eng.WindowTrace().Reset(now)
 	}
 	var failures, attempts uint64
-	for _, n := range s.nodes {
-		c := n.MAC.Counters
+	for _, st := range s.stacks {
+		c := st.mac.Counters
 		failures += c.Retries + c.RetryDrops
 		attempts += c.RTSSent + c.DataSent
 	}
@@ -718,8 +639,8 @@ func (s *scenarioState) closeBatch() {
 // fillEnergy computes the end-of-run energy report.
 func (s *scenarioState) fillEnergy(res *Result) {
 	var total float64
-	for _, n := range s.nodes {
-		total += n.EnergyJoules(node.DefaultPower, res.SimTime)
+	for _, st := range s.stacks {
+		total += st.energyJoules(res.SimTime)
 	}
 	mb := float64(res.Delivered) * pkt.TCPPayloadSize / 1e6
 	rep := EnergyReport{TotalJoules: total, DeliveredPackets: res.Delivered}

@@ -53,7 +53,7 @@ func (w *World) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if s == nil {
 		// An empty arena: the scheduler and what is bound to it for life.
 		s = &scenarioState{sched: sim.NewScheduler(cfg.Seed)}
-		s.onDeliveryFn = s.onDelivery
+		s.deliverFn = s.deliverLocal
 		s.delay = stats.NewDurationHistogram(4096, s.sched.Rand().Int63n)
 	}
 	s.reset(cfg.Seed)

@@ -22,8 +22,10 @@ import (
 // A Plane is reused across arena runs via Reset and holds no references
 // to scheduler or protocol state of its own.
 type Plane struct {
-	nodeDown []bool
-	downs    int
+	// crashes counts in-force crashes per node, so overlapping crashes of
+	// one node nest the way blackouts do; downs is their total.
+	crashes []int
+	downs   int
 
 	// blocked counts active blackouts per packed directed link, so
 	// overlapping blackout intervals compose instead of cancelling.
@@ -49,13 +51,11 @@ type Plane struct {
 // Reset rewinds the plane for a run over n nodes, keeping allocations.
 // Hooks are cleared; the owner reinstalls them each build.
 func (p *Plane) Reset(n int) {
-	if cap(p.nodeDown) < n {
-		p.nodeDown = make([]bool, n)
+	if cap(p.crashes) < n {
+		p.crashes = make([]int, n)
 	} else {
-		p.nodeDown = p.nodeDown[:n]
-		for i := range p.nodeDown {
-			p.nodeDown[i] = false
-		}
+		p.crashes = p.crashes[:n]
+		clear(p.crashes)
 	}
 	p.downs = 0
 	clear(p.blocked)
@@ -72,7 +72,7 @@ func (p *Plane) Quiet() bool { return p == nil || p.active == 0 }
 
 // NodeDown reports whether id is currently crashed.
 func (p *Plane) NodeDown(id pkt.NodeID) bool {
-	return p != nil && p.downs > 0 && p.nodeDown[id]
+	return p != nil && p.downs > 0 && p.crashes[id] > 0
 }
 
 // Severed reports whether a frame from a to b cannot be decoded right
@@ -82,7 +82,7 @@ func (p *Plane) Severed(a, b pkt.NodeID) bool {
 	if p == nil || p.active == 0 {
 		return false
 	}
-	if p.downs > 0 && (p.nodeDown[a] || p.nodeDown[b]) {
+	if p.downs > 0 && (p.crashes[a] > 0 || p.crashes[b] > 0) {
 		return true
 	}
 	if len(p.blocked) > 0 && p.blocked[linkKey(a, b)] > 0 {
@@ -94,30 +94,28 @@ func (p *Plane) Severed(a, b pkt.NodeID) bool {
 	return false
 }
 
-// CrashNode marks id down and runs the OnNodeDown hook. Crashing an
-// already-down node is a no-op.
+// CrashNode takes id down; the OnNodeDown hook runs on the first of
+// overlapping crashes. Crashes nest: the node stays down until every
+// CrashNode has been matched by a RestoreNode.
 func (p *Plane) CrashNode(id pkt.NodeID) {
-	if p.nodeDown[id] {
-		return
-	}
-	p.nodeDown[id] = true
+	p.crashes[id]++
 	p.downs++
 	p.active++
-	if p.OnNodeDown != nil {
+	if p.crashes[id] == 1 && p.OnNodeDown != nil {
 		p.OnNodeDown(id)
 	}
 }
 
-// RestoreNode brings a crashed node back and runs the OnNodeUp hook.
-// Restoring a node that is not down is a no-op.
+// RestoreNode removes one crash from id; the OnNodeUp hook runs when the
+// last one goes. Restoring a node that is not down is a no-op.
 func (p *Plane) RestoreNode(id pkt.NodeID) {
-	if !p.nodeDown[id] {
+	if p.crashes[id] == 0 {
 		return
 	}
-	p.nodeDown[id] = false
+	p.crashes[id]--
 	p.downs--
 	p.active--
-	if p.OnNodeUp != nil {
+	if p.crashes[id] == 0 && p.OnNodeUp != nil {
 		p.OnNodeUp(id)
 	}
 }

@@ -29,12 +29,22 @@ func TestPlaneNodeCrash(t *testing.T) {
 	if p.Severed(0, 1) {
 		t.Fatal("links between live nodes must stay up")
 	}
-	p.CrashNode(2) // idempotent
+	p.CrashNode(2)
 	p.RestoreNode(2)
-	if !p.Quiet() || p.NodeDown(2) {
-		t.Fatal("restore did not register")
+	if p.Quiet() || !p.NodeDown(2) || !p.Severed(1, 2) {
+		t.Fatal("nested crash must survive one restore")
 	}
-	p.RestoreNode(2) // idempotent
+	if len(ups) != 0 {
+		t.Fatalf("OnNodeUp fired %v while a crash was still in force", ups)
+	}
+	p.RestoreNode(2)
+	if !p.Quiet() || p.NodeDown(2) || p.Severed(1, 2) {
+		t.Fatal("node must come back after matching restores")
+	}
+	p.RestoreNode(2) // a node that is up stays up
+	if !p.Quiet() || p.NodeDown(2) {
+		t.Fatal("restoring a live node changed the plane")
+	}
 	if len(downs) != 1 || downs[0] != 2 || len(ups) != 1 || ups[0] != 2 {
 		t.Fatalf("hooks fired downs=%v ups=%v, want one each for node 2", downs, ups)
 	}

@@ -88,25 +88,27 @@ func (s *Sender) tick() {
 // Sink counts received packets; duplicates (same sequence seen twice,
 // possible only through MAC anomalies) are excluded from goodput.
 type Sink struct {
+	sched *sim.Scheduler //manetsim:resetsafe scheduler binding lives as long as the sink
+
 	Received int64 // distinct packets received
 	Dups     int64
 	highest  int64
 	seen     map[int64]bool
 
-	// Delay, when set together with Now, records one-way packet latency.
+	// Delay, when set, records one-way packet latency.
 	Delay *stats.DurationHistogram
-	Now   func() time.Duration
 }
 
-// NewSink creates a counting sink: the dedup map, then Reset.
-func NewSink() *Sink {
-	s := &Sink{seen: make(map[int64]bool)}
+// NewSink creates a counting sink on the scheduler's clock: the dedup
+// map, then Reset.
+func NewSink(sched *sim.Scheduler) *Sink {
+	s := &Sink{sched: sched, seen: make(map[int64]bool)}
 	s.Reset()
 	return s
 }
 
 // Reset sets the sink up for a run, keeping the dedup map's capacity;
-// NewSink ends with it. The Delay/Now hooks are cleared for the owner to
+// NewSink ends with it. The Delay hook is cleared for the owner to
 // reinstall.
 func (s *Sink) Reset() {
 	s.Received = 0
@@ -114,7 +116,6 @@ func (s *Sink) Reset() {
 	s.highest = -1
 	clear(s.seen)
 	s.Delay = nil
-	s.Now = nil
 }
 
 // HandleData processes one arriving packet.
@@ -132,8 +133,8 @@ func (s *Sink) HandleData(p *pkt.Packet) {
 		s.highest = seq
 	}
 	s.Received++
-	if s.Delay != nil && s.Now != nil {
-		s.Delay.Add(s.Now() - p.UDP.SentAt)
+	if s.Delay != nil {
+		s.Delay.Add(s.sched.Now() - p.UDP.SentAt)
 	}
 	// Trim the dedup set: anything far below the highest sequence can no
 	// longer arrive (bounded reordering), so drop it to bound memory.

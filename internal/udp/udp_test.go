@@ -6,6 +6,7 @@ import (
 
 	"manetsim/internal/pkt"
 	"manetsim/internal/sim"
+	"manetsim/internal/stats"
 )
 
 func TestPacedSenderEmitsAtGap(t *testing.T) {
@@ -87,7 +88,7 @@ func TestSenderPanicsOnBadArgs(t *testing.T) {
 }
 
 func TestSinkCountsDistinctPackets(t *testing.T) {
-	s := NewSink()
+	s := NewSink(sim.NewScheduler(1))
 	var uids pkt.Pool
 	mk := func(seq int64) *pkt.Packet {
 		return &pkt.Packet{UID: uids.Next(), Kind: pkt.KindUDPData, UDP: &pkt.UDPHeader{Flow: 1, Seq: seq}}
@@ -105,7 +106,7 @@ func TestSinkCountsDistinctPackets(t *testing.T) {
 }
 
 func TestSinkDedupSetBounded(t *testing.T) {
-	s := NewSink()
+	s := NewSink(sim.NewScheduler(1))
 	for seq := int64(0); seq < 10000; seq++ {
 		s.HandleData(&pkt.Packet{UDP: &pkt.UDPHeader{Seq: seq}})
 	}
@@ -114,5 +115,17 @@ func TestSinkDedupSetBounded(t *testing.T) {
 	}
 	if len(s.seen) > 5000 {
 		t.Errorf("dedup set grew to %d entries; trimming broken", len(s.seen))
+	}
+}
+
+func TestSinkRecordsDelayOnSchedulerClock(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	s := NewSink(sched)
+	s.Delay = stats.NewDurationHistogram(16, sched.Rand().Int63n)
+	p := &pkt.Packet{Kind: pkt.KindUDPData, UDP: &pkt.UDPHeader{SentAt: 2 * time.Millisecond}}
+	sched.At(7*time.Millisecond, func() { s.HandleData(p) })
+	sched.Run()
+	if s.Delay.N() != 1 || s.Delay.Max() != 5*time.Millisecond {
+		t.Errorf("delay samples %d, max %v; want one of 5ms", s.Delay.N(), s.Delay.Max())
 	}
 }
