@@ -105,6 +105,7 @@ type Router struct {
 	spare       []*pkt.Packet //manetsim:resetsafe empty between calls; capacity handed between buffers on flush
 	discoveries map[pkt.NodeID]*discovery
 	lost        []pkt.Unreachable //manetsim:resetsafe scratch for the next RERR, overwritten before every use
+	flushed     []*pkt.Packet     //manetsim:resetsafe scratch for a link failure's flushed queue, cleared after every use
 	down        bool              // crashed by fault injection (see Deactivate)
 
 	rebroadcast func(any) //manetsim:resetsafe bound once in New: enqueues a forwarded RREQ
@@ -533,6 +534,8 @@ func (r *Router) sendRERR(lost []pkt.Unreachable) {
 // through that hop, drops the queued traffic, and broadcasts an RERR. The
 // LinkAlive oracle only classifies the event for measurement: a teardown
 // with the neighbor still in range is the paper's false route failure.
+//
+//manetsim:hotpath
 func (r *Router) HandleLinkFailure(p *pkt.Packet, nextHop pkt.NodeID) {
 	falseFailure := r.LinkAlive == nil || r.LinkAlive(nextHop)
 	if falseFailure {
@@ -549,11 +552,12 @@ func (r *Router) HandleLinkFailure(p *pkt.Packet, nextHop pkt.NodeID) {
 	// next hop.
 	r.dropData(p)
 	p.Release()
-	flushed := r.mac.FilterQueue(func(_ *pkt.Packet, nh pkt.NodeID) bool { return nh != nextHop })
-	for _, fp := range flushed {
+	r.flushed = r.mac.FilterQueue(nextHop, r.flushed[:0])
+	for _, fp := range r.flushed {
 		r.dropData(fp)
 		fp.Release()
 	}
+	clear(r.flushed)
 	if len(r.lost) > 0 {
 		r.sendRERR(r.lost)
 	}

@@ -141,10 +141,28 @@ func (t TransportSpec) Label() string {
 	return s
 }
 
+// specLabel names a transport spec in validation errors: a fixed name, or
+// a format over a flow index. It is formatted only when an error is
+// returned, so validating a scenario's flows builds no string on success.
+type specLabel struct {
+	format string
+	flow   int // -1 for a fixed name
+}
+
+func (l specLabel) String() string {
+	if l.flow < 0 {
+		return l.format
+	}
+	return fmt.Sprintf(l.format, l.flow)
+}
+
+// flowContext labels flow fi's resolved transport spec.
+func flowContext(fi int) specLabel { return specLabel{"flow %d transport", fi} }
+
 // validate reports misconfigurations with the field spelled out so sweep
 // failures point at the offending spec. allowZero accepts a spec that
 // selects no transport (a per-flow spec inheriting the run default).
-func (t TransportSpec) validate(where string, allowZero bool) error {
+func (t TransportSpec) validate(where specLabel, allowZero bool) error {
 	if !t.selected() {
 		if allowZero {
 			return nil
@@ -388,7 +406,7 @@ func (c Config) validate() error {
 	if c.Scenario == nil {
 		return fmt.Errorf("core: Config.Scenario is nil; build one with NewScenario/AddNode or the Chain/Grid/Random constructors")
 	}
-	if err := c.Transport.validate("Config.Transport", true); err != nil {
+	if err := c.Transport.validate(specLabel{"Config.Transport", -1}, true); err != nil {
 		return err
 	}
 	epoch := c.Scenario.Mobility.UpdateInterval
@@ -423,5 +441,3 @@ var errStaticMobility = errors.New("core: static routing cannot follow moving no
 func errUnknownRouting(k RoutingKind) error {
 	return fmt.Errorf("core: unknown routing kind %d", k)
 }
-
-func flowContext(fi int) string { return fmt.Sprintf("flow %d transport", fi) }

@@ -107,7 +107,7 @@ type transport struct {
 	build   rawBuilder
 	// check validates variant-specific spec parameters; generic checks
 	// (negative values, exclusive ACK policies) run before it.
-	check func(t TransportSpec, where string) error
+	check func(t TransportSpec, where specLabel) error
 }
 
 var transports = newRegistry[transport]("transport")
@@ -214,7 +214,7 @@ func buildPacedUDP(s *scenarioState, fi int, f Flow, tspec TransportSpec) error 
 
 // checkVegas validates the Vegas thresholds: α ≤ β (Brakmo's additive
 // increase/decrease band would invert otherwise).
-func checkVegas(t TransportSpec, where string) error {
+func checkVegas(t TransportSpec, where specLabel) error {
 	if t.Params.Beta > 0 {
 		alpha := t.Alpha
 		if alpha == 0 {
@@ -228,7 +228,7 @@ func checkVegas(t TransportSpec, where string) error {
 }
 
 // checkPacedUDP requires the pacing interval.
-func checkPacedUDP(t TransportSpec, where string) error {
+func checkPacedUDP(t TransportSpec, where specLabel) error {
 	if t.UDPGap == 0 {
 		return fmt.Errorf("core: %s: paced UDP needs UDPGap > 0 (the inter-packet sending interval)", where)
 	}
@@ -236,7 +236,7 @@ func checkPacedUDP(t TransportSpec, where string) error {
 }
 
 // checkWestwood bounds the bandwidth filter pole.
-func checkWestwood(t TransportSpec, where string) error {
+func checkWestwood(t TransportSpec, where specLabel) error {
 	if g := t.Params.BWFilterGain; g < 0 || g >= 1 {
 		return fmt.Errorf("core: %s: Westwood+ BWFilterGain %g outside (0,1) (0 selects the default 0.9)", where, g)
 	}
@@ -246,7 +246,7 @@ func checkWestwood(t TransportSpec, where string) error {
 const day = 24 * time.Hour
 
 // checkPacing bounds the adaptive-pacing knobs.
-func checkPacing(t TransportSpec, where string) error {
+func checkPacing(t TransportSpec, where specLabel) error {
 	if t.Params.MinPaceGap > day {
 		return fmt.Errorf("core: %s: adaptive-pacing MinPaceGap %v is absurdly large", where, t.Params.MinPaceGap)
 	}

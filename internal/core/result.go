@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"manetsim/internal/pkt"
@@ -37,24 +38,32 @@ func (b Batch) Duration() time.Duration { return b.End - b.Start }
 // PerFlowGoodput returns per-flow goodput in bit/s (payload bytes only,
 // matching the paper's definition).
 func (b Batch) PerFlowGoodput() []float64 {
-	out := make([]float64, len(b.PerFlowPackets))
+	return b.appendGoodput(make([]float64, 0, len(b.PerFlowPackets)))
+}
+
+// appendGoodput appends the per-flow goodputs of PerFlowGoodput to dst.
+func (b Batch) appendGoodput(dst []float64) []float64 {
 	secs := b.Duration().Seconds()
-	if secs <= 0 {
-		return out
+	for _, p := range b.PerFlowPackets {
+		g := 0.0
+		if secs > 0 {
+			g = float64(p) * pkt.TCPPayloadSize * 8 / secs
+		}
+		dst = append(dst, g)
 	}
-	for i, p := range b.PerFlowPackets {
-		out[i] = float64(p) * pkt.TCPPayloadSize * 8 / secs
-	}
-	return out
+	return dst
 }
 
 // AggregateGoodput returns the summed goodput over flows in bit/s.
-func (b Batch) AggregateGoodput() float64 {
-	var sum float64
-	for _, g := range b.PerFlowGoodput() {
-		sum += g
+func (b Batch) AggregateGoodput() float64 { return sum(b.PerFlowGoodput()) }
+
+// sum adds xs up in order.
+func sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
 	}
-	return sum
+	return s
 }
 
 // Jain returns Jain's fairness index over the batch's per-flow goodputs.
@@ -204,29 +213,30 @@ type Result struct {
 }
 
 // aggregate computes the batch-means estimates from the measured batches.
-func (r *Result) aggregate() {
-	if len(r.Batches) == 0 {
-		return
+// The per-batch series live in buf, which BatchMeans only reads; aggregate
+// returns it, grown as needed, for the next call. Each batch's per-flow
+// goodput is computed once and feeds the aggregate, Jain and per-flow
+// series alike.
+func (r *Result) aggregate(buf []float64) []float64 {
+	nb, nf := len(r.Batches), len(r.Flows)
+	if nb == 0 {
+		return buf
 	}
-	nf := len(r.Flows)
-	agg := make([]float64, len(r.Batches))
-	rtx := make([]float64, len(r.Batches))
-	win := make([]float64, len(r.Batches))
-	drop := make([]float64, len(r.Batches))
-	jain := make([]float64, len(r.Batches))
-	perFlow := make([][]float64, nf)
-	for i := range perFlow {
-		perFlow[i] = make([]float64, len(r.Batches))
-	}
+	// Five series, one per flow, then room for one batch's goodputs.
+	series := (5 + nf) * nb
+	buf = slices.Grow(buf[:0], series+nf)[:series]
+	col := func(i int) []float64 { return buf[i*nb : (i+1)*nb] }
+	agg, rtx, win, drop, jain := col(0), col(1), col(2), col(3), col(4)
+	g := buf[series:series]
 	for bi, b := range r.Batches {
-		agg[bi] = b.AggregateGoodput()
+		g = b.appendGoodput(g[:0])
+		agg[bi] = sum(g)
 		rtx[bi] = b.RtxPerDelivered()
 		win[bi] = b.MeanWindow()
 		drop[bi] = b.DropProbability()
-		jain[bi] = b.Jain()
-		g := b.PerFlowGoodput()
+		jain[bi] = stats.JainIndex(g)
 		for fi := 0; fi < nf; fi++ {
-			perFlow[fi][bi] = g[fi]
+			col(5 + fi)[bi] = g[fi]
 		}
 		r.FalseRouteFailures += b.FalseRouteFailures
 		r.TrueRouteFailures += b.TrueRouteFailures
@@ -237,7 +247,8 @@ func (r *Result) aggregate() {
 	r.DropProb = stats.BatchMeans(drop)
 	r.Jain = stats.BatchMeans(jain)
 	r.PerFlowGood = make([]stats.Estimate, nf)
-	for fi := 0; fi < nf; fi++ {
-		r.PerFlowGood[fi] = stats.BatchMeans(perFlow[fi])
+	for fi := range r.PerFlowGood {
+		r.PerFlowGood[fi] = stats.BatchMeans(col(5 + fi))
 	}
+	return buf
 }

@@ -87,7 +87,7 @@ func TestResultAggregateAcrossBatches(t *testing.T) {
 		b.FalseRouteFailures = 2
 		r.Batches = append(r.Batches, b)
 	}
-	r.aggregate()
+	r.aggregate(nil)
 	if r.FalseRouteFailures != 20 {
 		t.Errorf("frf total = %d, want 20", r.FalseRouteFailures)
 	}
@@ -105,7 +105,7 @@ func TestResultAggregateAcrossBatches(t *testing.T) {
 
 func TestResultAggregateEmptyBatchesIsNoop(t *testing.T) {
 	r := &Result{}
-	r.aggregate() // must not panic
+	r.aggregate(nil) // must not panic
 	if r.AggGoodput.N != 0 {
 		t.Error("empty aggregate produced estimates")
 	}

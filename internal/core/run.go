@@ -65,6 +65,14 @@ type scenarioState struct {
 
 	batches []Batch
 	cur     Batch // batch being accumulated
+	// Backing arrays the batches' per-flow slices are carved from. Like
+	// batches they are made fresh for every run: the previous run's Result
+	// still aliases its own.
+	batchPackets []int64
+	batchRtx     []uint64
+	batchWindow  []float64
+	// aggBuf is Result.aggregate's scratch, reused run after run.
+	aggBuf []float64
 
 	// Cumulative counters snapshotted at the previous batch boundary.
 	lastDrops        uint64
@@ -74,8 +82,9 @@ type scenarioState struct {
 }
 
 // reset sets the run-global state up for a run; every run, a World's first
-// included, starts with it. The batches slice is dropped, never truncated:
-// the previous run's Result aliases its backing array.
+// included, starts with it. The batches slice and the arrays its per-flow
+// slices are carved from are dropped, never truncated: the previous run's
+// Result aliases them.
 func (s *scenarioState) reset(seed int64) {
 	s.sched.Reset(seed)
 	s.uids.Reset()
@@ -83,6 +92,7 @@ func (s *scenarioState) reset(seed int64) {
 	s.delivered = 0
 	s.nextBatchAt = 0
 	s.batches = nil
+	s.batchPackets, s.batchRtx, s.batchWindow = nil, nil, nil
 	s.cur = Batch{}
 	s.lastDrops, s.lastSubmit = 0, 0
 	s.lastFailures, s.lastTrueFailures = 0, 0
@@ -183,7 +193,7 @@ func (s *scenarioState) finishRun(ctx context.Context) (*Result, error) {
 		warm = len(s.batches)
 	}
 	res.Batches = s.batches[warm:]
-	res.aggregate()
+	s.aggBuf = res.aggregate(s.aggBuf)
 	s.fillEnergy(res)
 	for _, st := range s.stacks {
 		res.ImpairedFrames += st.radio.FramesImpaired
@@ -474,13 +484,41 @@ func (s *scenarioState) restoreNode(id pkt.NodeID) {
 	}
 }
 
+// maxPlannedBatches caps how many batches a run sizes its storage for up
+// front; a run that closes more grows it as it goes.
+const maxPlannedBatches = 1024
+
+// plannedBatches is how many batches a run sizes its storage for: every
+// batch its packet budget can close, plus the one left open when it stops.
+// A zero BatchPackets closes a batch on every delivery, like a budget of 1.
+func (s *scenarioState) plannedBatches() int {
+	b := max(s.cfg.BatchPackets, 1)
+	return int(min((s.cfg.TotalPackets+b-1)/b+1, maxPlannedBatches))
+}
+
+// newBatch opens a batch whose per-flow slices are carved from the run's
+// backing arrays, which the run's first call sizes for plannedBatches.
 func (s *scenarioState) newBatch(start time.Duration) Batch {
+	nf := len(s.flows)
+	chunk := s.plannedBatches() * nf
 	return Batch{
 		Start:          start,
-		PerFlowPackets: make([]int64, len(s.flows)),
-		PerFlowRtx:     make([]uint64, len(s.flows)),
-		PerFlowWindow:  make([]float64, len(s.flows)),
+		PerFlowPackets: carve(&s.batchPackets, nf, chunk),
+		PerFlowRtx:     carve(&s.batchRtx, nf, chunk),
+		PerFlowWindow:  carve(&s.batchWindow, nf, chunk),
 	}
+}
+
+// carve cuts the next n elements off *buf, capacity clipped so an append
+// cannot reach a neighbour; an exhausted buf is refilled with a fresh array
+// of max(n, chunk).
+func carve[T any](buf *[]T, n, chunk int) []T {
+	if len(*buf) < n {
+		*buf = make([]T, max(n, chunk))
+	}
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return out
 }
 
 // onDelivery advances goodput accounting and closes batches at the paper's
@@ -624,6 +662,9 @@ func (s *scenarioState) closeBatch() {
 	b.TrueRouteFailures = trf - s.lastTrueFailures
 	s.lastFailures, s.lastTrueFailures = frf, trf
 
+	if s.batches == nil {
+		s.batches = make([]Batch, 0, s.plannedBatches()-1)
+	}
 	s.batches = append(s.batches, b)
 	s.cur = s.newBatch(now)
 

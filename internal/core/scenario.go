@@ -250,7 +250,7 @@ func (s *Scenario) Validate() error {
 			// a variant-less spec would otherwise be silently discarded.
 			return fmt.Errorf("core: flow %d sets transport options without a Protocol or Name; a per-flow TransportSpec replaces the run default entirely (select a transport too, or leave the whole spec zero to inherit)", i)
 		}
-		if err := f.Transport.validate(fmt.Sprintf("flow %d", i), true); err != nil {
+		if err := f.Transport.validate(specLabel{"flow %d", i}, true); err != nil {
 			return err
 		}
 	}

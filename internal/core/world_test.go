@@ -233,3 +233,65 @@ func TestWorldResetAllocatesLessThanOncePerNode(t *testing.T) {
 		}
 	}
 }
+
+// wideGrid is the 15×14 static-routed grid of the replicate sweeps, with
+// one flow over two hops.
+func wideGrid() *Scenario {
+	scn := NewScenario("grid-15x14").WithRouting(RoutingStatic)
+	for row := 0; row < 14; row++ {
+		for col := 0; col < 15; col++ {
+			scn.AddNode(float64(col)*200, float64(row)*200)
+		}
+	}
+	return scn.AddFlow(0, 2)
+}
+
+// TestWorldResetRunAllocationBound pins what the run arenas reclaim: a run
+// stopped at its packet budget leaves packets, frames and transmission
+// records in flight, and the next run's Reset takes them back instead of
+// allocating them again, while the Result is built from a few per-run
+// arrays. What remains is the run's own output (the Result, its flows and
+// batch storage) and the per-run scenario materialization.
+func TestWorldResetRunAllocationBound(t *testing.T) {
+	const bound = 25
+	scn := wideGrid()
+	for _, spec := range []TransportSpec{{Name: "vegas"}, {Name: "newreno"}} {
+		w := NewWorld()
+		seed := int64(0)
+		run := func() {
+			seed++
+			cfg := Config{Scenario: scn, Transport: spec, Seed: seed, TotalPackets: 110, BatchPackets: 10}
+			if _, err := w.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("%s: %.1f allocs per reset run", spec.Name, allocs)
+		if allocs > bound {
+			t.Errorf("%s: a reset run on %d nodes allocates %.1f times, want at most %d", spec.Name, scn.NumNodes(), allocs, bound)
+		}
+	}
+}
+
+// TestResultOutlivesWorldReuse checks that a Result owns what it reports:
+// its batches are carved from arrays its World never hands to a later run,
+// so running a different config — with a different flow count — on the
+// same World leaves the earlier Result's encoding unchanged.
+func TestResultOutlivesWorldReuse(t *testing.T) {
+	w := NewWorld()
+	first, err := w.Run(worldTestConfig(Chain(3), TransportSpec{Name: "vegas"}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := digest(t, first)
+	two := Chain(3).AddFlow(3, 0)
+	for seed := int64(2); seed < 5; seed++ {
+		if _, err := w.Run(worldTestConfig(two, TransportSpec{Name: "newreno"}, seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := digest(t, first); after != before {
+		t.Errorf("Result changed after its World ran again:\nbefore %s\nafter  %s", before, after)
+	}
+}

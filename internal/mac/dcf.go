@@ -103,8 +103,10 @@ type DCF struct {
 
 	// freeFrame recycles this node's transmitted frames once the channel
 	// releases them, so steady-state traffic builds frames without
-	// allocating.
-	freeFrame *Frame //manetsim:resetsafe freelist survives resets; frames are re-zeroed on release
+	// allocating. frames lists every frame the MAC ever made, so Reset can
+	// reclaim the ones still on the air when the previous run stopped.
+	freeFrame *Frame   //manetsim:resetsafe Reset relinks every frame onto it
+	frames    []*Frame //manetsim:resetsafe the MAC owns its frames for life
 	// releaseFn is the frameReleased method value, bound once in New: the
 	// radio forgets its hook on reset, and re-evaluating the method value
 	// to reinstall it would allocate a closure per node and run.
@@ -137,14 +139,15 @@ func New(sched *sim.Scheduler, radio *phy.Radio, cfg Config, cb Callbacks) *DCF 
 	return d
 }
 
-// Reset sets the MAC up for a run over its radio, keeping the frame
-// freelist, and (re)installs itself as the radio's handler (a radio reset
-// clears it); New ends with it. On reuse, call after the scheduler was
-// reset: the MAC's timers and pending response events are already swept,
-// and queued or in-flight packets from the previous run belong to a pool
-// that dropped them, so the references are simply forgotten. Frames that
-// were on the air are likewise dropped to the garbage collector — the
-// freelist only ever holds properly recycled frames.
+// Reset sets the MAC up for a run over its radio and (re)installs itself
+// as the radio's handler (a radio reset clears it); New ends with it. On
+// reuse, call after the scheduler and the channel were reset: the MAC's
+// timers and pending response events are already swept, and queued or
+// in-flight packets from the previous run belong to a pool that reclaimed
+// them, so the references are simply forgotten, never released. Every
+// frame the MAC ever made goes back on the freelist, re-zeroed — one still
+// on the air when the previous run stopped included — so a frame held
+// across Reset is recycled, not orphaned.
 func (d *DCF) Reset(cfg Config) {
 	d.timing = NewTiming(cfg.DataRate)
 	d.qcap = cfg.QueueCap
@@ -166,6 +169,10 @@ func (d *DCF) Reset(cfg Config) {
 	}
 	d.seenIdx = 0
 	d.Counters = Counters{}
+	d.freeFrame = nil
+	for _, f := range d.frames {
+		d.putFrame(f)
+	}
 	d.radio.SetHandler(d)
 	d.radio.OnFrameReleased = d.releaseFn
 }
@@ -230,7 +237,9 @@ func (d *DCF) newFrame() *Frame {
 		f.next = nil
 		return f
 	}
-	return &Frame{}
+	f = &Frame{}
+	d.frames = append(d.frames, f)
+	return f
 }
 
 // frameReleased is the radio's frame-release hook: the channel holds no
@@ -248,6 +257,11 @@ func (d *DCF) recycleFrame(f *Frame) {
 		// The air reference taken when the frame was built.
 		f.Payload.Release()
 	}
+	d.putFrame(f)
+}
+
+// putFrame re-zeroes a frame onto the freelist.
+func (d *DCF) putFrame(f *Frame) {
 	f.Type = 0
 	f.From, f.To = 0, 0
 	f.Duration = 0
@@ -291,14 +305,14 @@ func (d *DCF) Enqueue(p *pkt.Packet, nextHop pkt.NodeID) bool {
 	return true
 }
 
-// FilterQueue removes queued packets for which keep returns false and
-// returns them (head-of-line packet in service is not affected). Routing
-// uses this to pull packets for an invalidated next hop out of the queue.
-func (d *DCF) FilterQueue(keep func(p *pkt.Packet, nextHop pkt.NodeID) bool) []*pkt.Packet {
-	var removed []*pkt.Packet
+// FilterQueue removes the queued packets bound for nextHop and appends them
+// to removed, a caller-owned scratch (head-of-line packet in service is not
+// affected). Routing uses this to pull packets for an invalidated next hop
+// out of the queue.
+func (d *DCF) FilterQueue(nextHop pkt.NodeID, removed []*pkt.Packet) []*pkt.Packet {
 	kept := d.queue[:0]
 	for _, item := range d.queue {
-		if keep(item.p, item.nextHop) {
+		if item.nextHop != nextHop {
 			kept = append(kept, item)
 		} else {
 			removed = append(removed, item.p)

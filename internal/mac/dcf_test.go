@@ -257,7 +257,7 @@ func TestFilterQueue(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m.Enqueue(r.packet(0, 2, 1500), 2)
 	}
-	removed := m.FilterQueue(func(_ *pkt.Packet, nh pkt.NodeID) bool { return nh != 2 })
+	removed := m.FilterQueue(2, nil)
 	if len(removed) != 3 {
 		t.Errorf("removed %d packets, want 3", len(removed))
 	}

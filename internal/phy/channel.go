@@ -127,9 +127,12 @@ type Channel struct {
 	// Freelist of per-transmission records. A transmission needs one
 	// txRecord, which carries its per-receiver signals inline and is
 	// recycled when its walk ends, so steady-state traffic does not
-	// allocate. liveTx counts records handed out and not yet returned: zero
-	// whenever the scheduler has drained (a conservation check for tests).
-	freeTx *txRecord //manetsim:resetsafe freelist survives resets; only retired records are linked in
+	// allocate. txs lists every record the channel ever made, so Reset can
+	// reclaim the ones still on the air when the previous run stopped.
+	// liveTx counts records handed out and not yet returned: zero whenever
+	// the scheduler has drained (a conservation check for tests).
+	freeTx *txRecord   //manetsim:resetsafe Reset relinks every record onto it
+	txs    []*txRecord //manetsim:resetsafe the channel owns its records for life
 	liveTx int
 }
 
@@ -166,9 +169,10 @@ func NewMobileChannel(sched *sim.Scheduler, model PositionModel, interval time.D
 // (each sampled once), every radio returns to its zero state, and (for
 // non-static models) the epoch tick is armed. On reuse, the caller must
 // Reset the scheduler first — that sweeps the previous run's pending
-// transmission events; their in-flight txRecords simply drop to the
-// garbage collector (the freelist only ever holds properly retired ones)
-// and MAC frames they referenced are recycled by the MAC's own reset.
+// transmission events. Every txRecord the channel ever made then goes back
+// on the freelist, the in-flight ones included, so a record held across
+// Reset is recycled, not orphaned; the MAC frames they referenced are
+// reclaimed by the MAC's own reset.
 func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 	if model == nil {
 		panic("phy: nil position model")
@@ -182,6 +186,10 @@ func (c *Channel) Reset(model PositionModel, interval time.Duration) {
 	c.NoCapture = false
 	c.SetLinkModel(nil, 0, 0, 0)
 	c.faults = nil
+	c.freeTx = nil
+	for _, t := range c.txs {
+		c.putTx(t)
+	}
 	c.liveTx = 0
 	c.grid.reset()
 	now := c.sched.Now()
@@ -494,6 +502,12 @@ type txRecord struct {
 	step           int // the sub-event the scheduled entry stands for
 
 	next *txRecord // freelist link
+
+	// A record lives as long as its channel, and a Campaign runs Worlds
+	// on several threads at once. Padding the record to 128 bytes, a size
+	// class the allocator lays out on cache-line boundaries, keeps another
+	// World's record off the lines this one's walk writes.
+	_ [16]byte
 }
 
 func (c *Channel) getTx() *txRecord {
@@ -504,7 +518,9 @@ func (c *Channel) getTx() *txRecord {
 		t.next = nil
 		return t
 	}
-	return &txRecord{}
+	t = &txRecord{}
+	c.txs = append(c.txs, t)
+	return t
 }
 
 func (c *Channel) putTx(t *txRecord) {

@@ -3,6 +3,7 @@ package phy
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"manetsim/internal/geo"
 	"manetsim/internal/pkt"
@@ -373,5 +374,16 @@ func TestGridNeighborsMatchBruteForce(t *testing.T) {
 				t.Fatalf("node %d neighbor %d = %v, want %v", i, j, got[pkt.NodeID(j)], want)
 			}
 		}
+	}
+}
+
+// TestTxRecordFillsCacheLines keeps a transmission record a whole number
+// of 64-byte cache lines, in a size class the allocator aligns to them:
+// records live as long as their channel, and one that shared a line with
+// another World's record would slow both Worlds' walks for the rest of a
+// Campaign.
+func TestTxRecordFillsCacheLines(t *testing.T) {
+	if got := unsafe.Sizeof(txRecord{}); got%64 != 0 || got > 256 {
+		t.Errorf("txRecord is %d bytes, want a multiple of 64 up to 256 (adjust its padding)", got)
 	}
 }

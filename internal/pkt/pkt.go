@@ -172,21 +172,42 @@ func (p *Packet) String() string {
 // single-threaded simulation.
 type Pool struct {
 	nextUID uint64
-	free    *Packet //manetsim:resetsafe freelist survives resets; Release re-zeroes blocks on the way in
+	// Every pooled packet draws an id, so the blocks in use are the ids
+	// drawn, minus those Next drew for literal packets, minus the blocks
+	// released; get keeps no count of its own.
+	literal  uint64
+	released uint64
+	free     *Packet //manetsim:resetsafe Reset relinks every block onto it
+	// blocks lists every block the pool ever made, so Reset can reclaim
+	// the ones a stopped run still held.
+	blocks []*Packet //manetsim:resetsafe the pool owns its blocks for life
 }
 
-// Next returns a fresh id.
+// Next returns a fresh id for a packet built outside the pool (a
+// literal); pooled packets draw theirs from the same sequence.
 func (u *Pool) Next() uint64 {
+	u.literal++
 	u.nextUID++
 	return u.nextUID
 }
 
-// Reset rewinds the id sequence for a new run while keeping the freelist.
-// Blocks still held by the previous run (packets in flight when it was cut
-// short) are simply dropped to the garbage collector: they are not on the
-// freelist, and Release fully re-zeroes blocks on the way in, so reuse can
-// never resurrect stale state.
-func (u *Pool) Reset() { u.nextUID = 0 }
+// Reset rewinds the pool for a new run: the id sequence restarts at 1 and
+// every block the pool ever made goes back on the freelist, re-zeroed.
+// That includes blocks the previous run still held (packets in flight when
+// it stopped at its budget): a packet held across Reset is recycled, not
+// orphaned, so every layer drops its packet references in its own Reset
+// and never releases them afterwards.
+func (u *Pool) Reset() {
+	u.nextUID, u.literal, u.released = 0, 0, 0
+	u.free = nil
+	for _, p := range u.blocks {
+		u.put(p)
+	}
+}
+
+// Live returns the number of blocks handed out and not yet released: the
+// blocks made minus the blocks free. It is zero after a drained run.
+func (u *Pool) Live() int { return int(u.nextUID - u.literal - u.released) }
 
 // get pops a recycled block (or allocates one) and stamps the common
 // pooled-packet state. The UID is drawn here, so pooled construction keeps
@@ -200,11 +221,20 @@ func (u *Pool) get() *Packet {
 		p.next = nil
 	} else {
 		p = &Packet{}
+		u.blocks = append(u.blocks, p)
 	}
-	p.UID = u.Next()
+	u.nextUID++
+	p.UID = u.nextUID
 	p.pool = u
 	p.refs = 1
 	return p
+}
+
+// put re-zeroes a block onto the freelist, keeping the RERR list's backing
+// array, at length 0, for the next route error the block carries.
+func (u *Pool) put(p *Packet) {
+	*p = Packet{pool: u, next: u.free, ownCtl: Control{Unreachable: p.ownCtl.Unreachable[:0]}}
+	u.free = p
 }
 
 // NewTCP returns a pooled packet with a zeroed co-allocated TCP header
@@ -270,8 +300,6 @@ func (p *Packet) Release() {
 	if p.refs < 0 {
 		panic(fmt.Sprintf("pkt: over-released packet #%d", p.UID))
 	}
-	// Keep the RERR list's backing array, at length 0, for the next
-	// route error the block carries.
-	*p = Packet{pool: pl, next: pl.free, ownCtl: Control{Unreachable: p.ownCtl.Unreachable[:0]}}
-	pl.free = p
+	pl.released++
+	pl.put(p)
 }

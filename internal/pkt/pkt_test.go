@@ -198,3 +198,53 @@ func TestPacketBlockSize(t *testing.T) {
 		t.Errorf("Packet is %d bytes, want at most 224", got)
 	}
 }
+
+// TestPoolResetReclaimsInFlightBlocks checks that the pool owns its
+// blocks: Reset takes back the ones a stopped run still held, so taking
+// them again allocates nothing, and a reclaimed RERR block keeps its
+// Unreachable capacity.
+func TestPoolResetReclaimsInFlightBlocks(t *testing.T) {
+	var pl Pool
+	held := make([]*Packet, 0, 8)
+	for i := 0; i < 8; i++ {
+		held = append(held, pl.NewTCP())
+	}
+	rerr := pl.NewRERR()
+	rerr.Routing.Unreachable = append(rerr.Routing.Unreachable, Unreachable{Dst: 1, Seq: 2}, Unreachable{Dst: 3, Seq: 4})
+	capacity := cap(rerr.Routing.Unreachable)
+	held[0].Retain()
+	for _, p := range held[:3] {
+		p.Release()
+	}
+	pl.Next() // an id for a literal packet holds no block
+	if got := pl.Live(); got != 7 {
+		t.Fatalf("Live() = %d before Reset, want 7 (6 data blocks + 1 RERR)", got)
+	}
+
+	pl.Reset()
+	if got := pl.Live(); got != 0 {
+		t.Errorf("Live() = %d after Reset, want 0", got)
+	}
+	if p := pl.NewUDP(); p.UID != 1 || p.TCP != nil || p.refs != 1 {
+		t.Errorf("first block after Reset: UID %d, TCP %v, refs %d; want 1, nil, 1", p.UID, p.TCP, p.refs)
+	}
+	pl.Reset()
+
+	var maxCap int
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 9; i++ {
+			p := pl.NewRERR()
+			maxCap = max(maxCap, cap(p.Routing.Unreachable))
+			if len(p.Routing.Unreachable) != 0 {
+				t.Errorf("reclaimed RERR list has %d entries, want 0", len(p.Routing.Unreachable))
+			}
+		}
+		pl.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("re-taking the reclaimed blocks allocates %.1f times, want 0", allocs)
+	}
+	if maxCap != capacity {
+		t.Errorf("largest reclaimed RERR capacity = %d, want %d", maxCap, capacity)
+	}
+}

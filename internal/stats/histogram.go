@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -19,6 +19,10 @@ type DurationHistogram struct {
 	sum     time.Duration
 	max     time.Duration
 	rng     func(int64) int64 //manetsim:resetsafe injected rng binding stays valid across a scheduler reseed
+	// sorted is a sorted copy of samples, taken when n observations had
+	// been made: quantile queries between two Adds share one sort.
+	sorted   []time.Duration //manetsim:resetsafe scratch, rebuilt whenever sortedAt != n
+	sortedAt int64
 }
 
 // NewDurationHistogram creates a histogram keeping at most cap samples
@@ -44,6 +48,7 @@ func (h *DurationHistogram) Reset() {
 	h.n = 0
 	h.sum = 0
 	h.max = 0
+	h.sortedAt = 0
 }
 
 // Add records one sample.
@@ -78,7 +83,8 @@ func (h *DurationHistogram) Mean() time.Duration {
 func (h *DurationHistogram) Max() time.Duration { return h.max }
 
 // Quantile returns the q-quantile (0 <= q <= 1) estimated from the kept
-// samples.
+// samples. Queries between two Adds share one sort of the kept samples,
+// into a scratch buffer the histogram keeps.
 func (h *DurationHistogram) Quantile(q float64) time.Duration {
 	if len(h.samples) == 0 {
 		return 0
@@ -86,11 +92,13 @@ func (h *DurationHistogram) Quantile(q float64) time.Duration {
 	if math.IsNaN(q) || q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of range", q))
 	}
-	sorted := make([]time.Duration, len(h.samples))
-	copy(sorted, h.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	if h.sortedAt != h.n {
+		h.sorted = append(h.sorted[:0], h.samples...)
+		slices.Sort(h.sorted)
+		h.sortedAt = h.n
+	}
+	idx := int(q * float64(len(h.sorted)-1))
+	return h.sorted[idx]
 }
 
 // String summarizes the distribution.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -103,6 +104,47 @@ func TestQuickHistogramQuantileBounds(t *testing.T) {
 		q := float64(qRaw%101) / 100
 		v := h.Quantile(q)
 		return v >= min && v <= max && h.Max() == max
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickQuantileSortsKeptSamples property-checks that a quantile is the
+// q-th order statistic of the samples kept at query time, in reservoir mode
+// too: reservoir replacements, Adds between queries and a Reset all
+// invalidate the sorted copy that queries in between share.
+func TestQuickQuantileSortsKeptSamples(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewDurationHistogram(1+rng.Intn(64), rng.Int63n)
+		for round := range 1 + rng.Intn(8) {
+			count := rng.Intn(200)
+			if round > 0 && rng.Intn(4) == 0 {
+				if rng.Intn(2) == 0 {
+					// As many Adds as before the Reset: a sorted copy that
+					// survived it would look current.
+					count = int(h.N())
+				}
+				h.Reset()
+			}
+			for range count {
+				h.Add(time.Duration(rng.Int63n(int64(time.Second))))
+			}
+			kept := slices.Clone(h.samples)
+			slices.Sort(kept)
+			for _, q := range []float64{0, 0.5, 0.95, 1, rng.Float64()} {
+				want := time.Duration(0)
+				if len(kept) > 0 {
+					want = kept[int(q*float64(len(kept)-1))]
+				}
+				if got := h.Quantile(q); got != want {
+					t.Logf("seed %d: Quantile(%v) = %v, want %v", seed, q, got, want)
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
