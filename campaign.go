@@ -23,7 +23,10 @@ import (
 // the persistent result store. Bump it whenever Result's encoding changes
 // incompatibly: stored results carrying any other version are detected
 // and treated as cache misses — re-run, never silently misparsed.
-const ResultSchemaVersion = 1
+//
+// Version 2 addresses entries by run id and stores each Result without
+// its Config; version-1 entries read as misses and re-run.
+const ResultSchemaVersion = 2
 
 // Scale sets a campaign's default per-run measurement budget; configs that
 // set their own TotalPackets/BatchPackets/Seed keep them. PaperScale
@@ -135,36 +138,35 @@ func (c *Campaign) Executed() int64 { return c.executed.Load() }
 // re-run by a fresh campaign over the same store.
 func (c *Campaign) StoreWriteErrors() int64 { return c.storeWriteErrors.Load() }
 
-// storeGet fetches a stored result by cache key; any miss, decode
-// failure or schema mismatch re-runs the simulation instead.
-func (c *Campaign) storeGet(key string) (*Result, bool) {
-	if c.store == nil {
-		return nil, false
-	}
-	raw, ok := c.store.Get(key)
+// storedResult is a Result as the store holds it: its Config field is
+// shadowed by an always-nil one, so the payload omits the scenario the
+// run's id already stands for, and the caller re-attaches it on a hit.
+type storedResult struct {
+	Result
+	Config *struct{} `json:",omitempty"`
+}
+
+// storeGet fetches a stored result by run id and re-attaches cfg with
+// the defaults a run fills in, as World.RunContext records it; any miss,
+// decode failure or schema mismatch re-runs the simulation instead.
+func (c *Campaign) storeGet(id [32]byte, cfg Config) (*Result, bool) {
+	sr, ok := store.Load[storedResult](c.store, id)
 	if !ok {
 		return nil, false
 	}
-	res := new(Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		return nil, false
-	}
-	return res, true
+	sr.Result.Config = core.WithDefaults(cfg)
+	return &sr.Result, true
 }
 
 // storePut persists a completed result, best-effort: the store is a
 // cache, so a failed write (full disk, permissions) costs a future
 // re-run, never the current result. Failures are counted
 // (StoreWriteErrors).
-func (c *Campaign) storePut(key string, res *Result) {
+func (c *Campaign) storePut(id [32]byte, res *Result) {
 	if c.store == nil {
 		return
 	}
-	raw, err := json.Marshal(res)
-	if err == nil {
-		err = c.store.Put(key, raw)
-	}
-	if err != nil {
+	if err := c.store.Save(id, storedResult{Result: *res}); err != nil {
 		c.storeWriteErrors.Add(1)
 	}
 }
@@ -281,15 +283,13 @@ func cancelled(err error) bool {
 // time (Run, RunAll); sweeps derive the same identity from a per-cell
 // keyTemplate instead.
 func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool) (*Result, error) {
-	key := cfg.CacheKey()
-	return c.runByID(ctx, cfg, sha256.Sum256([]byte(key)), func() string { return key }, abort)
+	return c.runByID(ctx, cfg, sha256.Sum256([]byte(cfg.CacheKey())), abort)
 }
 
 // runByID is the one path a scaled config takes to a result: the
 // in-memory cache, then — holding a worker slot and its World — the
 // persistent store, then the simulator. id is the SHA-256 of
-// cfg.CacheKey(); key returns that string and is called only when a store
-// is attached, on a miss.
+// cfg.CacheKey(), and it addresses the run in memory and on disk alike.
 //
 // Completed entries return immediately without touching the worker
 // slots, and a caller that finds its entry claimed by a run in flight
@@ -299,7 +299,7 @@ func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool
 // whose run was cancelled mid-flight is forgotten — its waiters retry
 // under their own contexts — so neither aborts nor cancellations poison
 // the cache.
-func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key func() string, abort *atomic.Bool) (*Result, error) {
+func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, abort *atomic.Bool) (*Result, error) {
 	if cfg.Observer != nil {
 		return nil, errCampaignObserver
 	}
@@ -329,7 +329,7 @@ func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key fun
 					c.slots <- w
 					return nil, ctx.Err()
 				case e.claimed.CompareAndSwap(false, true):
-					c.fill(ctx, w, cfg, id, key, e)
+					c.fill(ctx, w, cfg, id, e)
 					if errors.Is(e.err, errPanicked) {
 						w = core.NewWorld()
 					}
@@ -359,13 +359,11 @@ func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, key fun
 // simulator on w — and publishes the outcome by closing e.done. A
 // cancelled run's entry leaves the cache before done closes, so every
 // waiter that retries finds a fresh one.
-func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]byte, key func() string, e *cacheEntry) {
+func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]byte, e *cacheEntry) {
 	defer close(e.done)
-	var k string
 	if c.store != nil {
-		k = key()
 		var stored bool
-		if e.res, stored = c.storeGet(k); stored {
+		if e.res, stored = c.storeGet(id, cfg); stored {
 			return
 		}
 	}
@@ -373,7 +371,7 @@ func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]b
 	switch {
 	case e.err == nil:
 		c.executed.Add(1)
-		c.storePut(k, e.res)
+		c.storePut(id, e.res)
 	case cancelled(e.err):
 		c.mu.Lock()
 		delete(c.cache, id)
@@ -382,15 +380,15 @@ func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]b
 }
 
 // keyTemplate is one sweep cell's Config.CacheKey split around the seed.
-// encoding/json writes an int64 with strconv.AppendInt, so prefix, a
+// encoding/json writes an int64 with strconv.AppendInt, so the prefix, a
 // seed's decimal digits and suffix concatenate to the CacheKey of the
 // cell's config with that seed, byte for byte. state is the SHA-256
-// state after absorbing prefix (several kilobytes for a large scenario),
-// so a run's identity costs the hash of its seed digits and the short
-// suffix only.
+// state after absorbing the prefix (several kilobytes for a large
+// scenario), so a run's identity costs the hash of its seed digits and
+// the short suffix only, and no run's key string is ever built.
 type keyTemplate struct {
-	prefix, suffix []byte
-	state          []byte
+	suffix []byte
+	state  []byte
 }
 
 // newKeyTemplate builds the template of cfg's cell by encoding it with
@@ -405,9 +403,9 @@ func newKeyTemplate(cfg Config) *keyTemplate {
 	for one[i] == two[i] {
 		i++
 	}
-	t := &keyTemplate{prefix: one[:i], suffix: one[i+1:]}
+	t := &keyTemplate{suffix: one[i+1:]}
 	h := sha256.New()
-	h.Write(t.prefix)
+	h.Write(one[:i])
 	// SHA-256 state marshalling cannot fail.
 	t.state, _ = h.(encoding.BinaryMarshaler).MarshalBinary()
 	return t
@@ -423,14 +421,6 @@ func (t *keyTemplate) id(seed int64) (sum [32]byte) {
 	h.Write(t.suffix)
 	h.Sum(sum[:0])
 	return sum
-}
-
-// key returns the cell's CacheKey with the given seed.
-func (t *keyTemplate) key(seed int64) string {
-	b := make([]byte, 0, len(t.prefix)+20+len(t.suffix))
-	b = append(b, t.prefix...)
-	b = strconv.AppendInt(b, seed, 10)
-	return string(append(b, t.suffix...))
 }
 
 // Run executes one config — scaled to the campaign's Scale — through the
@@ -678,7 +668,7 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 	)
 	results, err := c.runParallel(len(cfgs), func(i int, abort *atomic.Bool) (*Result, error) {
 		cfg, tmpl := cfgs[i], keys[i/len(seeds)]
-		res, err := c.runByID(ctx, cfg, tmpl.id(cfg.Seed), func() string { return tmpl.key(cfg.Seed) }, abort)
+		res, err := c.runByID(ctx, cfg, tmpl.id(cfg.Seed), abort)
 		if err == nil && onRun != nil {
 			progressMu.Lock()
 			done++

@@ -164,8 +164,8 @@ func randString(r *rand.Rand) string {
 
 // TestKeyTemplateMatchesCacheKey is the identity property behind sweep
 // keying: for random configs and seeds, a cell's template yields exactly
-// CacheKey() and its SHA-256 — the store's file name — so a sweep, Run
-// and the store address every run alike.
+// the SHA-256 of CacheKey() — the run id that names the store's file — so
+// a sweep, Run and the store address every run alike.
 func TestKeyTemplateMatchesCacheKey(t *testing.T) {
 	prop := func(in randomKeyConfig) bool {
 		tmpl := newKeyTemplate(in.Cfg)
@@ -173,10 +173,6 @@ func TestKeyTemplateMatchesCacheKey(t *testing.T) {
 			cfg := in.Cfg
 			cfg.Seed = seed
 			want := cfg.CacheKey()
-			if got := tmpl.key(seed); got != want {
-				t.Errorf("seed %d: template key\n%s\nwant CacheKey\n%s", seed, got, want)
-				return false
-			}
 			if tmpl.id(seed) != sha256.Sum256([]byte(want)) {
 				t.Errorf("seed %d: template id is not the SHA-256 of CacheKey %s", seed, want)
 				return false

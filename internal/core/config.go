@@ -377,7 +377,10 @@ func (c Config) CacheKey() string {
 	return string(b)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset run-level knob filled in: the
+// config a run executes and its Result records. Campaign re-attaches it
+// to results served from the store, which stores them without it.
+func WithDefaults(c Config) Config {
 	if c.Bandwidth == 0 {
 		c.Bandwidth = phy.Rate2Mbps
 	}

@@ -330,7 +330,7 @@ func TestOverlappingCrashesNest(t *testing.T) {
 		t.Errorf("first delivery after the second crash at %v, want >= 8s (%+v)",
 			second.Start+second.TimeToRecover, second)
 	}
-	if !res.Faults.Outages[0].RecoveredAfterHeal || res.Delivered < cfg.withDefaults().TotalPackets {
+	if !res.Faults.Outages[0].RecoveredAfterHeal || res.Delivered < WithDefaults(cfg).TotalPackets {
 		t.Errorf("chain never recovered after the last restore: delivered %d", res.Delivered)
 	}
 }

@@ -45,7 +45,7 @@ func (w *World) Run(cfg Config) (*Result, error) {
 // (the next run starts from an empty arena); a cancelled run keeps it,
 // since the next reset sweeps whatever the aborted run left behind.
 func (w *World) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = WithDefaults(cfg)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

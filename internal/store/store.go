@@ -1,22 +1,24 @@
 // Package store is the persistent, content-addressed result store behind
-// Campaign: it maps a canonical cache-key string (the deterministic JSON
-// encoding of a run config) to a stored payload on disk, so completed
-// simulation results survive process restarts and are shared between
-// processes pointed at the same directory.
+// Campaign: it maps a run id (the SHA-256 of the run's canonical cache
+// key, which the caller already holds) to a stored payload on disk, so
+// completed simulation results survive process restarts and are shared
+// between processes pointed at the same directory.
 //
 // Layout and durability model:
 //
-//   - The on-disk address of a key is the SHA-256 of the key string:
-//     <dir>/<aa>/<hash>.json, where <aa> is the first hex byte of the
-//     hash (a fan-out that keeps directories small on big sweeps).
-//   - Every file is a schema-versioned envelope carrying the full key
-//     alongside the payload, so version drift and (theoretical) hash
-//     collisions are both detected and treated as misses.
+//   - The on-disk address of an id is its hex encoding:
+//     <dir>/<aa>/<hex id>.json, where <aa> is the first hex byte (a
+//     fan-out that keeps directories small on big sweeps).
+//   - Every file is a schema-versioned envelope {schemaVersion, id,
+//     result} that records the hex id beside the payload, so version
+//     drift and misplaced files are both detected and treated as misses.
+//     A SHA-256 collision is trusted, as the in-memory cache keyed by the
+//     same 32 bytes trusts it.
 //   - Writes are atomic: the envelope is written to a temp file in the
 //     same directory and renamed into place, so readers — including
 //     concurrent readers in other processes — only ever observe complete
-//     files. Concurrent writers of the same key race benignly: results
-//     are deterministic per key, so last-rename-wins is value-identical.
+//     files. Concurrent writers of the same id race benignly: results
+//     are deterministic per id, so last-rename-wins is value-identical.
 //   - Reads never fail: a missing, truncated, corrupt, zero-length or
 //     version-mismatched file is a cache miss, never an error. The store
 //     is a cache; re-running the simulation is always a correct fallback.
@@ -26,22 +28,24 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // envelope is the on-disk frame around a stored payload. SchemaVersion
 // pins the payload encoding (results written by an incompatible binary
-// must be re-run, not misparsed) and Key guards against hash collisions
-// and misplaced files.
-type envelope struct {
-	SchemaVersion int             `json:"schemaVersion"`
-	Key           string          `json:"key"`
-	Result        json.RawMessage `json:"result"`
+// must be re-run, not misparsed) and ID guards against misplaced files.
+type envelope[T any] struct {
+	SchemaVersion int    `json:"schemaVersion"`
+	ID            string `json:"id"`
+	Result        T      `json:"result"`
 }
 
-// Store is a content-addressed key→payload store rooted at one
+// Store is a content-addressed id→payload store rooted at one
 // directory. It is safe for concurrent use by multiple goroutines and
 // multiple processes.
 type Store struct {
@@ -65,59 +69,59 @@ func Open(dir string, schema int) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Hash returns the hex SHA-256 of a key — the content address used for
-// file placement, and a compact stable identifier for logs and URLs.
+// Hash returns the hex SHA-256 of a key — the hex form of the key's run
+// id, and a compact stable identifier for logs and URLs.
 func Hash(key string) string {
 	h := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(h[:])
 }
 
-// Path returns the file a key is stored at (whether or not it exists).
-func (s *Store) Path(key string) string {
-	h := Hash(key)
-	return filepath.Join(s.dir, h[:2], h+".json")
+// Path returns the file an id is stored at (whether or not it exists).
+func (s *Store) Path(id [32]byte) string {
+	return s.path(hex.EncodeToString(id[:]))
 }
 
-// Get returns the payload stored under key. Every failure mode — absent,
-// empty, truncated, corrupt, schema-mismatched or key-mismatched file —
+func (s *Store) path(hexID string) string {
+	return filepath.Join(s.dir, hexID[:2], hexID+".json")
+}
+
+// Load decodes the payload stored under id into a new T, in one pass
+// over the file. Every failure mode — absent, empty, truncated, corrupt,
+// schema-mismatched or misplaced file, or a missing or null payload —
 // reports a miss.
-func (s *Store) Get(key string) (json.RawMessage, bool) {
-	b, err := os.ReadFile(s.Path(key))
-	if err != nil || len(b) == 0 {
+func Load[T any](s *Store, id [32]byte) (*T, bool) {
+	hexID := hex.EncodeToString(id[:])
+	b, err := os.ReadFile(s.path(hexID))
+	if err != nil {
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, false
-	}
-	if env.SchemaVersion != s.schema || env.Key != key || emptyPayload(env.Result) {
+	var env envelope[*T]
+	if json.Unmarshal(b, &env) != nil || env.SchemaVersion != s.schema || env.ID != hexID || env.Result == nil {
 		return nil, false
 	}
 	return env.Result, true
 }
 
-// emptyPayload reports an absent payload: a missing result field decodes
-// to nil or the literal null, neither of which is a storable result.
-func emptyPayload(p json.RawMessage) bool {
-	return len(p) == 0 || string(p) == "null"
-}
-
-// Put stores payload under key atomically: the envelope lands via a
-// temp-file write and rename, so a concurrent Get (or a crash mid-write)
-// can only observe the old state or the complete new file.
-func (s *Store) Put(key string, payload json.RawMessage) error {
-	b, err := json.Marshal(envelope{SchemaVersion: s.schema, Key: key, Result: payload})
+// Save stores v, encoded as JSON, under id atomically: the envelope lands
+// via a temp-file write and rename, so a concurrent Load (or a crash
+// mid-write) can only observe the old state or the complete new file.
+func (s *Store) Save(id [32]byte, v any) error {
+	hexID := hex.EncodeToString(id[:])
+	b, err := json.Marshal(envelope[any]{SchemaVersion: s.schema, ID: hexID, Result: v})
 	if err != nil {
 		return fmt.Errorf("store: encoding envelope: %w", err)
 	}
-	target := s.Path(key)
+	target := s.path(hexID)
 	dir := filepath.Dir(target)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	// The temp file lives in the target's directory so the rename stays
-	// within one filesystem (atomic on every POSIX filesystem).
+	// within one filesystem (atomic on every POSIX filesystem). The
+	// fan-out directory is made the first time a write finds it missing.
 	f, err := os.CreateTemp(dir, ".put-*.tmp")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = os.CreateTemp(dir, ".put-*.tmp")
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -142,8 +146,22 @@ func (s *Store) Put(key string, payload json.RawMessage) error {
 	return nil
 }
 
-// Len walks the store and counts complete, well-formed entries of the
-// store's schema version (corrupt files are skipped, matching Get).
+// Get returns the raw payload stored under the id of key (its SHA-256).
+func (s *Store) Get(key string) (json.RawMessage, bool) {
+	p, ok := Load[json.RawMessage](s, sha256.Sum256([]byte(key)))
+	if !ok {
+		return nil, false
+	}
+	return *p, true
+}
+
+// Put stores a raw JSON payload under the id of key (its SHA-256).
+func (s *Store) Put(key string, payload json.RawMessage) error {
+	return s.Save(sha256.Sum256([]byte(key)), payload)
+}
+
+// Len walks the store and counts the entries Load would serve: complete,
+// well-formed, of the store's schema version and at their own address.
 // It exists for observability and tests, not hot paths.
 func (s *Store) Len() int {
 	n := 0
@@ -160,18 +178,17 @@ func (s *Store) Len() int {
 			continue
 		}
 		for _, f := range files {
-			if f.IsDir() || filepath.Ext(f.Name()) != ".json" {
+			var id [32]byte
+			name, ok := strings.CutSuffix(f.Name(), ".json")
+			if !ok || f.IsDir() || hex.DecodedLen(len(name)) != len(id) {
 				continue
 			}
-			b, err := os.ReadFile(filepath.Join(s.dir, e.Name(), f.Name()))
-			if err != nil || len(b) == 0 {
+			if _, err := hex.Decode(id[:], []byte(name)); err != nil {
 				continue
 			}
-			var env envelope
-			if json.Unmarshal(b, &env) != nil || env.SchemaVersion != s.schema || emptyPayload(env.Result) {
-				continue
+			if _, ok := Load[json.RawMessage](s, id); ok {
+				n++
 			}
-			n++
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func TestPathLayoutIsContentAddressed(t *testing.T) {
 	key := "some canonical config json"
 	h := Hash(key)
 	want := filepath.Join(s.Dir(), h[:2], h+".json")
-	if got := s.Path(key); got != want {
+	if got := s.Path(sha256.Sum256([]byte(key))); got != want {
 		t.Fatalf("Path = %s, want %s", got, want)
 	}
 	if len(h) != 64 || strings.ToLower(h) != h {
@@ -86,21 +87,21 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			}
 		},
 		"wrong-schema-version": func(t *testing.T, path string) {
-			b, _ := json.Marshal(envelope{SchemaVersion: 99, Key: key, Result: payload})
+			b, _ := json.Marshal(envelope[json.RawMessage]{SchemaVersion: 99, ID: Hash(key), Result: payload})
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
-		"wrong-key": func(t *testing.T, path string) {
-			// A file whose hash address does not match its recorded key —
-			// what a hash collision or a misplaced copy would look like.
-			b, _ := json.Marshal(envelope{SchemaVersion: 1, Key: "another key", Result: payload})
+		"wrong-id": func(t *testing.T, path string) {
+			// A file whose address does not match its recorded id — what
+			// a misplaced copy would look like.
+			b, _ := json.Marshal(envelope[json.RawMessage]{SchemaVersion: 1, ID: Hash("another key"), Result: payload})
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		},
 		"empty-result": func(t *testing.T, path string) {
-			b, _ := json.Marshal(envelope{SchemaVersion: 1, Key: key})
+			b, _ := json.Marshal(envelope[json.RawMessage]{SchemaVersion: 1, ID: Hash(key)})
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			if err := s.Put(key, payload); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(t, s.Path(key))
+			corrupt(t, s.Path(sha256.Sum256([]byte(key))))
 			if got, ok := s.Get(key); ok {
 				t.Fatalf("corrupt entry served as a hit: %s", got)
 			}
@@ -224,4 +225,81 @@ func TestOpenCreatesNestedDir(t *testing.T) {
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSaveLoadTyped: Load decodes the payload straight into the caller's
+// type, and the file on disk is the {schemaVersion, id, result} envelope.
+func TestSaveLoadTyped(t *testing.T) {
+	type payload struct {
+		Goodput float64
+		Flows   []int
+	}
+	s := open(t)
+	id := sha256.Sum256([]byte("typed"))
+	if _, ok := Load[payload](s, id); ok {
+		t.Fatal("hit on an empty store")
+	}
+	want := payload{Goodput: 123.5, Flows: []int{1, 2}}
+	if err := s.Save(id, want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := Load[payload](s, id)
+	if !ok || got.Goodput != want.Goodput || len(got.Flows) != 2 {
+		t.Fatalf("Load = %+v, %v; want %+v", got, ok, want)
+	}
+	b, err := os.ReadFile(s.Path(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFile := `{"schemaVersion":1,"id":"` + Hash("typed") + `","result":{"Goodput":123.5,"Flows":[1,2]}}`
+	if string(b) != wantFile {
+		t.Fatalf("file = %s\nwant   %s", b, wantFile)
+	}
+}
+
+// TestSaveRemakesMissingFanOut: a write whose fan-out directory is gone
+// (never made, or removed under a running store) makes it again.
+func TestSaveRemakesMissingFanOut(t *testing.T) {
+	s := open(t)
+	id := sha256.Sum256([]byte("k"))
+	if err := s.Save(id, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Dir(s.Path(id))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(id, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := Load[int](s, id); !ok || *got != 2 {
+		t.Fatalf("Load after remaking the fan-out = %v, %v", got, ok)
+	}
+}
+
+// FuzzStoreLoad writes arbitrary bytes where an entry lives: reading them
+// must never panic, and a hit must carry a payload that decodes. The seed
+// corpus (testdata/fuzz/FuzzStoreLoad) holds a valid entry for key, its
+// truncations and near misses, and a schema-1 envelope.
+func FuzzStoreLoad(f *testing.F) {
+	const key = "fuzzed key"
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s := open(t)
+		id := sha256.Sum256([]byte(key))
+		path := s.Path(id)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if raw, ok := s.Get(key); ok {
+			var v any
+			if err := json.Unmarshal(raw, &v); err != nil || v == nil {
+				t.Fatalf("hit with a payload that does not decode: %s: %v", raw, err)
+			}
+		}
+		if v, ok := Load[map[string]any](s, id); ok && *v == nil {
+			t.Fatal("typed hit with a nil payload")
+		}
+	})
 }

@@ -399,12 +399,66 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON answers with v indented two spaces per level, byte for byte
+// what a json.Encoder with SetIndent("", "  ") writes. v is encoded
+// before the status line goes out, so a value that cannot be encoded
+// answers 500 with an error body instead of a 200 with none.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(indentJSON(make([]byte, 0, 2*len(b)), b))
+}
+
+// indentJSON appends compact JSON src (json.Marshal's output) to dst,
+// indented as json.Indent(dst, src, "", "  ") does, plus a newline. Only
+// string and escape state is tracked: outside strings every byte of
+// compact JSON is either punctuation to space out or copied as is, and
+// runs of copied bytes are appended whole.
+func indentJSON(dst, src []byte) []byte {
+	depth, from := 0, 0
+	newline := func(dst []byte) []byte {
+		dst = append(dst, '\n')
+		for i := 0; i < depth; i++ {
+			dst = append(dst, "  "...)
+		}
+		return dst
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				i++ // an empty object or array stays {} or []
+				continue
+			}
+			dst = append(dst, src[from:i+1]...)
+			depth++
+			dst = newline(dst)
+			from = i + 1
+		case '}', ']':
+			dst = append(dst, src[from:i]...)
+			depth--
+			dst = append(newline(dst), c)
+			from = i + 1
+		case ',':
+			dst = newline(append(dst, src[from:i+1]...))
+			from = i + 1
+		case ':':
+			dst = append(append(dst, src[from:i+1]...), ' ')
+			from = i + 1
+		}
+	}
+	return append(append(dst, src[from:]...), '\n')
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
