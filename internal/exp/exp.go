@@ -9,6 +9,7 @@
 package exp
 
 import (
+	"fmt"
 	"sort"
 
 	"manetsim"
@@ -28,6 +29,42 @@ func IDs() []string {
 func Lookup(id string) (func(c *manetsim.Campaign) (*Figure, error), bool) {
 	fn, ok := registry[id]
 	return fn, ok
+}
+
+// Run starts every experiment in ids at once on c and hands each figure to
+// emit in the order of ids, as soon as it and every figure before it are
+// done. The runners share c's cache and worker bound, and a run's result
+// is fixed by its config, so running them together changes no figure.
+// The first id in order whose runner fails ends Run with its error; the
+// experiments still running then finish in the background.
+func Run(c *manetsim.Campaign, ids []string, emit func(*Figure) error) error {
+	type outcome struct {
+		fig *Figure
+		err error
+	}
+	outs := make([]chan outcome, len(ids))
+	for i, id := range ids {
+		if _, ok := registry[id]; !ok {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		outs[i] = make(chan outcome, 1)
+	}
+	for i, id := range ids {
+		go func() {
+			fig, err := registry[id](c)
+			outs[i] <- outcome{fig, err}
+		}()
+	}
+	for i, out := range outs {
+		o := <-out
+		if o.err != nil {
+			return fmt.Errorf("%s: %w", ids[i], o.err)
+		}
+		if err := emit(o.fig); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 var registry = map[string]func(c *manetsim.Campaign) (*Figure, error){
