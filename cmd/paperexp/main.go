@@ -1,5 +1,7 @@
 // Command paperexp regenerates the tables and figures of the paper's
-// evaluation section (DSN 2005).
+// evaluation section (DSN 2005). The selected experiments run at once on
+// one campaign, so runs they share execute once and no core idles while
+// work is left; figures print in id order as they complete.
 //
 // Examples:
 //
@@ -26,7 +28,7 @@ func main() {
 		id     = flag.String("id", "", "experiment id (e.g. fig6, table3); see -list")
 		all    = flag.Bool("all", false, "run every experiment")
 		list   = flag.Bool("list", false, "list experiment ids")
-		scale  = flag.String("scale", "quick", "measurement scale: quick (11k packets) or paper (110k)")
+		scale  = flag.String("scale", "quick", "measurement scale: bench (2.2k packets), quick (11k) or paper (110k)")
 		seed   = flag.Int64("seed", 1, "base random seed")
 		csvDir = flag.String("csv", "", "also write <id>.csv files into this directory")
 	)
@@ -62,37 +64,32 @@ func main() {
 		fatalf("need -id or -all (use -list for available ids)")
 	}
 
-	camp := manetsim.NewCampaign(sc)
-	for _, eid := range ids {
-		runner, ok := exp.Lookup(eid)
-		if !ok {
-			fatalf("unknown experiment %q (use -list)", eid)
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatalf("%v", err)
 		}
-		start := time.Now()
-		fig, err := runner(camp)
-		if err != nil {
-			fatalf("%s: %v", eid, err)
-		}
+	}
+	start := time.Now()
+	err := exp.Run(manetsim.NewCampaign(sc), ids, func(fig *exp.Figure) error {
 		if err := fig.Render(os.Stdout); err != nil {
-			fatalf("%s: render: %v", eid, err)
+			return fmt.Errorf("%s: render: %w", fig.ID, err)
 		}
-		fmt.Printf("[%s done in %v at %s scale]\n\n", eid, time.Since(start).Round(time.Millisecond), sc.Name)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatalf("%v", err)
-			}
-			path := filepath.Join(*csvDir, eid+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			if err := fig.CSV(f); err != nil {
-				fatalf("%s: csv: %v", eid, err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("%v", err)
-			}
+		fmt.Printf("[%s ready after %v at %s scale]\n\n", fig.ID, time.Since(start).Round(time.Millisecond), sc.Name)
+		if *csvDir == "" {
+			return nil
 		}
+		f, err := os.Create(filepath.Join(*csvDir, fig.ID+".csv"))
+		if err != nil {
+			return err
+		}
+		if err := fig.CSV(f); err != nil {
+			f.Close()
+			return fmt.Errorf("%s: csv: %w", fig.ID, err)
+		}
+		return f.Close()
+	})
+	if err != nil {
+		fatalf("%v", err)
 	}
 }
 

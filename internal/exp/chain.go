@@ -44,26 +44,23 @@ func Table2(_ *manetsim.Campaign) (*Figure, error) {
 	return f, nil
 }
 
+// vegasAlphas are the Vegas α values of Figures 2-4.
+var vegasAlphas = []int{2, 3, 4}
+
+func vegasAlphaName(s int) string { return fmt.Sprintf("Vegas α=%d", vegasAlphas[s]) }
+
 // vegasAlphaSweep runs Vegas with α ∈ {2,3,4} over the chain lengths.
 func vegasAlphaSweep(c *manetsim.Campaign, metric func(*core.Result) float64, id, title, ylabel string) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "hops", YLabel: ylabel}
-	for _, alpha := range []int{2, 3, 4} {
-		var cfgs []core.Config
-		for _, hops := range chainHops {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
-				Protocol: core.ProtoVegas, Alpha: alpha,
-			}))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: fmt.Sprintf("Vegas α=%d", alpha)}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(chainHops[i]), Y: metric(res)})
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(vegasAlphas), len(chainHops), func(s, x int) core.Config {
+		return chainCfg(chainHops[x], phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: vegasAlphas[s]})
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, vegasAlphaName, func(_, x int, r *core.Result) Point {
+		return Point{X: fmt.Sprint(chainHops[x]), Y: metric(r)}
+	})
 	return f, nil
 }
 
@@ -85,21 +82,15 @@ func Fig4(c *manetsim.Campaign) (*Figure, error) {
 		ID: "fig4", Title: "7-hop chain: Vegas goodput for different bandwidths",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "goodput [kbit/s]",
 	}
-	for _, alpha := range []int{2, 3, 4} {
-		var cfgs []core.Config
-		for _, r := range rates {
-			cfgs = append(cfgs, chainCfg(7, r, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: alpha}))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: fmt.Sprintf("Vegas α=%d", alpha)}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: rateLabel(rates[i]), Y: kbit(res.AggGoodput.Mean)})
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(vegasAlphas), len(rates), func(s, x int) core.Config {
+		return chainCfg(7, rates[x], core.TransportSpec{Protocol: core.ProtoVegas, Alpha: vegasAlphas[s]})
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, vegasAlphaName, func(_, x int, r *core.Result) Point {
+		return Point{X: rateLabel(rates[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
 
@@ -110,80 +101,65 @@ func Fig5(c *manetsim.Campaign) (*Figure, error) {
 		ID: "fig5", Title: "h-hop chain, 2 Mbit/s: Vegas with ACK thinning, goodput vs hops",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
-	variants := []struct {
-		name string
-		t    core.TransportSpec
-	}{
+	variants := []variant{
 		{"Vegas α=2", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
 		{"Vegas α=2 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
 		{"Vegas α=3 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 3, AckThinning: true}},
 		{"Vegas α=4 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 4, AckThinning: true}},
 	}
-	for _, v := range variants {
-		var cfgs []core.Config
-		for _, hops := range chainHops {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(chainHops[i]), Y: kbit(res.AggGoodput.Mean)})
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(variants), len(chainHops), func(s, x int) core.Config {
+		return chainCfg(chainHops[x], phy.Rate2Mbps, variants[s].t)
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+		return Point{X: fmt.Sprint(chainHops[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
 
 // chainVariants are the protocols of Figures 6-9.
-var chainVariants = []struct {
-	name string
-	t    core.TransportSpec
-}{
+var chainVariants = []variant{
 	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
 	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
 	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
 }
 
+// pacedUDP is the paced-UDP series; its gap is searched per x-axis point.
+var pacedUDP = variant{"Paced UDP", core.TransportSpec{Protocol: core.ProtoPacedUDP}}
+
 // chainComparison builds a Figures-6..9 style figure over the chain with
-// the TCP variants and optionally the optimally paced UDP.
+// the TCP variants and optionally the optimally paced UDP. The gap search
+// runs first, then every series in one grid.
 func chainComparison(c *manetsim.Campaign, id, title, ylabel string, includeUDP bool, metric func(*core.Result) float64) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "hops", YLabel: ylabel}
-	for _, v := range chainVariants {
-		var cfgs []core.Config
-		for _, hops := range chainHops {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(chainHops[i]), Y: metric(res)})
-		}
-		f.Series = append(f.Series, s)
-	}
+	variants := chainVariants
+	gaps := make([]time.Duration, len(chainHops))
 	if includeUDP {
-		s := Series{Name: "Paced UDP"}
-		for _, hops := range chainHops {
+		variants = append(variants[:len(variants):len(variants)], pacedUDP)
+		for i, hops := range chainHops {
 			gap, err := c.OptimalUDPGap(context.Background(), hops, phy.Rate2Mbps)
 			if err != nil {
 				return nil, err
 			}
-			res, err := c.Run(context.Background(), chainCfg(hops, phy.Rate2Mbps, core.TransportSpec{
-				Protocol: core.ProtoPacedUDP, UDPGap: gap,
-			}))
-			if err != nil {
-				return nil, err
-			}
-			s.Points = append(s.Points, Point{X: fmt.Sprint(hops), Y: metric(res)})
+			gaps[i] = gap
 			f.Notes = append(f.Notes, fmt.Sprintf("paced UDP at %d hops: optimal gap %v", hops, gap))
 		}
-		f.Series = append(f.Series, s)
 	}
+	results, err := runGrid(c, len(variants), len(chainHops), func(s, x int) core.Config {
+		t := variants[s].t
+		if t.Protocol == core.ProtoPacedUDP {
+			t.UDPGap = gaps[x]
+		}
+		return chainCfg(chainHops[x], phy.Rate2Mbps, t)
+	})
+	if err != nil {
+		return nil, err
+	}
+	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+		return Point{X: fmt.Sprint(chainHops[x]), Y: metric(r)}
+	})
 	return f, nil
 }
 
@@ -217,22 +193,19 @@ func Fig10(c *manetsim.Campaign) (*Figure, error) {
 		ID: "fig10", Title: "7-hop chain, 2 Mbit/s: paced UDP goodput vs packet inter-sending time",
 		XLabel: "gap [ms]", YLabel: "goodput [kbit/s]",
 	}
-	s := Series{Name: "Paced UDP"}
-	var cfgs []core.Config
 	var gaps []time.Duration
 	for ms := 28; ms <= 44; ms += 2 {
-		gap := time.Duration(ms) * time.Millisecond
-		gaps = append(gaps, gap)
-		cfgs = append(cfgs, chainCfg(7, phy.Rate2Mbps, core.TransportSpec{
-			Protocol: core.ProtoPacedUDP, UDPGap: gap,
-		}))
+		gaps = append(gaps, time.Duration(ms)*time.Millisecond)
 	}
-	results, err := c.RunAll(context.Background(), cfgs)
+	results, err := runGrid(c, 1, len(gaps), func(_, x int) core.Config {
+		return chainCfg(7, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoPacedUDP, UDPGap: gaps[x]})
+	})
 	if err != nil {
 		return nil, err
 	}
+	s := Series{Name: pacedUDP.name}
 	bestGap, bestG := time.Duration(0), -1.0
-	for i, res := range results {
+	for i, res := range results[0] {
 		g := kbit(res.AggGoodput.Mean)
 		s.Points = append(s.Points, Point{X: fmt.Sprint(gaps[i].Milliseconds()), Y: g})
 		if g > bestG {

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -32,38 +31,24 @@ func Chaos(c *manetsim.Campaign) (*Figure, error) {
 		{"blackout", []core.FaultSpec{core.BlackoutFault(1, 2, 10*time.Second, 2*time.Second)}},
 		{"partition", []core.FaultSpec{core.PartitionFault(500, 10*time.Second, 2*time.Second)}},
 	}
-	variants := []struct {
-		name string
-		t    core.TransportSpec
-	}{
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
-		{"Westwood+", core.TransportSpec{Name: "westwood"}},
+	results, err := runGrid(c, len(renoWestwood), len(faults), func(s, x int) core.Config {
+		cfg := chainCfg(4, phy.Rate2Mbps, renoWestwood[s].t)
+		cfg.Faults = faults[x].spec
+		return cfg
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range variants {
-		var cfgs []core.Config
-		for _, fs := range faults {
-			cfg := chainCfg(4, phy.Rate2Mbps, v.t)
-			cfg.Faults = fs.spec
-			cfgs = append(cfgs, cfg)
+	addSeries(f, results, func(s int) string { return renoWestwood[s].name }, func(s, x int, r *core.Result) Point {
+		if rep := r.Faults; rep != nil && len(rep.Outages) > 0 {
+			f.Notes = append(f.Notes, fmt.Sprintf(
+				"%s/%s: %v in outage, recovered %v after heal, %.1f kbit/s during vs %.1f outside, %d frames cut",
+				renoWestwood[s].name, faults[x].name, rep.TimeInOutage,
+				rep.Outages[0].TimeToRecoverAfterHeal.Round(time.Millisecond),
+				kbit(rep.GoodputDuringBps), kbit(rep.GoodputOutsideBps), rep.FramesCut))
 		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: faults[i].name, Y: kbit(res.AggGoodput.Mean)})
-			if rep := res.Faults; rep != nil && len(rep.Outages) > 0 {
-				o := rep.Outages[0]
-				f.Notes = append(f.Notes, fmt.Sprintf(
-					"%s/%s: %v in outage, recovered %v after heal, %.1f kbit/s during vs %.1f outside, %d frames cut",
-					v.name, faults[i].name, rep.TimeInOutage,
-					o.TimeToRecoverAfterHeal.Round(time.Millisecond),
-					kbit(rep.GoodputDuringBps), kbit(rep.GoodputOutsideBps), rep.FramesCut))
-			}
-		}
-		f.Series = append(f.Series, s)
-	}
+		return Point{X: faults[x].name, Y: kbit(r.AggGoodput.Mean)}
+	})
 	f.Notes = append(f.Notes,
 		"every fault severs the chain's only path; recovery is a cold AODV re-discovery plus the transport's RTO backoff after the heal")
 	return f, nil

@@ -1,19 +1,76 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// section. Each runner builds the parameter sweep, executes the runs on the
-// manetsim.Campaign it is handed, and renders the series the paper plots.
-// The execution machinery — result cache, bounded parallelism, scales, the
-// optimal-UDP-gap search — is that campaign's; this package adds only the
-// figure definitions. Runners sharing one campaign share its cache, so
-// figures that overlap (Figures 6-9 plot different metrics of the same
-// runs) pay for each simulation once.
+// section, plus the extension experiments. Each runner lays its runs out
+// as a series × x-axis grid, executes the grid in one RunAll on the
+// manetsim.Campaign it is handed (runGrid), and renders the series the
+// paper plots; the paced-UDP figures first search each point's optimal
+// gap. The execution machinery — result cache, bounded parallelism,
+// scales, the optimal-UDP-gap search — is that campaign's; this package
+// adds only the figure definitions. Runners sharing one campaign share
+// its cache, so figures that overlap (Figures 6-9 plot different metrics
+// of the same runs) pay for each simulation once, and Run executes any
+// set of runners at once on one campaign without changing a figure.
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"manetsim"
+	"manetsim/internal/core"
 )
+
+// variant is one labelled transport: a series of most figures.
+type variant struct {
+	name string
+	t    core.TransportSpec
+}
+
+// headlineVariants are the paper's headline pair with and without ACK
+// thinning: the series of the grid, random-topology and mobility
+// experiments and the first bar groups of Figures 11-14.
+var headlineVariants = []variant{
+	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
+	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
+	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
+	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
+}
+
+func headlineName(s int) string { return headlineVariants[s].name }
+
+// runGrid runs the config cfg(s, x) of every series s < ns and x-axis
+// point x < nx in one RunAll and returns the results indexed [s][x].
+func runGrid(c *manetsim.Campaign, ns, nx int, cfg func(s, x int) core.Config) ([][]*core.Result, error) {
+	cfgs := make([]core.Config, 0, ns*nx)
+	for s := 0; s < ns; s++ {
+		for x := 0; x < nx; x++ {
+			cfgs = append(cfgs, cfg(s, x))
+		}
+	}
+	flat, err := c.RunAll(context.Background(), cfgs)
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]*core.Result, ns)
+	for s := range grid {
+		grid[s] = flat[s*nx : (s+1)*nx]
+	}
+	return grid, nil
+}
+
+// addSeries appends one series per row of a runGrid result to f: series
+// s is named name(s), and its result r at x-axis point x plots as
+// point(s, x, r). point is called row by row, so notes it appends to f
+// come out in series order.
+func addSeries(f *Figure, results [][]*core.Result, name func(s int) string, point func(s, x int, r *core.Result) Point) {
+	for s, row := range results {
+		ser := Series{Name: name(s)}
+		for x, r := range row {
+			ser.Points = append(ser.Points, point(s, x, r))
+		}
+		f.Series = append(f.Series, ser)
+	}
+}
 
 // IDs returns the registered experiment identifiers in order.
 func IDs() []string {

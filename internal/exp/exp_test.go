@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -29,22 +31,19 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 	// Every evaluated table/figure of the paper plus the extension
-	// experiments.
+	// experiments, nothing more.
 	want := []string{
 		"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig16",
 		"fig17", "table3", "fig18", "fig19", "table4", "energy", "ablation",
-		"tcpvariants", "coexist", "latency", "optwindow", "mobility",
+		"tcpvariants", "transports", "ccextensions", "coexist", "lossy",
+		"chaos", "latency", "optwindow", "mobility",
 	}
-	ids := IDs()
-	got := map[string]bool{}
-	for _, id := range ids {
-		got[id] = true
+	sort.Strings(want)
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("IDs() = %v\nwant %v", got, want)
 	}
 	for _, id := range want {
-		if !got[id] {
-			t.Errorf("experiment %q missing from registry", id)
-		}
 		if _, ok := Lookup(id); !ok {
 			t.Errorf("Lookup(%q) failed", id)
 		}
@@ -210,5 +209,17 @@ func TestRunAllAbortDoesNotPoisonCache(t *testing.T) {
 	}
 	if res == nil || res.Delivered == 0 {
 		t.Error("post-abort rerun returned an empty result")
+	}
+}
+
+// TestRunRejectsUnknownID checks that Run names an unknown id before it
+// starts any experiment.
+func TestRunRejectsUnknownID(t *testing.T) {
+	err := Run(manetsim.NewCampaign(manetsim.BenchScale), []string{"table2", "fig99"}, func(*Figure) error {
+		t.Error("Run emitted a figure despite an unknown id")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), `"fig99"`) {
+		t.Fatalf("Run = %v, want an error naming fig99", err)
 	}
 }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"manetsim"
@@ -18,31 +17,22 @@ func TCPVariants(c *manetsim.Campaign) (*Figure, error) {
 		ID: "tcpvariants", Title: "h-hop chain, 2 Mbit/s: TCP variant comparison (Tahoe/Reno/NewReno/Vegas)",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
-	variants := []struct {
-		name string
-		t    core.TransportSpec
-	}{
+	variants := []variant{
 		{"Tahoe", core.TransportSpec{Protocol: core.ProtoTahoe}},
 		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
 		{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
 		{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
 	}
 	hopsAxis := []int{2, 4, 7} // Xu & Saadawi evaluated chains up to 7 hops
-	for _, v := range variants {
-		var cfgs []core.Config
-		for _, hops := range hopsAxis {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(hopsAxis[i]), Y: kbit(res.AggGoodput.Mean)})
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(variants), len(hopsAxis), func(s, x int) core.Config {
+		return chainCfg(hopsAxis[x], phy.Rate2Mbps, variants[s].t)
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+		return Point{X: fmt.Sprint(hopsAxis[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
 
@@ -71,18 +61,18 @@ func Coexist(c *manetsim.Campaign) (*Figure, error) {
 	var vSeries, nSeries Series
 	vSeries.Name = "Vegas group"
 	nSeries.Name = "NewReno group"
-	for _, r := range rates {
-		res, err := c.Run(context.Background(), core.Config{
-			Scenario:  grid,
-			Bandwidth: r,
-			Transport: vegas, // base spec (every flow overrides it)
-		})
-		if err != nil {
-			return nil, err
-		}
+	results, err := runGrid(c, 1, len(rates), func(_, x int) core.Config {
+		// vegas is the base spec; every flow overrides it.
+		return core.Config{Scenario: grid, Bandwidth: rates[x], Transport: vegas}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range results[0] {
+		r := rates[i]
 		var vSum, nSum float64
-		for i, est := range res.PerFlowGood {
-			if isVegas[i] {
+		for fi, est := range res.PerFlowGood {
+			if isVegas[fi] {
 				vSum += est.Mean
 			} else {
 				nSum += est.Mean
@@ -108,19 +98,15 @@ func OptWindow(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "MaxWindow [packets]", YLabel: "goodput [kbit/s]",
 	}
 	bounds := []int{1, 2, 3, 4, 6, 8, 12, 16}
-	var cfgs []core.Config
-	for _, w := range bounds {
-		cfgs = append(cfgs, chainCfg(8, phy.Rate2Mbps, core.TransportSpec{
-			Protocol: core.ProtoNewReno, MaxWindow: w,
-		}))
-	}
-	results, err := c.RunAll(context.Background(), cfgs)
+	results, err := runGrid(c, 1, len(bounds), func(_, x int) core.Config {
+		return chainCfg(8, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoNewReno, MaxWindow: bounds[x]})
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := Series{Name: "NewReno MaxWin"}
 	best, bestW := -1.0, 0
-	for i, res := range results {
+	for i, res := range results[0] {
 		g := kbit(res.AggGoodput.Mean)
 		s.Points = append(s.Points, Point{X: fmt.Sprint(bounds[i]), Y: g})
 		if g > best {
@@ -142,16 +128,16 @@ func Latency(c *manetsim.Campaign) (*Figure, error) {
 	}
 	mean := Series{Name: "mean"}
 	p95 := Series{Name: "p95"}
-	for _, v := range sevenHopVariants {
-		if v.udp {
-			continue
-		}
-		res, err := c.Run(context.Background(), chainCfg(7, phy.Rate2Mbps, v.t))
-		if err != nil {
-			return nil, err
-		}
-		mean.Points = append(mean.Points, Point{X: v.name, Y: float64(res.Delay.Mean.Milliseconds())})
-		p95.Points = append(p95.Points, Point{X: v.name, Y: float64(res.Delay.P95.Milliseconds())})
+	results, err := runGrid(c, len(sevenHopTCP), 1, func(s, _ int) core.Config {
+		return chainCfg(7, phy.Rate2Mbps, sevenHopTCP[s].t)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for si, row := range results {
+		name, res := sevenHopTCP[si].name, row[0]
+		mean.Points = append(mean.Points, Point{X: name, Y: float64(res.Delay.Mean.Milliseconds())})
+		p95.Points = append(p95.Points, Point{X: name, Y: float64(res.Delay.P95.Milliseconds())})
 	}
 	f.Series = []Series{mean, p95}
 	return f, nil

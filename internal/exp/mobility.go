@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -13,18 +12,6 @@ import (
 // mobilitySpeeds is the x-axis of the mobility experiment: maximum random
 // waypoint speed in m/s (0 = the paper's static setting).
 var mobilitySpeeds = []float64{0, 2.5, 5, 10, 20}
-
-// mobilityVariants are the compared transports: the paper's headline pair
-// with and without dynamic ACK thinning.
-var mobilityVariants = []struct {
-	name string
-	t    core.TransportSpec
-}{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
-}
 
 // mobilityCfg is one flow across the 21 grid nodes, which roam their
 // bounding box by random waypoint at up to maxSpeed. The endpoints are the
@@ -72,26 +59,18 @@ func Mobility(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "max speed [m/s]",
 		YLabel: "goodput [kbit/s]",
 	}
-	for _, v := range mobilityVariants {
-		var cfgs []core.Config
-		for _, speed := range mobilitySpeeds {
-			cfgs = append(cfgs, mobilityCfg(speed, v.t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{
-				X: speedLabel(mobilitySpeeds[i]), Y: kbit(res.AggGoodput.Mean), CI: kbit(res.AggGoodput.HalfCI),
-			})
-			f.Notes = append(f.Notes, fmt.Sprintf("%s / %s m/s: rtx=%.4f true-rf=%d false-rf=%d%s",
-				v.name, speedLabel(mobilitySpeeds[i]), res.Rtx.Mean,
-				res.TrueRouteFailures, res.FalseRouteFailures, truncatedMark(res)))
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(headlineVariants), len(mobilitySpeeds), func(s, x int) core.Config {
+		return mobilityCfg(mobilitySpeeds[x], headlineVariants[s].t)
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, headlineName, func(s, x int, r *core.Result) Point {
+		speed := speedLabel(mobilitySpeeds[x])
+		f.Notes = append(f.Notes, fmt.Sprintf("%s / %s m/s: rtx=%.4f true-rf=%d false-rf=%d%s",
+			headlineVariants[s].name, speed, r.Rtx.Mean, r.TrueRouteFailures, r.FalseRouteFailures, truncatedMark(r)))
+		return Point{X: speed, Y: kbit(r.AggGoodput.Mean), CI: kbit(r.AggGoodput.HalfCI)}
+	})
 	return f, nil
 }
 

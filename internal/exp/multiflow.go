@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"manetsim"
@@ -9,41 +8,23 @@ import (
 	"manetsim/internal/phy"
 )
 
-// multiflowVariants are the four TCP variants of the grid and random
-// topology experiments.
-var multiflowVariants = []struct {
-	name string
-	t    core.TransportSpec
-}{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
-}
-
 // aggregateGoodputFigure renders Figures 16/18: aggregate goodput per
 // bandwidth and variant for a multiflow scenario.
 func aggregateGoodputFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "bandwidth [Mbit/s]", YLabel: "aggregate goodput [kbit/s]"}
-	for _, v := range multiflowVariants {
-		var cfgs []core.Config
-		for _, r := range rates {
-			cfgs = append(cfgs, core.Config{Scenario: scn, Bandwidth: r, Transport: v.t})
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: rateLabel(rates[i]), Y: kbit(res.AggGoodput.Mean)})
-			if res.Truncated {
-				f.Notes = append(f.Notes, fmt.Sprintf("%s at %s Mbit/s: truncated at %d packets",
-					v.name, rateLabel(rates[i]), res.Delivered))
-			}
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(headlineVariants), len(rates), func(s, x int) core.Config {
+		return core.Config{Scenario: scn, Bandwidth: rates[x], Transport: headlineVariants[s].t}
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, headlineName, func(s, x int, r *core.Result) Point {
+		if r.Truncated {
+			f.Notes = append(f.Notes, fmt.Sprintf("%s at %s Mbit/s: truncated at %d packets",
+				headlineVariants[s].name, rateLabel(rates[x]), r.Delivered))
+		}
+		return Point{X: rateLabel(rates[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
 
@@ -51,12 +32,15 @@ func aggregateGoodputFigure(c *manetsim.Campaign, id, title string, scn *core.Sc
 // at 11 Mbit/s for a multiflow scenario.
 func perFlowFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "flow", YLabel: "goodput [kbit/s]"}
-	for _, v := range multiflowVariants {
-		res, err := c.Run(context.Background(), core.Config{Scenario: scn, Bandwidth: phy.Rate11Mbps, Transport: v.t})
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
+	results, err := runGrid(c, len(headlineVariants), 1, func(s, _ int) core.Config {
+		return core.Config{Scenario: scn, Bandwidth: phy.Rate11Mbps, Transport: headlineVariants[s].t}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for si, row := range results {
+		res := row[0]
+		s := Series{Name: headlineName(si)}
 		for fi, est := range res.PerFlowGood {
 			s.Points = append(s.Points, Point{X: fmt.Sprintf("FTP%d", fi+1), Y: kbit(est.Mean), CI: kbit(est.HalfCI)})
 		}
@@ -70,17 +54,15 @@ func perFlowFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (
 // intervals per bandwidth and variant.
 func jainTable(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "bandwidth [Mbit/s]", YLabel: "Jain's fairness index [95% CI]"}
-	for _, v := range multiflowVariants {
-		s := Series{Name: v.name}
-		for _, r := range rates {
-			res, err := c.Run(context.Background(), core.Config{Scenario: scn, Bandwidth: r, Transport: v.t})
-			if err != nil {
-				return nil, err
-			}
-			s.Points = append(s.Points, Point{X: rateLabel(r), Y: res.Jain.Mean, CI: res.Jain.HalfCI})
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(headlineVariants), len(rates), func(s, x int) core.Config {
+		return core.Config{Scenario: scn, Bandwidth: rates[x], Transport: headlineVariants[s].t}
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, headlineName, func(_, x int, r *core.Result) Point {
+		return Point{X: rateLabel(rates[x]), Y: r.Jain.Mean, CI: r.Jain.HalfCI}
+	})
 	return f, nil
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -21,10 +20,7 @@ func Transports(c *manetsim.Campaign) (*Figure, error) {
 		ID: "transports", Title: "h-hop chain, 2 Mbit/s: every transport variant",
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
-	variants := []struct {
-		name string
-		t    core.TransportSpec
-	}{
+	variants := []variant{
 		{"Tahoe", core.TransportSpec{Protocol: core.ProtoTahoe}},
 		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
 		{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
@@ -32,23 +28,17 @@ func Transports(c *manetsim.Campaign) (*Figure, error) {
 		{"Paced UDP", core.TransportSpec{Protocol: core.ProtoPacedUDP, UDPGap: 36 * time.Millisecond}},
 	}
 	hopsAxis := []int{4, 7}
-	for _, v := range variants {
-		var cfgs []core.Config
-		for _, hops := range hopsAxis {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, v.t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: v.name}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(hopsAxis[i]), Y: kbit(res.AggGoodput.Mean)})
-			f.Notes = append(f.Notes, fmt.Sprintf("%s h=%d: rtx=%.4f win=%.2f",
-				v.name, hopsAxis[i], res.Rtx.Mean, res.AvgWindow.Mean))
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(variants), len(hopsAxis), func(s, x int) core.Config {
+		return chainCfg(hopsAxis[x], phy.Rate2Mbps, variants[s].t)
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, func(s int) string { return variants[s].name }, func(s, x int, r *core.Result) Point {
+		f.Notes = append(f.Notes, fmt.Sprintf("%s h=%d: rtx=%.4f win=%.2f",
+			variants[s].name, hopsAxis[x], r.Rtx.Mean, r.AvgWindow.Mean))
+		return Point{X: fmt.Sprint(hopsAxis[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
 
@@ -70,22 +60,16 @@ func CCExtensions(c *manetsim.Campaign) (*Figure, error) {
 		{Name: "pacing"},
 	}
 	hopsAxis := []int{4, 7}
-	for _, t := range variants {
-		var cfgs []core.Config
-		for _, hops := range hopsAxis {
-			cfgs = append(cfgs, chainCfg(hops, phy.Rate2Mbps, t))
-		}
-		results, err := c.RunAll(context.Background(), cfgs)
-		if err != nil {
-			return nil, err
-		}
-		s := Series{Name: t.Label()}
-		for i, res := range results {
-			s.Points = append(s.Points, Point{X: fmt.Sprint(hopsAxis[i]), Y: kbit(res.AggGoodput.Mean)})
-			f.Notes = append(f.Notes, fmt.Sprintf("%s h=%d: rtx=%.4f win=%.2f",
-				t.Label(), hopsAxis[i], res.Rtx.Mean, res.AvgWindow.Mean))
-		}
-		f.Series = append(f.Series, s)
+	results, err := runGrid(c, len(variants), len(hopsAxis), func(s, x int) core.Config {
+		return chainCfg(hopsAxis[x], phy.Rate2Mbps, variants[s])
+	})
+	if err != nil {
+		return nil, err
 	}
+	addSeries(f, results, func(s int) string { return variants[s].Label() }, func(s, x int, r *core.Result) Point {
+		f.Notes = append(f.Notes, fmt.Sprintf("%s h=%d: rtx=%.4f win=%.2f",
+			variants[s].Label(), hopsAxis[x], r.Rtx.Mean, r.AvgWindow.Mean))
+		return Point{X: fmt.Sprint(hopsAxis[x]), Y: kbit(r.AggGoodput.Mean)}
+	})
 	return f, nil
 }
