@@ -84,7 +84,7 @@ func TestConfigKeyFollowsScenarioValues(t *testing.T) {
 		t.Fatal("configs with different flow start times share a cache key")
 	}
 	c := benchChainCfg(4)
-	c.Observer = ObserverFuncs{} // must not enter the key
+	c.Observer = &Observer{} // must not enter the key
 	if a.CacheKey() != c.CacheKey() {
 		t.Fatal("attaching an observer changed the cache key")
 	}
@@ -508,7 +508,7 @@ func TestCampaignSweepNeedsScenario(t *testing.T) {
 func TestCampaignRejectsObserver(t *testing.T) {
 	c := NewCampaign(BenchScale)
 	cfg := benchChainCfg(2)
-	cfg.Observer = ObserverFuncs{}
+	cfg.Observer = &Observer{}
 	if _, err := c.Run(context.Background(), cfg); err == nil ||
 		!strings.Contains(err.Error(), "do not support Config.Observer") {
 		t.Fatalf("observer-carrying campaign run returned %v, want a named rejection", err)

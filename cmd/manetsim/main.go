@@ -72,7 +72,7 @@ func main() {
 		gePGB     = flag.Float64("ge-good-bad", 0, "Gilbert-Elliott per-frame good->bad transition probability")
 		gePBG     = flag.Float64("ge-bad-good", 0, "Gilbert-Elliott per-frame bad->good transition probability")
 		geLossBad = flag.Float64("ge-loss-bad", 0, "Gilbert-Elliott loss probability while in the bad state")
-		jitter    = flag.Duration("jitter", 0, "maximum per-link extra propagation delay (uniform in [0,jitter))")
+		jitter    = flag.Duration("jitter", 0, "maximum per-link extra propagation delay (uniform in [0,jitter)); at most 10us, half the MAC slot time")
 		capRatio  = flag.Float64("capture-ratio", 0, "receiver capture power ratio; 0 = default 10 dB rule")
 		rtsThresh = flag.Int("rts-threshold", 0, "skip RTS/CTS for unicast frames <= bytes (0 = handshake on every frame)")
 
@@ -204,7 +204,7 @@ func main() {
 		opts = append(opts, manetsim.WithFaults(faults.specs...))
 	}
 	if *progress {
-		opts = append(opts, manetsim.WithObserver(manetsim.ObserverFuncs{
+		opts = append(opts, manetsim.WithObserver(&manetsim.Observer{
 			Progress: func(delivered, total int64, simTime time.Duration) {
 				fmt.Printf("  ... %d/%d packets at t=%v\n", delivered, total, simTime.Round(time.Millisecond))
 			},

@@ -60,7 +60,7 @@ func ExampleWithObserver() {
 	res, err := manetsim.Run(context.Background(), manetsim.Chain(4),
 		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.NewReno}),
 		manetsim.WithPackets(11000, 1000),
-		manetsim.WithObserver(manetsim.ObserverFuncs{
+		manetsim.WithObserver(&manetsim.Observer{
 			Progress: func(delivered, total int64, simTime time.Duration) {
 				fmt.Printf("%d/%d packets at t=%v\n", delivered, total, simTime.Round(time.Second))
 			},
@@ -253,7 +253,7 @@ func ExampleCampaign_resume() {
 // byte-identical per seed.
 func ExampleScenario_linkModel() {
 	ge := manetsim.GilbertElliottModel(0.02, 0.3, 0.5)
-	ge.Jitter = 20 * time.Microsecond
+	ge.Jitter = 10 * time.Microsecond
 
 	res, err := manetsim.Run(context.Background(), manetsim.Chain(3),
 		manetsim.WithTransport(manetsim.TransportSpec{Name: "newreno"}),

@@ -66,7 +66,7 @@ func main() {
 
 	// Stream run events while it executes.
 	var falseRF, trueRF, rtx int
-	obs := manetsim.ObserverFuncs{
+	obs := &manetsim.Observer{
 		RouteFailure: func(node manetsim.NodeID, falseFailure bool) {
 			if falseFailure {
 				falseRF++

@@ -356,7 +356,7 @@ type Config struct {
 	// Observer, when non-nil, receives run events (batch closes, route
 	// failures, retransmissions, window samples, progress). It is excluded
 	// from the JSON encoding so campaign cache keys stay value-based.
-	Observer Observer `json:"-"`
+	Observer *Observer `json:"-"`
 }
 
 // CacheKey returns the canonical string identity of the config: its

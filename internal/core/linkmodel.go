@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"manetsim/internal/linkmodel"
+	"manetsim/internal/mac"
 )
 
 // LinkModelSpec selects and parameterizes the link-impairment model of a
@@ -43,7 +44,7 @@ type LinkModelSpec struct {
 	// Jitter adds a uniform per-frame propagation-delay jitter in
 	// [0, Jitter) to every delivered signal, drawn from the link's
 	// stream. It applies under any model, including perfect. Must not
-	// exceed the channel's position-epoch interval.
+	// exceed maxJitter (10 µs) nor the channel's position-epoch interval.
 	Jitter time.Duration `json:",omitempty"`
 
 	// CaptureRatio overrides the receiver capture power ratio (linear;
@@ -196,6 +197,12 @@ func checkProb(where, field string, v float64) error {
 	return nil
 }
 
+// maxJitter bounds LinkModelSpec.Jitter. The MAC's CTS and ACK timeouts
+// allow one SlotTime beyond the nominal exchange, and an exchange carries
+// two jittered copies (DATA then ACK, or RTS then CTS), so each may add
+// at most half a slot.
+const maxJitter = mac.SlotTime / 2
+
 // validate reports misconfigured link-model specs with the field spelled
 // out, mirroring TransportSpec.validate. epoch is the channel's
 // position-update interval: jitter beyond it would push a frame's
@@ -229,6 +236,10 @@ func (l LinkModelSpec) validate(where string, epoch time.Duration) error {
 	if l.Jitter > epoch {
 		return fmt.Errorf("core: %s: Jitter %v exceeds the position-epoch interval %v (a jittered frame would outlive the positions it was launched from; lower Jitter or raise Mobility.UpdateInterval)",
 			where, l.Jitter, epoch)
+	}
+	if l.Jitter > maxJitter {
+		return fmt.Errorf("core: %s: Jitter %v exceeds the bound %v, half the MAC slot time (a jittered DATA copy plus a jittered ACK copy must fit the one-slot slack of the CTS/ACK timeouts, or exchanges time out spuriously and AODV sees false link failures)",
+			where, l.Jitter, maxJitter)
 	}
 	if math.IsNaN(l.CaptureRatio) || (l.CaptureRatio != 0 && l.CaptureRatio < 1) {
 		return fmt.Errorf("core: %s: CaptureRatio %g below 1 (linear power ratio; 0 selects the default 10)", where, l.CaptureRatio)

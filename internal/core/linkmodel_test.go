@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -68,13 +69,27 @@ func TestValidateJitterBeyondEpoch(t *testing.T) {
 }
 
 func TestValidateJitterWithinCustomEpoch(t *testing.T) {
-	// Raising Mobility.UpdateInterval legalizes a larger jitter.
+	// Raising Mobility.UpdateInterval does not lift the MAC bound: a
+	// jittered DATA and ACK pair must fit the ACK timeout's one-slot slack.
 	cfg := validChain()
 	cfg.Scenario = Chain(2)
 	cfg.Scenario.Mobility.UpdateInterval = 200 * time.Millisecond
 	cfg.LinkModel = LinkModelSpec{Name: "uniform", LossRate: 0.01, Jitter: 150 * time.Millisecond}
+	wantError(t, cfg, "Jitter 150ms exceeds the bound 10µs, half the MAC slot time")
+	cfg.LinkModel.Jitter = maxJitter
 	if _, err := Run(cfg); err != nil {
-		t.Fatalf("150ms jitter under a 200ms epoch rejected: %v", err)
+		t.Fatalf("jitter at the %v bound under a 200ms epoch rejected: %v", maxJitter, err)
+	}
+	// An epoch shorter than the bound still caps the jitter itself.
+	cfg.Scenario.Mobility.UpdateInterval = 5 * time.Microsecond
+	wantError(t, cfg, "Jitter 10µs exceeds the position-epoch interval 5µs")
+}
+
+func TestValidateJitterBeyondMACBound(t *testing.T) {
+	cfg := validChain()
+	for _, j := range []time.Duration{maxJitter + time.Nanosecond, 20 * time.Microsecond, 5 * time.Millisecond} {
+		cfg.LinkModel = LinkModelSpec{Jitter: j}
+		wantError(t, cfg, fmt.Sprintf("Jitter %v exceeds the bound 10µs", j))
 	}
 }
 
@@ -152,7 +167,7 @@ func lossyConfig(seed int64) Config {
 		LinkModel: LinkModelSpec{
 			Name:     "gilbert-elliott",
 			PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.5,
-			Jitter:       20 * time.Microsecond,
+			Jitter:       10 * time.Microsecond,
 			CaptureRatio: 4,
 		},
 	}

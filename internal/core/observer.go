@@ -6,71 +6,27 @@ import (
 	"manetsim/internal/pkt"
 )
 
-// Observer receives run events from a simulation in progress. All methods
-// are invoked synchronously from inside the single-threaded event loop, so
-// implementations must not block and must not call back into the run; they
-// may safely accumulate state without locking. Attaching an observer adds
-// only rare-path callbacks (batch boundaries, retransmissions, route
-// failures) — with no observer attached the run is byte-identical and
+// Observer receives run events from a simulation in progress; nil
+// callbacks are skipped. All are invoked synchronously from inside the
+// single-threaded event loop, so they must not block and must not call
+// back into the run; they may safely accumulate state without locking.
+// Callbacks add only rare-path work (batch boundaries, retransmissions,
+// route failures), and the retransmit and route-failure hooks are bound
+// only when set — with no observer attached the run is byte-identical and
 // allocation-free, preserving the zero-alloc kernel.
-type Observer interface {
-	// OnBatch is called when a measurement batch closes. The batch's
-	// slices are owned by the result; treat them as read-only.
-	OnBatch(b Batch)
-	// OnWindowSample reports a flow's time-averaged congestion window over
+type Observer struct {
+	// Batch is called when a measurement batch closes. The batch's slices
+	// are owned by the result; treat them as read-only.
+	Batch func(b Batch)
+	// WindowSample reports a flow's time-averaged congestion window over
 	// the batch that just closed (zero for UDP flows).
-	OnWindowSample(flow int, window float64)
-	// OnRetransmit fires for every transport-layer retransmission.
-	OnRetransmit(flow int)
-	// OnRouteFailure fires for every classified AODV route teardown at
+	WindowSample func(flow int, window float64)
+	// Retransmit fires for every transport-layer retransmission.
+	Retransmit func(flow int)
+	// RouteFailure fires for every classified AODV route teardown at
 	// node. falseFailure follows the paper's definition: the MAC gave up
 	// on a link that was actually healthy.
-	OnRouteFailure(node pkt.NodeID, falseFailure bool)
-	// OnProgress reports cumulative delivery after each batch boundary.
-	OnProgress(delivered, total int64, simTime time.Duration)
-}
-
-// ObserverFuncs adapts a set of optional callbacks to the Observer
-// interface; nil fields are skipped. The zero value observes nothing.
-type ObserverFuncs struct {
-	Batch        func(b Batch)
-	WindowSample func(flow int, window float64)
-	Retransmit   func(flow int)
 	RouteFailure func(node pkt.NodeID, falseFailure bool)
-	Progress     func(delivered, total int64, simTime time.Duration)
-}
-
-// OnBatch implements Observer.
-func (o ObserverFuncs) OnBatch(b Batch) {
-	if o.Batch != nil {
-		o.Batch(b)
-	}
-}
-
-// OnWindowSample implements Observer.
-func (o ObserverFuncs) OnWindowSample(flow int, window float64) {
-	if o.WindowSample != nil {
-		o.WindowSample(flow, window)
-	}
-}
-
-// OnRetransmit implements Observer.
-func (o ObserverFuncs) OnRetransmit(flow int) {
-	if o.Retransmit != nil {
-		o.Retransmit(flow)
-	}
-}
-
-// OnRouteFailure implements Observer.
-func (o ObserverFuncs) OnRouteFailure(node pkt.NodeID, falseFailure bool) {
-	if o.RouteFailure != nil {
-		o.RouteFailure(node, falseFailure)
-	}
-}
-
-// OnProgress implements Observer.
-func (o ObserverFuncs) OnProgress(delivered, total int64, simTime time.Duration) {
-	if o.Progress != nil {
-		o.Progress(delivered, total, simTime)
-	}
+	// Progress reports cumulative delivery after each batch boundary.
+	Progress func(delivered, total int64, simTime time.Duration)
 }

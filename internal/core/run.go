@@ -22,7 +22,7 @@ import (
 // fits in place instead of reallocating it.
 type scenarioState struct {
 	cfg   Config
-	obs   Observer
+	obs   *Observer
 	sched *sim.Scheduler
 	uids  pkt.Pool
 	// deliverFn is the deliverLocal method value, bound once: evaluating
@@ -316,8 +316,9 @@ func (s *scenarioState) build() error {
 			// genuine route breaks (hop moved away) from the paper's false
 			// route failures (contention on a healthy link).
 			r.LinkAlive = func(nh pkt.NodeID) bool { return ch.Reachable(id, nh) }
-			if s.obs != nil {
-				r.OnRouteFailure = func(falseFailure bool) { s.obs.OnRouteFailure(id, falseFailure) }
+			if s.obs != nil && s.obs.RouteFailure != nil {
+				onFailure := s.obs.RouteFailure
+				r.OnRouteFailure = func(falseFailure bool) { onFailure(id, falseFailure) }
 			}
 			s.routers[i] = r
 			st.router = r
@@ -365,8 +366,9 @@ func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	}
 	src, dst := s.stacks[f.Src], s.stacks[f.Dst]
 	tcfg := ccConfig(tspec)
-	if s.obs != nil {
-		tcfg.OnRetransmit = func() { s.obs.OnRetransmit(fi) }
+	if s.obs != nil && s.obs.Retransmit != nil {
+		onRetransmit := s.obs.Retransmit
+		tcfg.OnRetransmit = func() { onRetransmit(fi) }
 	}
 	cc, err := tr.newCC(tspec)
 	if err != nil {
@@ -668,12 +670,18 @@ func (s *scenarioState) closeBatch() {
 	s.batches = append(s.batches, b)
 	s.cur = s.newBatch(now)
 
-	if s.obs != nil {
-		for fi := range s.flows {
-			s.obs.OnWindowSample(fi, b.PerFlowWindow[fi])
+	if o := s.obs; o != nil {
+		if o.WindowSample != nil {
+			for fi := range s.flows {
+				o.WindowSample(fi, b.PerFlowWindow[fi])
+			}
 		}
-		s.obs.OnBatch(b)
-		s.obs.OnProgress(s.delivered, s.cfg.TotalPackets, now)
+		if o.Batch != nil {
+			o.Batch(b)
+		}
+		if o.Progress != nil {
+			o.Progress(s.delivered, s.cfg.TotalPackets, now)
+		}
 	}
 }
 

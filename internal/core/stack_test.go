@@ -48,7 +48,7 @@ func TestDeliverLocalSeparatesFlows(t *testing.T) {
 	cfg := smallCfg(Chain(1).WithFlows(Flow{Src: 0, Dst: 1}, Flow{Src: 0, Dst: 1}),
 		TransportSpec{Protocol: ProtoNewReno})
 	perFlow := make([]int64, 2)
-	cfg.Observer = ObserverFuncs{Batch: func(b Batch) {
+	cfg.Observer = &Observer{Batch: func(b Batch) {
 		for fi, n := range b.PerFlowPackets {
 			perFlow[fi] += n
 		}

@@ -58,7 +58,7 @@ func TestWestwoodBeatsRenoUnderUniformLoss(t *testing.T) {
 // seeds, on a short chain at an explicit tiny budget.
 func impairedSweep() manetsim.Sweep {
 	ge := manetsim.GilbertElliottModel(0.02, 0.3, 0.5)
-	ge.Jitter = 20 * time.Microsecond
+	ge.Jitter = 10 * time.Microsecond
 	return manetsim.Sweep{
 		Scenarios:  []*manetsim.Scenario{manetsim.Chain(2)},
 		Transports: []manetsim.TransportSpec{{Name: "newreno"}},

@@ -364,14 +364,11 @@ type EnergyReport = core.EnergyReport
 // DelaySummary reports end-to-end packet latency quantiles of a run.
 type DelaySummary = core.DelaySummary
 
-// Observer receives run events (batch closes, classified route failures,
-// transport retransmissions, window samples, progress) synchronously from
-// the event loop. Attach one with WithObserver.
+// Observer holds optional callbacks for run events (batch closes,
+// classified route failures, transport retransmissions, window samples,
+// progress), invoked synchronously from the event loop; nil callbacks are
+// skipped. Attach one with WithObserver.
 type Observer = core.Observer
-
-// ObserverFuncs adapts optional callbacks to the Observer interface; nil
-// fields are skipped.
-type ObserverFuncs = core.ObserverFuncs
 
 // Run executes one scenario under ctx and returns its measurements. A
 // cancelled context aborts the run promptly and returns ctx.Err(). It is

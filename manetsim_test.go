@@ -108,7 +108,7 @@ func TestPublicAPIObserver(t *testing.T) {
 		WithTransport(TransportSpec{Protocol: Vegas}),
 		WithSeed(1),
 		WithPackets(1100, 100),
-		WithObserver(ObserverFuncs{
+		WithObserver(&Observer{
 			Batch:        func(b Batch) { batches++ },
 			WindowSample: func(flow int, w float64) { windows++ },
 			Progress:     func(delivered, total int64, _ time.Duration) { lastDelivered = delivered },
@@ -132,7 +132,7 @@ func TestPublicAPIObserver(t *testing.T) {
 }
 
 func TestPublicAPIObserverDoesNotChangeResults(t *testing.T) {
-	run := func(obs Observer) *Result {
+	run := func(obs *Observer) *Result {
 		t.Helper()
 		opts := []Option{
 			WithTransport(TransportSpec{Protocol: NewReno}),
@@ -149,7 +149,7 @@ func TestPublicAPIObserverDoesNotChangeResults(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	observed := run(ObserverFuncs{
+	observed := run(&Observer{
 		Retransmit:   func(int) {},
 		RouteFailure: func(NodeID, bool) {},
 	})

@@ -44,7 +44,7 @@ func WithMaxSimTime(d time.Duration) Option {
 }
 
 // WithObserver attaches an Observer to the run.
-func WithObserver(o Observer) Option {
+func WithObserver(o *Observer) Option {
 	return func(c *Config) { c.Observer = o }
 }
 
