@@ -44,7 +44,8 @@ type LinkModelSpec struct {
 	// Jitter adds a uniform per-frame propagation-delay jitter in
 	// [0, Jitter) to every delivered signal, drawn from the link's
 	// stream. It applies under any model, including perfect. Must not
-	// exceed maxJitter (10 µs) nor the channel's position-epoch interval.
+	// exceed 10 µs, half the MAC slot time (maxJitter), nor the channel's
+	// position-epoch interval.
 	Jitter time.Duration `json:",omitempty"`
 
 	// CaptureRatio overrides the receiver capture power ratio (linear;

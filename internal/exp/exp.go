@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"manetsim"
 	"manetsim/internal/core"
@@ -92,8 +93,8 @@ func Lookup(id string) (func(c *manetsim.Campaign) (*Figure, error), bool) {
 // emit in the order of ids, as soon as it and every figure before it are
 // done. The runners share c's cache and worker bound, and a run's result
 // is fixed by its config, so running them together changes no figure.
-// The first id in order whose runner fails ends Run with its error; the
-// experiments still running then finish in the background.
+// The first id in order whose runner fails, or an emit error, ends the
+// emitting; Run returns that error once every runner has returned.
 func Run(c *manetsim.Campaign, ids []string, emit func(*Figure) error) error {
 	type outcome struct {
 		fig *Figure
@@ -106,8 +107,12 @@ func Run(c *manetsim.Campaign, ids []string, emit func(*Figure) error) error {
 		}
 		outs[i] = make(chan outcome, 1)
 	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	for i, id := range ids {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			fig, err := registry[id](c)
 			outs[i] <- outcome{fig, err}
 		}()
