@@ -113,7 +113,7 @@ func Fig5(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(variants), func(_, x int, r *core.Result) Point {
 		return Point{X: fmt.Sprint(chainHops[x]), Y: kbit(r.AggGoodput.Mean)}
 	})
 	return f, nil
@@ -157,7 +157,7 @@ func chainComparison(c *manetsim.Campaign, id, title, ylabel string, includeUDP 
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(variants), func(_, x int, r *core.Result) Point {
 		return Point{X: fmt.Sprint(chainHops[x]), Y: metric(r)}
 	})
 	return f, nil

@@ -39,7 +39,7 @@ func Chaos(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return renoWestwood[s].name }, func(s, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(renoWestwood), func(s, x int, r *core.Result) Point {
 		if rep := r.Faults; rep != nil && len(rep.Outages) > 0 {
 			f.Notes = append(f.Notes, fmt.Sprintf(
 				"%s/%s: %v in outage, recovered %v after heal, %.1f kbit/s during vs %.1f outside, %d frames cut",

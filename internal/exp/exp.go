@@ -37,7 +37,10 @@ var headlineVariants = []variant{
 	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
 }
 
-func headlineName(s int) string { return headlineVariants[s].name }
+// nameOf names addSeries' series s after vs[s].
+func nameOf(vs []variant) func(s int) string {
+	return func(s int) string { return vs[s].name }
+}
 
 // runGrid runs the config cfg(s, x) of every series s < ns and x-axis
 // point x < nx in one RunAll and returns the results indexed [s][x].

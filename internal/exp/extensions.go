@@ -30,7 +30,7 @@ func TCPVariants(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(variants), func(_, x int, r *core.Result) Point {
 		return Point{X: fmt.Sprint(hopsAxis[x]), Y: kbit(r.AggGoodput.Mean)}
 	})
 	return f, nil

@@ -38,7 +38,7 @@ func Lossy(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return renoWestwood[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(renoWestwood), func(_, x int, r *core.Result) Point {
 		return Point{X: fmt.Sprintf("%g", lossAxis[x]*100), Y: kbit(r.AggGoodput.Mean)}
 	})
 	f.Notes = append(f.Notes,

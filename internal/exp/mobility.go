@@ -65,7 +65,7 @@ func Mobility(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, headlineName, func(s, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(headlineVariants), func(s, x int, r *core.Result) Point {
 		speed := speedLabel(mobilitySpeeds[x])
 		f.Notes = append(f.Notes, fmt.Sprintf("%s / %s m/s: rtx=%.4f true-rf=%d false-rf=%d%s",
 			headlineVariants[s].name, speed, r.Rtx.Mean, r.TrueRouteFailures, r.FalseRouteFailures, truncatedMark(r)))

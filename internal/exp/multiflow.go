@@ -18,7 +18,7 @@ func aggregateGoodputFigure(c *manetsim.Campaign, id, title string, scn *core.Sc
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, headlineName, func(s, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(headlineVariants), func(s, x int, r *core.Result) Point {
 		if r.Truncated {
 			f.Notes = append(f.Notes, fmt.Sprintf("%s at %s Mbit/s: truncated at %d packets",
 				headlineVariants[s].name, rateLabel(rates[x]), r.Delivered))
@@ -40,7 +40,7 @@ func perFlowFigure(c *manetsim.Campaign, id, title string, scn *core.Scenario) (
 	}
 	for si, row := range results {
 		res := row[0]
-		s := Series{Name: headlineName(si)}
+		s := Series{Name: headlineVariants[si].name}
 		for fi, est := range res.PerFlowGood {
 			s.Points = append(s.Points, Point{X: fmt.Sprintf("FTP%d", fi+1), Y: kbit(est.Mean), CI: kbit(est.HalfCI)})
 		}
@@ -60,7 +60,7 @@ func jainTable(c *manetsim.Campaign, id, title string, scn *core.Scenario) (*Fig
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, headlineName, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(headlineVariants), func(_, x int, r *core.Result) Point {
 		return Point{X: rateLabel(rates[x]), Y: r.Jain.Mean, CI: r.Jain.HalfCI}
 	})
 	return f, nil

@@ -47,7 +47,7 @@ func sevenHopComparison(c *manetsim.Campaign, id, title, ylabel string, includeU
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return variants[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(variants), func(_, x int, r *core.Result) Point {
 		return Point{X: rateLabel(rates[x]), Y: metric(r)}
 	})
 	return f, nil
@@ -93,7 +93,7 @@ func Energy(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return sevenHopTCP[s].name }, func(_, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(sevenHopTCP), func(_, x int, r *core.Result) Point {
 		return Point{X: rateLabel(rates[x]), Y: r.Energy.JoulesPerMB}
 	})
 	return f, nil

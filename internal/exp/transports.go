@@ -34,7 +34,7 @@ func Transports(c *manetsim.Campaign) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	addSeries(f, results, func(s int) string { return variants[s].name }, func(s, x int, r *core.Result) Point {
+	addSeries(f, results, nameOf(variants), func(s, x int, r *core.Result) Point {
 		f.Notes = append(f.Notes, fmt.Sprintf("%s h=%d: rtx=%.4f win=%.2f",
 			variants[s].name, hopsAxis[x], r.Rtx.Mean, r.AvgWindow.Mean))
 		return Point{X: fmt.Sprint(hopsAxis[x]), Y: kbit(r.AggGoodput.Mean)}
