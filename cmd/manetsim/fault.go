@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -123,7 +124,13 @@ func parseSeconds(val string) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%q is neither a duration nor seconds", val)
 	}
-	return time.Duration(secs * float64(time.Second)), nil
+	// NaN fails both comparisons; ±Inf and anything past ±292 years would
+	// wrap in the conversion.
+	ns := secs * float64(time.Second)
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("%q seconds is not a finite duration within ±%v", val, time.Duration(math.MaxInt64))
+	}
+	return time.Duration(ns), nil
 }
 
 // listFaults prints the fault registry, one injector per line.

@@ -38,6 +38,13 @@ func TestParseFaultSpec(t *testing.T) {
 			Name: "split", At: 10 * time.Second, NodesA: []int{0, 1, 2}, Bidirectional: true,
 		}},
 		{"crash", manetsim.FaultSpec{Name: "crash", Bidirectional: true}},
+		// Bare seconds at the edge of time.Duration's range (9.22e9 s).
+		{"crash@t=9.2e9,d=1e-300", manetsim.FaultSpec{
+			Name: "crash", At: 9_200_000_000 * time.Second, Bidirectional: true,
+		}},
+		{"crash@t=-9.2e9", manetsim.FaultSpec{
+			Name: "crash", At: -9_200_000_000 * time.Second, Bidirectional: true,
+		}},
 	}
 	for _, tc := range cases {
 		got, err := parseFaultSpec(tc.in)
@@ -64,6 +71,12 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		{"crash@node=one", "node"},
 		{"blackout@dir=sideways", "dir must be bi or uni"},
 		{"partition@nodes=0+x", "+-separated"},
+		{"crash@t=1e300,node=1", `"1e300" seconds is not a finite duration`},
+		{"crash@t=NaN", `"NaN" seconds is not a finite duration`},
+		{"crash@t=inf", `"inf" seconds is not a finite duration`},
+		{"crash@t=-Inf", `"-Inf" seconds is not a finite duration`},
+		{"crash@t=1,d=9.3e9", `"9.3e9" seconds is not a finite duration`},
+		{"crash@t=-9.3e9", `"-9.3e9" seconds is not a finite duration`},
 	}
 	for _, tc := range cases {
 		_, err := parseFaultSpec(tc.in)
@@ -87,4 +100,22 @@ func TestFaultFlagRepeats(t *testing.T) {
 	if s := f.String(); !strings.Contains(s, "crash(node=3)@30s") || !strings.Contains(s, "blackout(1<->2)@1m0s") {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// FuzzParseFaultSpec feeds the -fault grammar arbitrary text. It must never
+// panic; an accepted spec has a lower-case name, and a value without a
+// minus sign cannot produce a negative time: a wrapped conversion would.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := parseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		if spec.Name != strings.ToLower(spec.Name) {
+			t.Errorf("parseFaultSpec(%q) accepted name %q, not lower-case", s, spec.Name)
+		}
+		if !strings.Contains(s, "-") && (spec.At < 0 || spec.Duration < 0) {
+			t.Errorf("parseFaultSpec(%q) = At %v, Duration %v: negative without a minus sign", s, spec.At, spec.Duration)
+		}
+	})
 }

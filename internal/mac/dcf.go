@@ -331,8 +331,13 @@ func (d *DCF) mediumBusy() bool {
 }
 
 // kick advances the contention state machine. It is safe to call at any
-// time; it does nothing unless a countdown can start or resume.
+// time; it does nothing unless a countdown can start or resume. With
+// nothing queued or in service it returns first: that is the usual case at
+// a receiver's busy/idle edges, and every check below would return too.
 func (d *DCF) kick() {
+	if d.cur == nil && len(d.queue) == 0 {
+		return
+	}
 	if d.down || d.respInFlight || d.radio.Transmitting() {
 		return
 	}
@@ -340,9 +345,6 @@ func (d *DCF) kick() {
 		return
 	}
 	if d.cur == nil {
-		if len(d.queue) == 0 {
-			return
-		}
 		d.curSlot = d.queue[0]
 		copy(d.queue, d.queue[1:])
 		d.queue[len(d.queue)-1] = txItem{}

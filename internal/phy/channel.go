@@ -531,36 +531,12 @@ func (c *Channel) putTx(t *txRecord) {
 	c.freeTx = t
 }
 
-// pick selects the earliest outstanding sub-event by a three-way merge of
-// the next start, the next end and txDone, records it in step and returns
-// its key; ok is false once the walk is over.
-func (tx *txRecord) pick() (at sim.Time, seq uint64, ok bool) {
-	if tx.donePending {
-		at, seq, ok = tx.doneAt, tx.doneSeq, true
-		tx.step = stepTxDone
-	}
-	if tx.ended < len(tx.sigs) {
-		s := &tx.sigs[tx.ended]
-		if t, q := s.start+tx.airtime, s.seq+1; !ok || before(t, q, at, seq) {
-			at, seq, ok = t, q, true
-			tx.step = stepEnd
-		}
-	}
-	if tx.started < len(tx.sigs) {
-		s := &tx.sigs[tx.started]
-		if !ok || before(s.start, s.seq, at, seq) {
-			at, seq, ok = s.start, s.seq, true
-			tx.step = stepStart
-		}
-	}
-	return at, seq, ok
-}
-
 // txStepFn is the scheduler callback of a transmission: run the sub-event
-// the entry stands for and keep walking while the transmission's next key
-// is also the scheduler's (sim.Advance) — a sub-event runs inline only when
-// it would have been the next Step anyway. When something else is due
-// first, or the run is stopping, re-key the entry to the next sub-event
+// the entry stands for, pick the next by a three-way merge of the next
+// start, the next end and txDone, and keep walking while that key is also
+// the scheduler's (sim.Advance) — a sub-event runs inline only when it
+// would have been the next Step anyway. When something else is due first,
+// or the run is stopping, re-key the entry to the next sub-event
 // (sim.Refire) and return. A package-level function plus an argument, so
 // Transmit schedules without allocating a closure.
 //
@@ -568,8 +544,9 @@ func (tx *txRecord) pick() (at sim.Time, seq uint64, ok bool) {
 func txStepFn(a any) {
 	tx := a.(*txRecord)
 	ch := tx.owner.ch
+	step := tx.step
 	for {
-		switch tx.step {
+		switch step {
 		case stepStart:
 			s := &tx.sigs[tx.started]
 			tx.started++
@@ -585,12 +562,30 @@ func txStepFn(a any) {
 			tx.donePending = false
 			tx.owner.txDone()
 		}
-		at, seq, ok := tx.pick()
+		var at sim.Time
+		var seq uint64
+		ok := tx.donePending
+		if ok {
+			at, seq, step = tx.doneAt, tx.doneSeq, stepTxDone
+		}
+		if tx.ended < len(tx.sigs) {
+			s := &tx.sigs[tx.ended]
+			if t, q := s.start+tx.airtime, s.seq+1; !ok || before(t, q, at, seq) {
+				at, seq, ok, step = t, q, true, stepEnd
+			}
+		}
+		if tx.started < len(tx.sigs) {
+			s := &tx.sigs[tx.started]
+			if !ok || before(s.start, s.seq, at, seq) {
+				at, seq, ok, step = s.start, s.seq, true, stepStart
+			}
+		}
 		if !ok {
 			ch.putTx(tx)
 			return
 		}
 		if !ch.sched.Advance(at, seq) {
+			tx.step = step
 			ch.sched.Refire(at, seq)
 			return
 		}
@@ -789,7 +784,14 @@ func (r *Radio) Transmit(frame any, airtime time.Duration) {
 		// Nobody can hear the frame: the channel never references it.
 		r.frameDone(frame)
 	}
-	at, seq, _ := tx.pick()
+	// Every end follows its own start, so the walk opens on the first start
+	// or, with nobody in range, on txDone; txStepFn merges from there.
+	at, seq := tx.doneAt, tx.doneSeq
+	tx.step = stepTxDone
+	if k > 0 && before(tx.sigs[0].start, tx.sigs[0].seq, at, seq) {
+		at, seq = tx.sigs[0].start, tx.sigs[0].seq
+		tx.step = stepStart
+	}
 	r.ch.sched.AtFuncSeq(at, seq, txStepFn, tx)
 }
 

@@ -25,6 +25,17 @@
 // due first it re-keys the entry with Refire and returns. Either way the
 // sub-events dispatch in the exact (time, seq) order separate events would
 // have had.
+//
+// Advance answers from a horizon the scheduler holds while a callback runs:
+// a key no later than any other queued event and no later than the run
+// loop's deadline. A key before the horizon runs ahead without reading the
+// heap; any other key takes the exact check over the root's children, which
+// also recomputes the horizon. A push earlier than the horizon lowers it.
+// Removals need no bookkeeping: taking an event out of the queue can only
+// make the true minimum later, so a stale horizon is merely low, costs one
+// exact check, and never lets a sub-event run ahead of an event still
+// queued. So a train of k sub-events reads the heap once per dispatch, not
+// k times, however much timer traffic its callbacks cancel.
 package sim
 
 import (
@@ -100,6 +111,14 @@ type Scheduler struct {
 	// its check is due. The loop sets both and lifts them on return.
 	deadline Time //manetsim:resetsafe belongs to the run loop in progress; a Reset from inside a callback must not lift it
 	pollAt   uint64
+	// hAt, hSeq is Advance's horizon while a callback runs: no later than
+	// any other queued event and than (deadline+1, 0). The zero key clears
+	// it — no (t, seq) orders before it — and Step clears it after every
+	// dispatch, Stop and Reset at once. scans counts Advance's exact
+	// checks over the heap (for tests).
+	hAt   Time
+	hSeq  uint64
+	scans uint64
 }
 
 // No run loop is in progress, or it has no deadline / no check to poll.
@@ -134,6 +153,8 @@ func (s *Scheduler) Reset(seed int64) {
 	s.stopped = false
 	s.cur = nil
 	s.dispatched = 0
+	s.hAt, s.hSeq = 0, 0
+	s.scans = 0
 	if s.pollAt != noPoll {
 		s.pollAt = 0 // counted in the old dispatched; the loop polls again at once
 	}
@@ -162,10 +183,16 @@ func (s *Scheduler) ReserveSeq(n int) uint64 {
 }
 
 // alloc takes an event slot from the freelist (or the heap allocator when
-// the freelist is dry) and stamps it with the schedule key.
+// the freelist is dry) and stamps it with the schedule key. A key earlier
+// than the horizon lowers it; a cleared horizon has nothing earlier and
+// stays cleared. Every push follows an alloc, and lowering here rather than
+// in push keeps push small enough to inline.
 func (s *Scheduler) alloc(t Time, seq uint64) *Event {
 	if t < s.now || seq >= s.seq {
 		s.badKey(t, seq)
+	}
+	if t < s.hAt || t == s.hAt && seq < s.hSeq {
+		s.hAt, s.hSeq = t, seq
 	}
 	e := s.free
 	if e != nil {
@@ -276,6 +303,9 @@ func (s *Scheduler) Refire(t Time, seq uint64) {
 // that is exactly what the next Step would have done, minus the trip.
 // Otherwise nothing changes and the callback falls back to Refire(t, seq).
 //
+// A key before the horizon (see the package doc) is accepted without
+// reading the heap; only a key at or past it pays the exact check.
+//
 //manetsim:hotpath
 func (s *Scheduler) Advance(t Time, seq uint64) bool {
 	e := s.cur
@@ -285,7 +315,24 @@ func (s *Scheduler) Advance(t Time, seq uint64) bool {
 	if t < s.now || seq >= s.seq {
 		s.badKey(t, seq)
 	}
-	if s.stopped || t > s.deadline || s.dispatched >= s.pollAt {
+	if s.dispatched >= s.pollAt {
+		return false
+	}
+	if !(t < s.hAt || t == s.hAt && seq < s.hSeq) && !s.exact(t, seq) {
+		return false
+	}
+	e.at = t
+	e.seq = seq
+	s.now = t
+	s.dispatched++
+	return true
+}
+
+// exact is Advance's check against the queue itself. On success it sets
+// the horizon to the earliest of the others' keys and the deadline's.
+func (s *Scheduler) exact(t Time, seq uint64) bool {
+	s.scans++
+	if s.stopped || t > s.deadline {
 		return false
 	}
 	// The running event holds the root under the key it was dispatched at,
@@ -293,16 +340,18 @@ func (s *Scheduler) Advance(t Time, seq uint64) bool {
 	// callback pushed something above it — an older reserved number spent at
 	// this very instant — the event or an ancestor of it would be one of
 	// those children, under a key earlier than (t, seq), and refuse too.)
-	h := s.heap
-	for _, o := range h[1:min(len(h), 5)] {
-		if o.at < t || o.at == t && o.seq < seq {
-			return false
+	// (deadline, MaxUint64) is (deadline+1, 0) without the overflow: every
+	// reserved seq is below it.
+	hAt, hSeq := s.deadline, uint64(math.MaxUint64)
+	for _, o := range s.heap[1:min(len(s.heap), 5)] {
+		if o.at < hAt || o.at == hAt && o.seq < hSeq {
+			hAt, hSeq = o.at, o.seq
 		}
 	}
-	e.at = t
-	e.seq = seq
-	s.now = t
-	s.dispatched++
+	if !(t < hAt || t == hAt && seq < hSeq) {
+		return false
+	}
+	s.hAt, s.hSeq = hAt, hSeq
 	return true
 }
 
@@ -328,8 +377,11 @@ func (s *Scheduler) Cancel(r EventRef) {
 }
 
 // Stop makes the current Run/RunUntil call return after the in-flight event
-// callback completes.
-func (s *Scheduler) Stop() { s.stopped = true }
+// callback completes. It clears the horizon, so the next Advance sees it.
+func (s *Scheduler) Stop() {
+	s.stopped = true
+	s.hAt, s.hSeq = 0, 0
+}
 
 // Pending returns the number of events waiting in the queue. The event
 // whose callback is running has fired and does not count, unless it has
@@ -369,6 +421,7 @@ func (s *Scheduler) Step() bool {
 	} else {
 		e.fn()
 	}
+	s.hAt, s.hSeq = 0, 0
 	// Still current: neither re-keyed by Refire nor swept by a Reset from
 	// inside the callback, so the event is spent.
 	if s.cur == e {

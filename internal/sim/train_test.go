@@ -18,7 +18,8 @@ import (
 // the PHY's transmission walk rests on.
 
 // fired is one log entry: the dispatch key and which sub-event ran. A
-// marker entry (id -1) records where each RunUntil call stopped.
+// marker entry records where each RunUntil call stopped (id -1) or where
+// its check cut it short (id -3).
 type fired struct {
 	at      Time
 	seq     uint64
@@ -40,7 +41,12 @@ type trainProg struct {
 	inline int // sub-events reached through Advance
 	log    []fired
 	plain  []EventRef // every plain event ever scheduled, for cancels
+	pool   []uint64   // reserved numbers not yet spent, oldest first
 	nextID int
+	resets int
+	// Coverage of the horizon in mode ahead: pushes that lowered it, and
+	// cancels of the very event it was taken from.
+	lowered, hCancels int
 }
 
 type plainEv struct {
@@ -71,12 +77,15 @@ const maxObjects = 60
 
 func plainFn(a any) {
 	e := a.(*plainEv)
-	e.p.fire(e.id, -1, e.ref)
+	e.p.fire(e.id, -1, e.ref, nil)
 }
 
+// carFn keeps tr.pos as walkFn does, so a car's callback knows the key of
+// the train's next sub-event, as a walked train's does.
 func carFn(a any) {
 	c := a.(*car)
-	c.tr.p.fire(c.tr.id, c.sub, c.tr.refs[c.sub])
+	c.tr.pos++
+	c.tr.p.fire(c.tr.id, c.sub, c.tr.refs[c.sub], c.tr)
 }
 
 func walkFn(a any) {
@@ -85,8 +94,7 @@ func walkFn(a any) {
 	for {
 		sub := tr.order[tr.pos]
 		tr.pos++
-		p.fire(tr.id, sub, tr.refs[0])
-		if tr.pos == len(tr.order) {
+		if p.fire(tr.id, sub, tr.refs[0], tr) || tr.pos == len(tr.order) {
 			return
 		}
 		next := tr.order[tr.pos]
@@ -100,34 +108,111 @@ func walkFn(a any) {
 }
 
 // fire logs the dispatching (sub-)event and then misbehaves at random:
-// schedules more work (often at this very instant), cancels its own stale
-// ref, cancels somebody else, or stops the run.
-func (p *trainProg) fire(id, sub int, self EventRef) {
+// schedules more work (often at this very instant, or right at the running
+// train's next key), cancels its own stale ref, somebody else or the
+// earliest plain event still queued, stops the run or resets the
+// scheduler. It reports a Reset, after which a walk may neither advance nor
+// re-key. Every choice depends only on what has fired so far, never on the
+// mode, so the three modes run one program.
+func (p *trainProg) fire(id, sub int, self EventRef, tr *trainSpec) (reset bool) {
 	p.log = append(p.log, fired{p.s.Now(), p.s.cur.seq, id, sub})
 	if self.Pending() {
 		p.log = append(p.log, fired{id: -2}) // own ref must be stale by now
 	}
-	switch p.rng.Intn(10) {
-	case 0, 1, 2:
-		p.newPlain()
-	case 3, 4:
+	switch p.rng.Intn(20) {
+	case 0, 1, 2, 3, 4:
+		p.newPlain(p.s.Now()+Time(p.rng.Intn(4)), -1)
+	case 5, 6, 7, 8:
 		p.newTrain()
-	case 5:
+	case 9:
 		p.s.Cancel(self)
-	case 6:
+	case 10:
 		p.s.Cancel(p.plain[p.rng.Intn(len(p.plain))])
-	case 7:
+	case 11:
+		p.cancelEarliest()
+	case 12:
 		p.s.Stop()
+	case 13:
+		p.pool = append(p.pool, p.s.ReserveSeq(1))
+	case 14, 15, 16:
+		if tr != nil && tr.pos < len(tr.order) {
+			p.pushNear(tr)
+		}
+	case 17:
+		// Late and once, so most of the program runs before the sweep.
+		if p.resets == 0 && len(p.log) > 40 {
+			p.resets++
+			p.s.Reset(int64(len(p.log)))
+			p.pool = p.pool[:0] // the numbering restarts
+			p.newPlain(p.s.Now()+Time(p.rng.Intn(4)), -1)
+			return true
+		}
+	}
+	return false
+}
+
+// pushNear schedules a plain event beside the next key (at, seq) of the
+// train whose sub-event is running: one instant before or after it, at it
+// under a fresh (so higher) number, or at it under a reserved number older
+// or younger than seq.
+func (p *trainProg) pushNear(tr *trainSpec) {
+	next := tr.order[tr.pos]
+	at, seq := tr.at[next], tr.base+uint64(next)
+	last := len(p.pool) - 1
+	switch p.rng.Intn(5) {
+	case 0:
+		p.newPlain(max(at-1, p.s.Now()), -1)
+	case 1:
+		p.newPlain(at, -1)
+	case 2:
+		p.newPlain(at+1, -1)
+	case 3:
+		if last >= 0 && p.pool[0] < seq {
+			p.newPlain(at, 0)
+		}
+	case 4:
+		if last >= 0 && p.pool[last] > seq {
+			p.newPlain(at, last)
+		}
 	}
 }
 
-func (p *trainProg) newPlain() {
+// cancelEarliest cancels the plain event first in the queue's order, the
+// likeliest source of the horizon.
+func (p *trainProg) cancelEarliest() {
+	var first EventRef
+	for _, r := range p.plain {
+		if r.Pending() && (first.e == nil || less(r.e, first.e)) {
+			first = r
+		}
+	}
+	if first.e == nil {
+		return
+	}
+	if p.s.cur != nil && first.e.at == p.s.hAt && first.e.seq == p.s.hSeq {
+		p.hCancels++
+	}
+	p.s.Cancel(first)
+}
+
+// newPlain schedules a plain event at t under a fresh number or, for
+// spend >= 0, under the reserved number p.pool[spend].
+func (p *trainProg) newPlain(t Time, spend int) {
 	if p.nextID >= maxObjects {
 		return
 	}
 	e := &plainEv{p: p, id: p.nextID}
 	p.nextID++
-	e.ref = p.s.AtFunc(p.s.Now()+Time(p.rng.Intn(4)), plainFn, e)
+	hAt, hSeq := p.s.hAt, p.s.hSeq
+	if spend >= 0 {
+		e.ref = p.s.AtFuncSeq(t, p.pool[spend], plainFn, e)
+		p.pool = slices.Delete(p.pool, spend, spend+1)
+	} else {
+		e.ref = p.s.AtFunc(t, plainFn, e)
+	}
+	if hAt != p.s.hAt || hSeq != p.s.hSeq {
+		p.lowered++
+	}
 	p.plain = append(p.plain, e.ref)
 }
 
@@ -143,6 +228,7 @@ func (p *trainProg) newTrain() {
 	}
 	slices.SortStableFunc(tr.order, func(a, b int) int { return int(tr.at[a] - tr.at[b]) })
 	if p.mode == separate {
+		tr.base = p.s.ReserveSeq(0) // the number the first AtFunc draws
 		for j := range tr.at {
 			tr.refs = append(tr.refs, p.s.AtFunc(tr.at[j], carFn, &car{tr, j}))
 		}
@@ -155,17 +241,28 @@ func (p *trainProg) newTrain() {
 
 // run seeds the program and drives it with short RunUntil slices, so
 // deadlines and Stops land in the middle of trains and the next call has
-// to resume them. Every other slice polls a check that never objects, at
-// an interval shorter than most trains, so the polling fence cuts trains
-// too.
+// to resume them. Every other slice polls a check at an interval shorter
+// than most trains, so the polling fence cuts trains too. Now and then the
+// check objects; the loop breaks off short of its deadline, and a run to a
+// nearer deadline follows, so a deadline can also move back.
 func (p *trainProg) run(until Time) []fired {
-	p.newPlain()
+	p.newPlain(0, -1)
 	p.newTrain()
 	p.newTrain()
+	errCut := errors.New("cut")
+	check := func() error {
+		if p.rng.Intn(8) == 0 {
+			return errCut
+		}
+		return nil
+	}
 	for deadline := Time(3); p.s.Pending() > 0 && deadline <= until; deadline += 3 {
 		if deadline%2 == 0 {
 			p.s.RunUntil(deadline)
-		} else if err := p.s.RunUntilWithCheck(deadline, 2, func() error { return nil }); err != nil {
+		} else if err := p.s.RunUntilWithCheck(deadline, 2, check); err == errCut {
+			p.log = append(p.log, fired{at: p.s.Now(), id: -3})
+			p.s.RunUntil(p.s.Now())
+		} else if err != nil {
 			panic(err)
 		}
 		p.log = append(p.log, fired{at: p.s.Now(), id: -1})
@@ -179,7 +276,7 @@ func newTrainProg(s *Scheduler, seed int64, mode trainMode) *trainProg {
 
 func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 	const forever = Time(1 << 40)
-	inline := 0
+	inline, lowered, hCancels, resets := 0, 0, 0, 0
 	f := func(seed int64) bool {
 		want := newTrainProg(NewScheduler(seed), seed, separate).run(forever)
 		for _, mode := range []trainMode{refire, ahead} {
@@ -189,6 +286,9 @@ func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 				return false
 			}
 			inline += p.inline
+			lowered += p.lowered
+			hCancels += p.hCancels
+			resets += p.resets
 		}
 		// The same program on a scheduler Reset with trains mid-walk: the
 		// pending entries are swept, their refs go stale, and the rerun
@@ -214,11 +314,15 @@ func TestQuickTrainsDispatchLikeSeparateEvents(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 	if inline == 0 {
 		t.Error("no sub-event ever ran ahead; the property compared Refire with itself")
+	}
+	t.Logf("%d sub-events ran ahead; %d pushes lowered the horizon, %d cancels hit its source, %d Resets inside callbacks", inline, lowered, hCancels, resets)
+	if lowered == 0 || hCancels == 0 || resets == 0 {
+		t.Errorf("horizon lowered by %d pushes, its source cancelled %d times, %d Resets inside callbacks; want each > 0", lowered, hCancels, resets)
 	}
 }
 
@@ -495,6 +599,33 @@ func TestTrainResetInsideSubEvent(t *testing.T) {
 	wantLog(t, log, "sub1@15")
 }
 
+// TestTrainDeadlineMovesBack cuts a run short with its check, in the middle
+// of an instant, and resumes under a nearer deadline: the horizon the cut
+// run computed from its own deadline must not carry over, or the walk would
+// run ahead past the new one.
+func TestTrainDeadlineMovesBack(t *testing.T) {
+	s, log := NewScheduler(1), new([]string)
+	newWalker(s, log, 1, 1, 1, 2, 2)
+	cut := errors.New("cut")
+	err := s.RunUntilWithCheck(10, 2, func() error {
+		if s.Dispatched() == 2 {
+			return cut
+		}
+		return nil
+	})
+	if err != cut {
+		t.Fatalf("run returned %v, want the check's error", err)
+	}
+	wantLog(t, log, "sub0@1", "sub1@1")
+	s.RunUntil(1)
+	wantLog(t, log, "sub2@1")
+	if s.Now() != 1 || s.Pending() != 1 {
+		t.Fatalf("now=%v pending=%d under deadline 1, want 1 and 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(10)
+	wantLog(t, log, "sub3@2", "sub4@2")
+}
+
 // TestTrainPolledEveryIntervalOfSubEvents runs one 81-car train — a frame
 // to 40 neighbors — under a check polled every 16 dispatches: the check
 // must see every sixteenth callback although a single Step could cover all
@@ -526,5 +657,32 @@ func TestTrainPolledEveryIntervalOfSubEvents(t *testing.T) {
 	}
 	if w.inline != 48-3 {
 		t.Errorf("%d sub-events ran ahead, want 45: all but the three dispatched after a poll", w.inline)
+	}
+}
+
+// TestTrainScansHeapOncePerDispatch pins the horizon's saving: a frame to
+// 40 neighbors is one dispatch of 81 sub-events, and it reads the heap once,
+// not before each of its 80 run-aheads — also while every sub-event re-arms
+// a timer the way a MAC does on each indication, pushing a key past the
+// walk and cancelling the previous one, the event the horizon came from.
+func TestTrainScansHeapOncePerDispatch(t *testing.T) {
+	for _, churn := range []bool{false, true} {
+		s, log := NewScheduler(1), new([]string)
+		at := make([]Time, 81)
+		for j := range at {
+			at[j] = Time(1 + j)
+		}
+		w := newWalker(s, log, at...)
+		var timer EventRef
+		if churn {
+			w.hook = func(int) {
+				s.Cancel(timer)
+				timer = s.At(s.Now()+500, func() {})
+			}
+		}
+		s.RunUntil(1000)
+		if w.pos != 81 || w.inline != 80 || s.scans != 1 {
+			t.Errorf("churn %v: %d sub-events, %d ran ahead, %d heap scans; want 81, 80, 1", churn, w.pos, w.inline, s.scans)
+		}
 	}
 }

@@ -245,6 +245,14 @@ func (s *Server) handleTransports(w http.ResponseWriter, r *http.Request) {
 // scenario with thousands of explicit flows fits comfortably.
 const maxSweepBody = 16 << 20
 
+// maxSweepRuns bounds the grid a submitted sweep expands to. SweepProgress
+// holds every run's 288-byte Config from expansion on, and each finished
+// run's Result until the grid ends: about 3.3 KB per run on a 2-hop chain,
+// campaign cache entry included. So a sweep at the bound holds about
+// 330 MB, and a document within maxSweepBody can no longer ask for more
+// runs than memory holds (four 2^20-entry axes multiply to 2^80).
+const maxSweepRuns = 100_000
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sw Sweep
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
@@ -296,6 +304,15 @@ func validateSweep(sw Sweep) error {
 		if err := scn.Validate(); err != nil {
 			return fmt.Errorf("scenario %d: %w", i, err)
 		}
+	}
+	// GridSize's product, checked factor by factor so it cannot wrap.
+	transports, rates, linkModels, faults, seeds := sw.axes(0)
+	runs := 1
+	for _, n := range []int{len(sw.Scenarios), len(transports), len(rates), len(linkModels), len(faults), len(seeds)} {
+		if n > maxSweepRuns/runs {
+			return fmt.Errorf("sweep expands to more than %d runs (scenarios × transports × rates × link models × faults × seeds)", maxSweepRuns)
+		}
+		runs *= n
 	}
 	return nil
 }

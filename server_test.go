@@ -274,6 +274,55 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnboundedGrid: a grid past the server's run bound is
+// refused before any job exists. Four 2^16-entry axes multiply to 2^64,
+// which an unchecked int product wraps to 0 (four 2^20-entry axes, 2^80,
+// fit in a 10 MB document and wrap the same way); two axes of 2 and 50 001
+// stay far from wrapping and still cross the 100 000-run bound.
+func TestServeRejectsUnboundedGrid(t *testing.T) {
+	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
+	defer ts.Close()
+	const n = 1 << 16
+	wide := manetsim.Sweep{
+		Scenarios:  []*manetsim.Scenario{manetsim.Chain(2)},
+		Seeds:      make([]int64, n),
+		Rates:      make([]manetsim.Rate, n),
+		LinkModels: make([]manetsim.LinkModelSpec, n),
+		Faults:     make([][]manetsim.FaultSpec, n),
+	}
+	long := manetsim.Sweep{
+		Scenarios:  []*manetsim.Scenario{manetsim.Chain(2)},
+		Transports: []manetsim.TransportSpec{{Name: "vegas"}, {Name: "newreno"}},
+		Seeds:      make([]int64, 50_001),
+	}
+	for name, sw := range map[string]manetsim.Sweep{"four 2^16 axes": wide, "2 x 50 001": long} {
+		body, err := json.Marshal(sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, "more than 100000 runs") {
+			t.Errorf("%s: submit = %d %q, want 400 naming the run bound", name, resp.StatusCode, msg.Error)
+		}
+	}
+	var jobs []json.RawMessage
+	getJSON(t, ts, "/api/v1/sweeps", http.StatusOK, &jobs)
+	if len(jobs) != 0 {
+		t.Errorf("%d jobs after rejected submits, want 0", len(jobs))
+	}
+}
+
 func TestServeUnknownJobIs404(t *testing.T) {
 	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
 	defer ts.Close()
