@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -589,11 +590,21 @@ func (sw Sweep) axes(scaleSeed int64) (transports []TransportSpec, rates []Rate,
 	return transports, rates, linkModels, faults, seeds
 }
 
-// GridSize returns how many runs the sweep expands to under the given
-// campaign scale (cells x seed replicates).
-func (sw Sweep) GridSize(scale Scale) int {
-	transports, rates, linkModels, faults, seeds := sw.axes(scale.Seed)
-	return len(sw.Scenarios) * len(transports) * len(rates) * len(linkModels) * len(faults) * len(seeds)
+// Size returns how many runs the sweep expands to (cells x seed
+// replicates). Each factor is checked before it is multiplied in, so a
+// grid too large for an int is an error rather than a wrapped count.
+func (sw Sweep) Size() (int, error) {
+	transports, rates, linkModels, faults, seeds := sw.axes(0)
+	axes := []int{len(sw.Scenarios), len(transports), len(rates), len(linkModels), len(faults), len(seeds)}
+	runs := 1
+	for _, n := range axes {
+		if n != 0 && runs > math.MaxInt/n {
+			return 0, fmt.Errorf("manetsim: sweep grid of %d scenarios × %d transports × %d rates × %d link models × %d fault schedules × %d seeds overflows an int",
+				axes[0], axes[1], axes[2], axes[3], axes[4], axes[5])
+		}
+		runs *= n
+	}
+	return runs, nil
 }
 
 // SweepEvent reports one completed run of a sweep grid to a progress
@@ -630,6 +641,9 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 	}
 	if len(sw.Scenarios) == 0 {
 		return nil, errors.New("manetsim: Sweep needs at least one Scenario")
+	}
+	if _, err := sw.Size(); err != nil {
+		return nil, err
 	}
 	transports, rates, linkModels, faults, seeds := sw.axes(c.Scale.Seed)
 	var cells []Cell

@@ -24,8 +24,8 @@ func TestSweepFaultsAxis(t *testing.T) {
 		Seeds:      []int64{1, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
 	}
-	if got := sw.GridSize(BenchScale); got != 4 {
-		t.Fatalf("GridSize = %d, want 4 (2 schedules x 2 seeds)", got)
+	if got, err := sw.Size(); got != 4 || err != nil {
+		t.Fatalf("Size = %d, %v, want 4 (2 schedules x 2 seeds)", got, err)
 	}
 	c := NewCampaign(BenchScale)
 	cells, err := c.Sweep(context.Background(), sw)

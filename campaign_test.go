@@ -579,12 +579,16 @@ func TestCampaignSweepResumesFromStore(t *testing.T) {
 func TestCampaignInterruptedSweepResumes(t *testing.T) {
 	dir := t.TempDir()
 	sw := storeSweep(1, 2)
-	total := int64(sw.GridSize(BenchScale))
+	size, err := sw.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(size)
 
 	interrupted := NewCampaign(BenchScale, WithWorkers(1), WithStore(dir))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := interrupted.SweepProgress(ctx, sw, func(ev SweepEvent) {
+	_, err = interrupted.SweepProgress(ctx, sw, func(ev SweepEvent) {
 		if ev.Done == 2 {
 			cancel() // kill the campaign after the second completed run
 		}
@@ -775,5 +779,28 @@ func TestCampaignHonorsExplicitBudget(t *testing.T) {
 	}
 	if res.Delivered < 550 || res.Delivered > 1100 {
 		t.Errorf("delivered %d packets, want the explicit 550 budget, not the scale's 110000", res.Delivered)
+	}
+}
+
+// TestSweepSizeChecksEachFactor: four 2^16-entry axes multiply to 2^64,
+// which an unchecked int product wraps to 0. Size reports the overflow,
+// and Campaign.Sweep returns it before expanding a single config.
+func TestSweepSizeChecksEachFactor(t *testing.T) {
+	sw := Sweep{Scenarios: []*Scenario{Chain(2)}, Transports: []TransportSpec{{Name: "vegas"}, {Name: "newreno"}}, Seeds: []int64{1, 2, 3}}
+	if n, err := sw.Size(); n != 6 || err != nil {
+		t.Errorf("1 x 2 x 3 grid: Size = %d, %v, want 6", n, err)
+	}
+	const n = 1 << 16
+	sw.Transports = nil
+	sw.Seeds = make([]int64, n)
+	sw.Rates = make([]Rate, n)
+	sw.LinkModels = make([]LinkModelSpec, n)
+	sw.Faults = make([][]FaultSpec, n)
+	if got, err := sw.Size(); err == nil || !strings.Contains(err.Error(), "65536 seeds overflows an int") {
+		t.Fatalf("four 2^16 axes: Size = %d, %v, want an overflow error", got, err)
+	}
+	cells, err := NewCampaign(BenchScale).Sweep(context.Background(), sw)
+	if err == nil || !strings.Contains(err.Error(), "overflows an int") {
+		t.Fatalf("Campaign.Sweep of four 2^16 axes = %d cells, %v, want the overflow error", len(cells), err)
 	}
 }

@@ -14,8 +14,12 @@ import (
 // fault spec, so a full chaos schedule composes on the command line:
 //
 //	manetsim -fault crash@t=30,node=3 -fault blackout@t=60,from=1,to=2,d=5s
+//
+// When dst is set, every Set stores the specs given so far there, so the
+// first explicit -fault replaces whatever list dst held.
 type faultFlags struct {
 	specs []manetsim.FaultSpec
+	dst   *[]manetsim.FaultSpec
 }
 
 func (f *faultFlags) String() string {
@@ -32,6 +36,9 @@ func (f *faultFlags) Set(s string) error {
 		return err
 	}
 	f.specs = append(f.specs, spec)
+	if f.dst != nil {
+		*f.dst = f.specs
+	}
 	return nil
 }
 
@@ -131,12 +138,4 @@ func parseSeconds(val string) (time.Duration, error) {
 		return 0, fmt.Errorf("%q seconds is not a finite duration within ±%v", val, time.Duration(math.MaxInt64))
 	}
 	return time.Duration(ns), nil
-}
-
-// listFaults prints the fault registry, one injector per line.
-func listFaults() {
-	fmt.Println("registered faults (inject with -fault <name>@k=v,...):")
-	for _, info := range manetsim.Faults() {
-		listEntry(info.Name, info.Aliases, info.Description)
-	}
 }

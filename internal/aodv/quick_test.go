@@ -55,7 +55,10 @@ func TestQuickStaticRouterPathsTerminate(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%15) + 3
 		rng := rand.New(rand.NewSource(seed))
-		pts, _ := geo.Random(geo.RandomConfig{N: n, Width: 800, Height: 800, Range: 300}, rng)
+		pts, _, err := geo.Random(geo.RandomConfig{N: n, Width: 800, Height: 800, Range: 300}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Build next-hop tables for every node via NewStatic (MAC unused
 		// for the path-walk check).
 		routers := make([]*StaticRouter, n)

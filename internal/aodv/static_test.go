@@ -54,7 +54,10 @@ func TestStaticRoutersFromSharedAdjacency(t *testing.T) {
 			grid210 = append(grid210, geo.Point{X: float64(col) * 200, Y: float64(row) * 200})
 		}
 	}
-	field, _ := geo.Random(geo.RandomConfig{N: 120, Width: 2500, Height: 1000, Range: phy.TxRange}, rand.New(rand.NewSource(1)))
+	field, _, err := geo.Random(geo.RandomConfig{N: 120, Width: 2500, Height: 1000, Range: phy.TxRange}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two chains a kilometer apart, plus a node in range of nobody.
 	islands := append(geo.Chain(3), geo.Point{X: 5000, Y: 5000})
 	for _, p := range geo.Chain(3) {

@@ -409,6 +409,9 @@ func (c Config) validate() error {
 	if c.Scenario == nil {
 		return fmt.Errorf("core: Config.Scenario is nil; build one with NewScenario/AddNode or the Chain/Grid/Random constructors")
 	}
+	if c.Bandwidth < 0 {
+		return fmt.Errorf("core: negative Bandwidth %g bit/s (0 selects the default 2 Mbit/s)", float64(c.Bandwidth))
+	}
 	if err := c.Transport.validate(specLabel{"Config.Transport", -1}, true); err != nil {
 		return err
 	}

@@ -226,6 +226,13 @@ func (s *Scenario) Validate() error {
 		if len(s.Flows) == 0 && g.FlowCount < 1 {
 			return fmt.Errorf("core: random scenario needs FlowCount >= 1 or explicit flows")
 		}
+		// Generated flows are distinct (src, dst) pairs, so more than the
+		// field's ordered pairs could never all be drawn (float64: the
+		// product of two ints may overflow).
+		if pairs := float64(g.Nodes) * float64(g.Nodes-1); len(s.Flows) == 0 && float64(g.FlowCount) > pairs {
+			return fmt.Errorf("core: random scenario asks for FlowCount %d distinct flows, but %d nodes have only %.0f (src, dst) pairs",
+				g.FlowCount, g.Nodes, pairs)
+		}
 	} else {
 		if n == 0 {
 			return fmt.Errorf("core: scenario %q has no nodes; add them with AddNode or use a constructor", s.Name)
@@ -266,9 +273,12 @@ func (s *Scenario) materialize(rng *rand.Rand) ([]geo.Point, []Flow, error) {
 		return nil, nil, err
 	}
 	if g := s.Generator; g != nil {
-		pts, _ := geo.Random(geo.RandomConfig{
+		pts, _, err := geo.Random(geo.RandomConfig{
 			N: g.Nodes, Width: g.Width, Height: g.Height, Range: phy.TxRange,
 		}, rng)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: scenario %q: %w", s.Name, err)
+		}
 		flows := s.Flows
 		if len(flows) == 0 {
 			gf := geo.PickFlows(g.Nodes, g.FlowCount, rng)

@@ -151,6 +151,39 @@ func TestValidateRandomGenerator(t *testing.T) {
 	wantError(t, cfg, `unknown scenario generator kind "hexlattice"`)
 }
 
+// TestValidateFlowCountAboveNodePairs: generated flows are distinct
+// (src, dst) pairs, so a FlowCount above Nodes·(Nodes−1) is rejected
+// instead of drawing pairs forever; exactly that many still runs.
+func TestValidateFlowCountAboveNodePairs(t *testing.T) {
+	cfg := validChain()
+	cfg.Scenario = RandomField(2, 100, 100, 3)
+	wantError(t, cfg, "FlowCount 3", "2 nodes have only 2 (src, dst) pairs")
+
+	cfg.Scenario = RandomField(2, 100, 100, 2)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("FlowCount 2 over 2 nodes: %v", err)
+	}
+	if len(res.Flows) != 2 || res.Delivered == 0 {
+		t.Errorf("FlowCount 2 over 2 nodes: %d flows, %d delivered", len(res.Flows), res.Delivered)
+	}
+}
+
+// TestRandomFieldTooSparseErrors: random placement gives up on a field no
+// placement of its nodes can connect, with an error naming the field,
+// rather than resampling forever inside build.
+func TestRandomFieldTooSparseErrors(t *testing.T) {
+	cfg := validChain()
+	cfg.Scenario = RandomField(2, 1e9, 1e9, 1)
+	wantError(t, cfg, "too sparse", "1e+09x1e+09 m field", `scenario "random-2"`)
+}
+
+func TestValidateNegativeBandwidth(t *testing.T) {
+	cfg := validChain()
+	cfg.Bandwidth = -1
+	wantError(t, cfg, "negative Bandwidth -1 bit/s")
+}
+
 // TestValidateGeneratorFlowAgainstGeneratorNodes pins that explicit flows
 // over a generator scenario are checked against the generated node count.
 func TestValidateGeneratorFlowAgainstGeneratorNodes(t *testing.T) {

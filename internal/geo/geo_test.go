@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,7 +85,10 @@ func TestGrid21Layout(t *testing.T) {
 func TestRandomTopologyConnectedAndInBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := RandomConfig{N: 120, Width: 2500, Height: 1000, Range: 250}
-	pts, attempts := Random(cfg, rng)
+	pts, attempts, err := Random(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 120 {
 		t.Fatalf("random topology has %d nodes, want 120", len(pts))
 	}
@@ -103,12 +107,26 @@ func TestRandomTopologyConnectedAndInBounds(t *testing.T) {
 
 func TestRandomTopologyDeterministicPerSeed(t *testing.T) {
 	cfg := RandomConfig{N: 30, Width: 1000, Height: 1000, Range: 250}
-	a, _ := Random(cfg, rand.New(rand.NewSource(7)))
-	b, _ := Random(cfg, rand.New(rand.NewSource(7)))
+	a, _, _ := Random(cfg, rand.New(rand.NewSource(7)))
+	b, _, _ := Random(cfg, rand.New(rand.NewSource(7)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed produced different placements at node %d", i)
 		}
+	}
+}
+
+// TestRandomTooSparseFieldErrors: two nodes on a 1e9 m square are almost
+// never within range, so Random gives up after maxRandomAttempts draws
+// with an error naming the field instead of resampling forever.
+func TestRandomTooSparseFieldErrors(t *testing.T) {
+	cfg := RandomConfig{N: 2, Width: 1e9, Height: 1e9, Range: 250}
+	pts, attempts, err := Random(cfg, rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "too sparse") || !strings.Contains(err.Error(), "1e+09x1e+09") {
+		t.Fatalf("Random on a 1e9 m field = %d points, err %v; want a too-sparse error naming the field", len(pts), err)
+	}
+	if pts != nil || attempts != maxRandomAttempts {
+		t.Errorf("gave up with %d points after %d attempts, want none after %d", len(pts), attempts, maxRandomAttempts)
 	}
 }
 

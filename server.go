@@ -267,7 +267,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
 		return
 	}
-	if err := validateSweep(sw); err != nil {
+	total, err := validateSweep(sw)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -280,7 +281,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	j := &sweepJob{
 		id:    fmt.Sprintf("sweep-%d", s.seq),
-		total: sw.GridSize(s.campaign.Scale),
+		total: total,
 		state: jobRunning,
 		subs:  make(map[chan serverEvent]struct{}),
 	}
@@ -292,29 +293,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // validateSweep rejects structurally broken submissions synchronously
-// (HTTP 400); run-level misconfigurations surface as a failed job.
-func validateSweep(sw Sweep) error {
+// (HTTP 400) and returns the number of runs the grid expands to;
+// run-level misconfigurations surface as a failed job.
+func validateSweep(sw Sweep) (int, error) {
 	if len(sw.Scenarios) == 0 {
-		return errors.New("sweep needs at least one scenario")
+		return 0, errors.New("sweep needs at least one scenario")
 	}
 	for i, scn := range sw.Scenarios {
 		if scn == nil {
-			return fmt.Errorf("scenario %d is null", i)
+			return 0, fmt.Errorf("scenario %d is null", i)
 		}
 		if err := scn.Validate(); err != nil {
-			return fmt.Errorf("scenario %d: %w", i, err)
+			return 0, fmt.Errorf("scenario %d: %w", i, err)
 		}
 	}
-	// GridSize's product, checked factor by factor so it cannot wrap.
-	transports, rates, linkModels, faults, seeds := sw.axes(0)
-	runs := 1
-	for _, n := range []int{len(sw.Scenarios), len(transports), len(rates), len(linkModels), len(faults), len(seeds)} {
-		if n > maxSweepRuns/runs {
-			return fmt.Errorf("sweep expands to more than %d runs (scenarios × transports × rates × link models × faults × seeds)", maxSweepRuns)
-		}
-		runs *= n
+	runs, err := sw.Size()
+	if err != nil || runs > maxSweepRuns {
+		return 0, fmt.Errorf("sweep expands to more than %d runs (scenarios × transports × rates × link models × faults × seeds)", maxSweepRuns)
 	}
-	return nil
+	return runs, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -50,10 +50,20 @@ func postSweep(t *testing.T, ts *httptest.Server, sw manetsim.Sweep) string {
 	if st.ID == "" || st.State != "running" {
 		t.Fatalf("submit response %+v", st)
 	}
-	if want := sw.GridSize(manetsim.BenchScale); st.Total != want {
+	if want := gridSize(t, sw); st.Total != want {
 		t.Fatalf("submit total = %d, want %d", st.Total, want)
 	}
 	return st.ID
+}
+
+// gridSize is sw.Size for a grid the test knows to be small.
+func gridSize(t *testing.T, sw manetsim.Sweep) int {
+	t.Helper()
+	n, err := sw.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestServeSweepEndToEnd submits a sweep over HTTP, consumes the
@@ -67,7 +77,7 @@ func TestServeSweepEndToEnd(t *testing.T) {
 
 	sw := serveSweep()
 	id := postSweep(t, ts, sw)
-	total := sw.GridSize(manetsim.BenchScale)
+	total := gridSize(t, sw)
 
 	// The events stream must deliver one "run" event per grid run and a
 	// single terminal "done" — and it blocks until the job ends, so a
@@ -425,7 +435,7 @@ func TestServeSharesStoreAcrossRestart(t *testing.T) {
 	id := postSweep(t, ts1, serveSweep())
 	waitForState(t, ts1, id, "done", 2*time.Minute)
 	ts1.Close()
-	total := int64(serveSweep().GridSize(manetsim.BenchScale))
+	total := int64(gridSize(t, serveSweep()))
 	if got := first.Executed(); got != total {
 		t.Fatalf("first server executed %d runs, want %d", got, total)
 	}
@@ -533,7 +543,7 @@ func TestServeForcedShutdownLosesNoCompletedRuns(t *testing.T) {
 		// even on a fast machine.
 		Base: manetsim.Config{TotalPackets: 5500, BatchPackets: 500},
 	}
-	total := int64(sw.GridSize(manetsim.BenchScale))
+	total := int64(gridSize(t, sw))
 
 	first := manetsim.NewCampaign(manetsim.BenchScale, manetsim.WithWorkers(1), manetsim.WithStore(dir))
 	server := manetsim.NewServer(first)
