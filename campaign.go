@@ -191,8 +191,8 @@ func runCore(ctx context.Context, w *core.World, cfg Config) (res *Result, err e
 }
 
 // scaled fills a config's unset measurement budget and seed from the
-// campaign scale. Explicit per-config values win, so WithPackets/WithSeed
-// keep their meaning through RunScenario.
+// campaign scale. Explicit per-config values win, so a Config's own
+// TotalPackets, BatchPackets and Seed keep their meaning through Run.
 func (c *Campaign) scaled(cfg Config) Config {
 	if cfg.TotalPackets == 0 {
 		cfg.TotalPackets = c.Scale.TotalPackets
@@ -431,16 +431,6 @@ func (c *Campaign) Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return c.cachedRun(ctx, c.scaled(cfg), nil)
-}
-
-// RunScenario executes one scenario with run options (see Run at package
-// level) through the campaign's scale and cache.
-func (c *Campaign) RunScenario(ctx context.Context, scn *Scenario, opts ...Option) (*Result, error) {
-	cfg := Config{Scenario: scn}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return c.Run(ctx, cfg)
 }
 
 // RunAll executes configs in parallel, preserving order and returning the

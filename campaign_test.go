@@ -30,13 +30,17 @@ func TestCampaignCacheDedupsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.RunScenario(ctx, Chain(2),
-		WithBandwidth(Rate2Mbps), WithTransport(TransportSpec{Protocol: Vegas, Alpha: 2}))
+	// An equal config built from scratch: a fresh Scenario, a fresh spec.
+	b, err := c.Run(ctx, Config{
+		Scenario:  Chain(2),
+		Bandwidth: Rate2Mbps,
+		Transport: TransportSpec{Protocol: Vegas, Alpha: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("equal configs built through different entry points were not served from the cache")
+		t.Error("two independently built equal configs were not served from the cache")
 	}
 }
 
@@ -218,11 +222,13 @@ func TestRunCancelledMidRunReturnsCtxErr(t *testing.T) {
 		cancel()
 	}()
 	// A budget far beyond what 30 ms of wall time can simulate.
-	_, err := Run(ctx, Chain(8),
-		WithTransport(TransportSpec{Protocol: Vegas}),
-		WithSeed(1),
-		WithPackets(10_000_000, 1_000_000),
-	)
+	_, err := RunConfig(ctx, Config{
+		Scenario:     Chain(8),
+		Transport:    TransportSpec{Protocol: Vegas},
+		Seed:         1,
+		TotalPackets: 10_000_000,
+		BatchPackets: 1_000_000,
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -236,7 +242,12 @@ func TestRunCancelledMidRunReturnsCtxErr(t *testing.T) {
 func TestRunPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, Chain(2), WithTransport(TransportSpec{Protocol: Vegas}), WithPackets(1100, 100))
+	_, err := RunConfig(ctx, Config{
+		Scenario:     Chain(2),
+		Transport:    TransportSpec{Protocol: Vegas},
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -771,9 +782,12 @@ func TestOptimalUDPGapProbesPersist(t *testing.T) {
 
 func TestCampaignHonorsExplicitBudget(t *testing.T) {
 	c := NewCampaign(PaperScale) // 110000 packets by default
-	res, err := c.RunScenario(context.Background(), Chain(2),
-		WithTransport(TransportSpec{Protocol: Vegas}),
-		WithPackets(550, 50))
+	res, err := c.Run(context.Background(), Config{
+		Scenario:     Chain(2),
+		Transport:    TransportSpec{Protocol: Vegas},
+		TotalPackets: 550,
+		BatchPackets: 50,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

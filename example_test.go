@@ -13,12 +13,13 @@ import (
 // The quick start: one TCP Vegas flow over the paper's 7-hop chain at
 // 2 Mbit/s, full paper methodology (110000 packets, batch means with 95%
 // confidence intervals).
-func ExampleRun() {
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(7),
-		manetsim.WithBandwidth(manetsim.Rate2Mbps),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
-		manetsim.WithSeed(1),
-	)
+func ExampleRunConfig() {
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:  manetsim.Chain(7),
+		Bandwidth: manetsim.Rate2Mbps,
+		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Seed:      1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,9 +44,12 @@ func ExampleNewScenario() {
 		Start:     2 * time.Second,
 	})
 
-	res, err := manetsim.Run(context.Background(), scn,
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(11000, 1000))
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     scn,
+		Seed:         1,
+		TotalPackets: 11000,
+		BatchPackets: 1000,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,19 +60,21 @@ func ExampleNewScenario() {
 
 // An Observer streams events out of a running simulation: batch closes,
 // classified route failures, transport retransmissions and progress.
-func ExampleWithObserver() {
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(4),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.NewReno}),
-		manetsim.WithPackets(11000, 1000),
-		manetsim.WithObserver(&manetsim.Observer{
+func ExampleObserver() {
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     manetsim.Chain(4),
+		Transport:    manetsim.TransportSpec{Protocol: manetsim.NewReno},
+		TotalPackets: 11000,
+		BatchPackets: 1000,
+		Observer: &manetsim.Observer{
 			Progress: func(delivered, total int64, simTime time.Duration) {
 				fmt.Printf("%d/%d packets at t=%v\n", delivered, total, simTime.Round(time.Second))
 			},
 			RouteFailure: func(node manetsim.NodeID, falseFailure bool) {
 				fmt.Printf("route failure at node %d (false=%v)\n", node, falseFailure)
 			},
-		}),
-	)
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -181,17 +187,20 @@ func (c *aimdHalf) OnTimeout() {
 }
 
 // RegisterTransport makes a custom congestion-control strategy selectable
-// by name everywhere a TransportSpec goes: Run options, per-flow specs,
-// Campaign sweeps and cmd/manetsim -protocol.
+// by name everywhere a TransportSpec goes: Config.Transport, per-flow
+// specs, Campaign sweeps and cmd/manetsim -protocol.
 func ExampleRegisterTransport() {
 	manetsim.RegisterTransport("aimd-half", func(manetsim.TransportSpec) (manetsim.CongestionControl, error) {
 		return &aimdHalf{}, nil
 	})
 
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(3),
-		manetsim.WithTransport(manetsim.TransportSpec{Name: "aimd-half"}),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(1100, 100))
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     manetsim.Chain(3),
+		Transport:    manetsim.TransportSpec{Name: "aimd-half"},
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -201,11 +210,13 @@ func ExampleRegisterTransport() {
 
 // Cancellation propagates into the event loop: a deadline or cancel stops
 // a run promptly with ctx.Err().
-func ExampleRun_cancellation() {
+func ExampleRunConfig_cancellation() {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := manetsim.Run(ctx, manetsim.Random(),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}))
+	_, err := manetsim.RunConfig(ctx, manetsim.Config{
+		Scenario:  manetsim.Random(),
+		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+	})
 	fmt.Println(err) // context.DeadlineExceeded once the budget is hit
 }
 
@@ -255,11 +266,14 @@ func ExampleScenario_linkModel() {
 	ge := manetsim.GilbertElliottModel(0.02, 0.3, 0.5)
 	ge.Jitter = 10 * time.Microsecond
 
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(3),
-		manetsim.WithTransport(manetsim.TransportSpec{Name: "newreno"}),
-		manetsim.WithLinkModel(ge),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(1100, 100))
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     manetsim.Chain(3),
+		Transport:    manetsim.TransportSpec{Name: "newreno"},
+		LinkModel:    ge,
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -275,11 +289,14 @@ func ExampleScenario_linkModel() {
 func ExampleScenario_faults() {
 	crash := manetsim.CrashFault(2, 2*time.Second, 2*time.Second)
 
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(4),
-		manetsim.WithTransport(manetsim.TransportSpec{Name: "newreno"}),
-		manetsim.WithFaults(crash),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(550, 50))
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     manetsim.Chain(4),
+		Transport:    manetsim.TransportSpec{Name: "newreno"},
+		Faults:       []manetsim.FaultSpec{crash},
+		Seed:         1,
+		TotalPackets: 550,
+		BatchPackets: 50,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,11 +44,12 @@ func main() {
 			scn.Flows[i].Transport = newreno
 		}
 	}
-	res, err := manetsim.Run(context.Background(), scn,
-		manetsim.WithBandwidth(manetsim.Rate11Mbps),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(demoPackets(22000), 0),
-	)
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     scn,
+		Bandwidth:    manetsim.Rate11Mbps,
+		Seed:         1,
+		TotalPackets: demoPackets(22000),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,12 +81,13 @@ func main() {
 		},
 	}
 
-	res, err := manetsim.Run(context.Background(), scn,
-		manetsim.WithBandwidth(manetsim.Rate2Mbps),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(demoPackets(5500), 0),
-		manetsim.WithObserver(obs),
-	)
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     scn,
+		Bandwidth:    manetsim.Rate2Mbps,
+		Seed:         1,
+		TotalPackets: demoPackets(5500),
+		Observer:     obs,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

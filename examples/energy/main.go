@@ -40,12 +40,13 @@ func main() {
 		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
 		{"NewReno + thinning", manetsim.TransportSpec{Protocol: manetsim.NewReno, AckThinning: true}},
 	} {
-		res, err := manetsim.Run(context.Background(), manetsim.Chain(8),
-			manetsim.WithBandwidth(manetsim.Rate2Mbps),
-			manetsim.WithTransport(v.t),
-			manetsim.WithSeed(1),
-			manetsim.WithPackets(demoPackets(11000), 0),
-		)
+		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+			Scenario:     manetsim.Chain(8),
+			Bandwidth:    manetsim.Rate2Mbps,
+			Transport:    v.t,
+			Seed:         1,
+			TotalPackets: demoPackets(11000),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

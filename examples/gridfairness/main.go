@@ -41,12 +41,13 @@ func main() {
 
 	fmt.Println("21-node grid, 6 competing FTP flows, 11 Mbit/s:")
 	for _, v := range variants {
-		res, err := manetsim.Run(context.Background(), manetsim.Grid(),
-			manetsim.WithBandwidth(manetsim.Rate11Mbps),
-			manetsim.WithTransport(v.t),
-			manetsim.WithSeed(1),
-			manetsim.WithPackets(demoPackets(22000), 0),
-		)
+		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+			Scenario:     manetsim.Grid(),
+			Bandwidth:    manetsim.Rate11Mbps,
+			Transport:    v.t,
+			Seed:         1,
+			TotalPackets: demoPackets(22000),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,12 +42,14 @@ func main() {
 	}
 	fmt.Println("hidden-terminal topology, NewReno, 2 Mbit/s:")
 	for _, m := range modes {
-		res, err := manetsim.Run(context.Background(), manetsim.HiddenTerminal(),
-			manetsim.WithTransport(manetsim.TransportSpec{Name: "newreno"}),
-			manetsim.WithRTSThreshold(m.threshold),
-			manetsim.WithPackets(total, total/11),
-			manetsim.WithSeed(1),
-		)
+		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+			Scenario:     manetsim.HiddenTerminal(),
+			Transport:    manetsim.TransportSpec{Name: "newreno"},
+			RTSThreshold: m.threshold,
+			TotalPackets: total,
+			BatchPackets: total / 11,
+			Seed:         1,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

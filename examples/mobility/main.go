@@ -43,14 +43,15 @@ func main() {
 				PinFlowEndpoints: true,
 			})
 		}
-		res, err := manetsim.Run(context.Background(), scn,
-			manetsim.WithBandwidth(manetsim.Rate2Mbps),
-			manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
-			manetsim.WithSeed(1),
+		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+			Scenario:  scn,
+			Bandwidth: manetsim.Rate2Mbps,
+			Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+			Seed:      1,
 			// Reduced scale for a fast demo.
-			manetsim.WithPackets(demoPackets(11000), 0),
-			manetsim.WithMaxSimTime(2*time.Hour),
-		)
+			TotalPackets: demoPackets(11000),
+			MaxSimTime:   2 * time.Hour,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,14 +26,15 @@ func demoPackets(def int64) int64 {
 }
 
 func main() {
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(7),
-		manetsim.WithBandwidth(manetsim.Rate2Mbps),
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
-		manetsim.WithSeed(1),
-		// Reduced scale for a fast demo; drop this option for the paper's
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:  manetsim.Chain(7),
+		Bandwidth: manetsim.Rate2Mbps,
+		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Seed:      1,
+		// Reduced scale for a fast demo; drop this field for the paper's
 		// full 110000-packet methodology.
-		manetsim.WithPackets(demoPackets(11000), 0),
-	)
+		TotalPackets: demoPackets(11000),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

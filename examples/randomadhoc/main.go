@@ -36,12 +36,13 @@ func main() {
 		{"Vegas", manetsim.TransportSpec{Protocol: manetsim.Vegas}},
 		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
 	} {
-		res, err := manetsim.Run(context.Background(), manetsim.Random(),
-			manetsim.WithBandwidth(manetsim.Rate11Mbps),
-			manetsim.WithTransport(v.t),
-			manetsim.WithSeed(7),
-			manetsim.WithPackets(demoPackets(11000), 0),
-		)
+		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+			Scenario:     manetsim.Random(),
+			Bandwidth:    manetsim.Rate11Mbps,
+			Transport:    v.t,
+			Seed:         7,
+			TotalPackets: demoPackets(11000),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

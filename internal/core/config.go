@@ -240,7 +240,7 @@ type MobilitySpec struct {
 	PinFlowEndpoints bool
 
 	// UpdateInterval is the position-refresh epoch of the channel
-	// (default phy.DefaultUpdateInterval).
+	// (default phy.DefaultUpdateInterval; at least 1 ms when set).
 	UpdateInterval time.Duration
 }
 
@@ -402,6 +402,11 @@ func WithDefaults(c Config) Config {
 	return c
 }
 
+// minUpdateInterval is the shortest position epoch a run accepts: at
+// 20 m/s a node moves 2 cm in 1 ms, and shorter epochs only burn time
+// recomputing neighbors.
+const minUpdateInterval = time.Millisecond
+
 // validate rejects misconfigured runs with actionable errors before any
 // simulation state is built. Flow-level checks live in Scenario.Validate,
 // which runs during materialization.
@@ -422,6 +427,9 @@ func (c Config) validate() error {
 	if err := c.LinkModel.validate("Config.LinkModel", epoch); err != nil {
 		return err
 	}
+	if ui := c.Scenario.Mobility.UpdateInterval; ui < 0 || (ui > 0 && ui < minUpdateInterval) {
+		return fmt.Errorf("core: Mobility.UpdateInterval %v below the %v floor (0 selects the default %v)", ui, minUpdateInterval, phy.DefaultUpdateInterval)
+	}
 	for i, f := range c.Faults {
 		if err := f.validate(fmt.Sprintf("Config.Faults[%d]", i), c.Scenario.NumNodes()); err != nil {
 			return err
@@ -435,6 +443,10 @@ func (c Config) validate() error {
 	}
 	if c.WarmupBatches < 0 {
 		return fmt.Errorf("core: negative WarmupBatches %d (batches discarded before measuring; 0 selects the default 1)", c.WarmupBatches)
+	}
+	if c.BatchPackets > 0 && c.BatchPackets > c.TotalPackets/(int64(c.WarmupBatches)+1) {
+		return fmt.Errorf("core: BatchPackets %d x (WarmupBatches %d + 1) exceeds TotalPackets %d: no batch would be measured",
+			c.BatchPackets, c.WarmupBatches, c.TotalPackets)
 	}
 	if c.MaxSimTime < 0 {
 		return fmt.Errorf("core: negative MaxSimTime %v (simulated-time bound; 0 selects the default 24h)", c.MaxSimTime)

@@ -128,7 +128,7 @@ var faults = newRegistry[faultEntry]("fault")
 func registerFault(e *faultEntry) { faults.add(e, e.name, e.aliases...) }
 
 // RegisterFault registers a fault injector under name, making it
-// selectable everywhere a FaultSpec goes: Run options, Campaign sweeps
+// selectable everywhere a FaultSpec goes: Config.Faults, Campaign sweeps
 // and cmd/manetsim -fault. It backs the public manetsim.RegisterFault and
 // panics on an empty or duplicate name (registration is a program-setup
 // bug, not a runtime condition).

@@ -124,7 +124,7 @@ var linkModels = newRegistry[linkModelEntry]("link model")
 func registerLinkModel(e *linkModelEntry) { linkModels.add(e, e.name, e.aliases...) }
 
 // RegisterLinkModel registers a link-impairment model under name, making
-// it selectable everywhere a LinkModelSpec goes: Run options, Campaign
+// it selectable everywhere a LinkModelSpec goes: Config.LinkModel, Campaign
 // sweeps and cmd/manetsim -link-model. It backs the public
 // manetsim.RegisterLinkModel and panics on an empty or duplicate name
 // (registration is a program-setup bug, not a runtime condition).

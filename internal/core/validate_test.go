@@ -136,6 +136,53 @@ func TestValidateNegativeBudget(t *testing.T) {
 	wantError(t, cfg, "negative MaxSimTime -1s")
 }
 
+// TestValidateNoMeasuredBatch: a budget that the warm-up batches use up
+// would close no measured batch and report goodput 0 as if measured.
+func TestValidateNoMeasuredBatch(t *testing.T) {
+	cfg := validChain()
+	cfg.TotalPackets, cfg.BatchPackets = 1100, 10000
+	wantError(t, cfg, "BatchPackets 10000", "WarmupBatches 1", "TotalPackets 1100")
+
+	cfg = validChain()
+	cfg.WarmupBatches = 3
+	cfg.TotalPackets, cfg.BatchPackets = 550, 150
+	wantError(t, cfg, "BatchPackets 150", "WarmupBatches 3", "TotalPackets 550")
+
+	// One warm-up batch and one measured batch exactly fill the budget.
+	cfg = validChain()
+	cfg.TotalPackets, cfg.BatchPackets = 550, 275
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("BatchPackets 275 x 2 = TotalPackets 550 rejected: %v", err)
+	}
+}
+
+// TestValidateUpdateIntervalFloor: a sub-millisecond position epoch
+// spends the run recomputing neighbors for centimeter moves; 1 ms is the
+// floor and still runs.
+func TestValidateUpdateIntervalFloor(t *testing.T) {
+	cfg := validChain()
+	cfg.Scenario.Mobility.UpdateInterval = -time.Millisecond
+	wantError(t, cfg, "Mobility.UpdateInterval -1ms", "1ms floor")
+	cfg.Scenario.Mobility.UpdateInterval = 999 * time.Microsecond
+	wantError(t, cfg, "Mobility.UpdateInterval 999µs", "1ms floor")
+
+	cfg.TotalPackets, cfg.BatchPackets = 110, 10
+	cfg.MaxSimTime = time.Minute
+	cfg.Scenario.WithMobility(MobilitySpec{
+		Kind:             MobilityRandomWaypoint,
+		MaxSpeed:         5,
+		PinFlowEndpoints: true,
+		UpdateInterval:   time.Millisecond,
+	})
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("waypoint chain at the 1ms floor rejected: %v", err)
+	}
+	if res.Delivered < 110 {
+		t.Errorf("waypoint chain at the 1ms floor delivered %d packets, want 110", res.Delivered)
+	}
+}
+
 func TestValidateRandomGenerator(t *testing.T) {
 	cfg := validChain()
 	cfg.Scenario = RandomField(1, 1000, 1000, 2)

@@ -28,17 +28,20 @@
 //
 // # Runs
 //
-// Run executes one scenario under a context, with functional options for
-// the run-level knobs:
+// A Config is one run: the scenario plus the run-level knobs, with zero
+// fields taking the paper's defaults. RunConfig executes it under a
+// context:
 //
-//	res, err := manetsim.Run(ctx, manetsim.Chain(7),
-//	    manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas}),
-//	    manetsim.WithSeed(1))
+//	res, err := manetsim.RunConfig(ctx, manetsim.Config{
+//	    Scenario:  manetsim.Chain(7),
+//	    Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+//	    Seed:      1,
+//	})
 //	if err != nil { ... }
 //	fmt.Printf("goodput: %.0f kbit/s\n", res.AggGoodput.Mean/1e3)
 //
 // Runs are deterministic per seed and safe to execute concurrently. An
-// Observer (attached with WithObserver) streams batch closes, classified
+// Observer (set as Config.Observer) streams batch closes, classified
 // route failures, transport retransmissions, window samples and progress
 // out of a run; with no observer attached the hot path stays
 // allocation-free. The default measurement methodology matches the paper:
@@ -57,8 +60,10 @@
 //	manetsim.RegisterTransport("mine", func(manetsim.TransportSpec) (manetsim.CongestionControl, error) {
 //	    return &myCC{}, nil
 //	})
-//	res, err := manetsim.Run(ctx, scn,
-//	    manetsim.WithTransport(manetsim.TransportSpec{Name: "mine"}))
+//	res, err := manetsim.RunConfig(ctx, manetsim.Config{
+//	    Scenario:  scn,
+//	    Transport: manetsim.TransportSpec{Name: "mine"},
+//	})
 //
 // # Campaigns
 //
@@ -120,7 +125,7 @@ const (
 type Protocol = core.Protocol
 
 // TransportSpec configures the transport layer of a flow (or the run-wide
-// default passed via WithTransport). A spec selects its variant either by
+// default, Config.Transport). A spec selects its variant either by
 // registry Name — "vegas", "newreno", "pacedudp", "reno", "tahoe",
 // "westwood", "pacing", or anything added with RegisterTransport — or by
 // the legacy Protocol constant.
@@ -144,8 +149,8 @@ func Transports() []TransportInfo { return core.Transports() }
 type TransportFactory = core.CCFactory
 
 // RegisterTransport adds a window-based transport under name, making it
-// selectable everywhere a TransportSpec goes: Run options, per-flow specs,
-// Campaign sweeps, and cmd/manetsim -protocol. The factory's strategy is
+// selectable everywhere a TransportSpec goes: Config.Transport, per-flow
+// specs, Campaign sweeps, and cmd/manetsim -protocol. The factory's strategy is
 // bound into the shared sender engine, which supplies sequence accounting,
 // RTO estimation, retransmission and window tracing; the strategy only
 // decides the window policy and loss reaction. RegisterTransport panics on
@@ -205,7 +210,7 @@ func Random() *Scenario { return core.Random() }
 // HiddenTerminal returns the interference-limited hidden-terminal
 // topology: two parallel one-hop flows whose senders cannot carrier-sense
 // each other but still collide at the first receiver. Compare runs with
-// WithRTSThreshold off and on to measure the classic RTS/CTS trade-off.
+// Config.RTSThreshold off and on to measure the classic RTS/CTS trade-off.
 func HiddenTerminal() *Scenario { return core.HiddenTerminal() }
 
 // RandomField returns a seed-synthesized random topology: n nodes placed
@@ -244,8 +249,8 @@ type MobilitySpec = core.MobilitySpec
 // added with RegisterLinkModel — plus its parameters, an optional per-link
 // delay Jitter and the receiver capture-threshold override CaptureRatio.
 // The zero spec is the perfect channel and keeps every run byte-identical
-// to the pre-impairment simulator. Apply one with WithLinkModel, a
-// Config.LinkModel field, or a Sweep's LinkModels axis.
+// to the pre-impairment simulator. Apply one with a Config.LinkModel
+// field or a Sweep's LinkModels axis.
 type LinkModelSpec = core.LinkModelSpec
 
 // UniformLossModel returns a spec dropping every frame copy independently
@@ -277,7 +282,7 @@ func LinkModels() []LinkModelInfo { return core.LinkModels() }
 type LinkModelFactory = core.LinkModelFactory
 
 // RegisterLinkModel adds a link-impairment model under name, making it
-// selectable everywhere a LinkModelSpec goes: Run options, Campaign
+// selectable everywhere a LinkModelSpec goes: Config.LinkModel, Campaign
 // sweeps, and cmd/manetsim -link-model. It panics on an empty or
 // duplicate name; register from init or main before any runs start.
 func RegisterLinkModel(name string, factory LinkModelFactory) {
@@ -289,8 +294,8 @@ func RegisterLinkModel(name string, factory LinkModelFactory) {
 // "nodecrash"), "blackout" (alias "linkblackout"), "partition" (alias
 // "split"), or anything added with RegisterFault — with its injection
 // time At and Duration (0 = permanent). Build common specs with
-// CrashFault, BlackoutFault and PartitionFault; apply them with
-// WithFaults, a Config.Faults list, or a Sweep's Faults axis. Faulted
+// CrashFault, BlackoutFault and PartitionFault; apply them with a
+// Config.Faults list or a Sweep's Faults axis. Faulted
 // runs report resilience metrics in Result.Faults.
 type FaultSpec = core.FaultSpec
 
@@ -325,7 +330,7 @@ func Faults() []FaultInfo { return core.Faults() }
 type FaultFactory = core.FaultFactory
 
 // RegisterFault adds a fault injector under name, making it selectable
-// everywhere a FaultSpec goes: Run options, Campaign sweeps, and
+// everywhere a FaultSpec goes: Config.Faults, Campaign sweeps, and
 // cmd/manetsim -fault. It panics on an empty or duplicate name; register
 // from init or main before any runs start.
 func RegisterFault(name string, factory FaultFactory) {
@@ -343,9 +348,10 @@ type FaultReport = core.FaultReport
 type OutageReport = core.OutageReport
 
 // Config is the full description of one run: the scenario plus run-level
-// knobs. Run assembles one from its options; campaign sweeps and advanced
-// callers may build Configs directly and execute them with RunConfig or
-// Campaign.RunAll.
+// knobs. Zero fields take the paper's defaults (2 Mbit/s, 110000 packets
+// in batches of 10000, one warm-up batch discarded, a 24h simulated-time
+// bound). Execute one with RunConfig, World.Run or Campaign.Run, or a
+// list of them with Campaign.RunAll.
 type Config = core.Config
 
 // Result carries all measurements of a run with batch-means confidence
@@ -367,24 +373,13 @@ type DelaySummary = core.DelaySummary
 // Observer holds optional callbacks for run events (batch closes,
 // classified route failures, transport retransmissions, window samples,
 // progress), invoked synchronously from the event loop; nil callbacks are
-// skipped. Attach one with WithObserver.
+// skipped. Attach one as Config.Observer.
 type Observer = core.Observer
 
-// Run executes one scenario under ctx and returns its measurements. A
+// RunConfig executes one Config under ctx and returns its measurements. A
 // cancelled context aborts the run promptly and returns ctx.Err(). It is
 // safe to call concurrently from multiple goroutines (each run is
 // self-contained); Campaign exploits this to sweep parameters in parallel.
-func Run(ctx context.Context, scn *Scenario, opts ...Option) (*Result, error) {
-	cfg := Config{Scenario: scn}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return core.RunContext(ctx, cfg)
-}
-
-// RunConfig executes one fully specified Config under ctx. Most callers
-// want Run; RunConfig exists for harnesses that assemble Configs
-// declaratively.
 func RunConfig(ctx context.Context, cfg Config) (*Result, error) {
 	return core.RunContext(ctx, cfg)
 }

@@ -7,12 +7,14 @@ import (
 )
 
 func TestPublicAPIRun(t *testing.T) {
-	res, err := Run(context.Background(), Chain(3),
-		WithBandwidth(Rate2Mbps),
-		WithTransport(TransportSpec{Protocol: Vegas}),
-		WithSeed(1),
-		WithPackets(1100, 100),
-	)
+	res, err := RunConfig(context.Background(), Config{
+		Scenario:     Chain(3),
+		Bandwidth:    Rate2Mbps,
+		Transport:    TransportSpec{Protocol: Vegas},
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +36,13 @@ func TestPublicAPICustomScenario(t *testing.T) {
 	sink := scn.AddNode(200, 100)
 	scn.Add(Flow{Src: left, Dst: sink, Transport: TransportSpec{Protocol: Vegas}})
 	scn.Add(Flow{Src: right, Dst: sink, Transport: TransportSpec{Protocol: NewReno}, Start: 2 * time.Second})
-	res, err := Run(context.Background(), scn,
-		WithSeed(1),
-		WithPackets(1100, 100),
-		WithMaxSimTime(time.Hour),
-	)
+	res, err := RunConfig(context.Background(), Config{
+		Scenario:     scn,
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+		MaxSimTime:   time.Hour,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +90,14 @@ func TestPublicAPITopologies(t *testing.T) {
 		"grid":   Grid(),
 		"random": Random(),
 	} {
-		res, err := Run(context.Background(), scn,
-			WithTransport(TransportSpec{Protocol: NewReno}),
-			WithSeed(3),
-			WithPackets(550, 50),
-			WithMaxSimTime(30*time.Minute),
-		)
+		res, err := RunConfig(context.Background(), Config{
+			Scenario:     scn,
+			Transport:    TransportSpec{Protocol: NewReno},
+			Seed:         3,
+			TotalPackets: 550,
+			BatchPackets: 50,
+			MaxSimTime:   30 * time.Minute,
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -104,16 +110,18 @@ func TestPublicAPITopologies(t *testing.T) {
 func TestPublicAPIObserver(t *testing.T) {
 	var batches, windows int
 	var lastDelivered int64
-	res, err := Run(context.Background(), Chain(3),
-		WithTransport(TransportSpec{Protocol: Vegas}),
-		WithSeed(1),
-		WithPackets(1100, 100),
-		WithObserver(&Observer{
+	res, err := RunConfig(context.Background(), Config{
+		Scenario:     Chain(3),
+		Transport:    TransportSpec{Protocol: Vegas},
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+		Observer: &Observer{
 			Batch:        func(b Batch) { batches++ },
 			WindowSample: func(flow int, w float64) { windows++ },
 			Progress:     func(delivered, total int64, _ time.Duration) { lastDelivered = delivered },
-		}),
-	)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +142,14 @@ func TestPublicAPIObserver(t *testing.T) {
 func TestPublicAPIObserverDoesNotChangeResults(t *testing.T) {
 	run := func(obs *Observer) *Result {
 		t.Helper()
-		opts := []Option{
-			WithTransport(TransportSpec{Protocol: NewReno}),
-			WithSeed(5),
-			WithPackets(1100, 100),
-		}
-		if obs != nil {
-			opts = append(opts, WithObserver(obs))
-		}
-		res, err := Run(context.Background(), Chain(4), opts...)
+		res, err := RunConfig(context.Background(), Config{
+			Scenario:     Chain(4),
+			Transport:    TransportSpec{Protocol: NewReno},
+			Seed:         5,
+			TotalPackets: 1100,
+			BatchPackets: 100,
+			Observer:     obs,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

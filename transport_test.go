@@ -13,11 +13,13 @@ import (
 // shortRun executes one small fixed-seed run of spec over a 2-hop chain.
 func shortRun(t *testing.T, spec manetsim.TransportSpec) *manetsim.Result {
 	t.Helper()
-	res, err := manetsim.Run(context.Background(), manetsim.Chain(2),
-		manetsim.WithTransport(spec),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(1100, 100),
-	)
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:     manetsim.Chain(2),
+		Transport:    spec,
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Label(), err)
 	}
@@ -71,8 +73,10 @@ func TestTransportAliasesResolve(t *testing.T) {
 // TestUnknownTransportNameListsRegistry pins the actionable error for a
 // typo'd name.
 func TestUnknownTransportNameListsRegistry(t *testing.T) {
-	_, err := manetsim.Run(context.Background(), manetsim.Chain(2),
-		manetsim.WithTransport(manetsim.TransportSpec{Name: "vegaas"}))
+	_, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario:  manetsim.Chain(2),
+		Transport: manetsim.TransportSpec{Name: "vegaas"},
+	})
 	if err == nil {
 		t.Fatal("unknown transport name accepted")
 	}
@@ -178,10 +182,12 @@ func TestVegasBetaGammaParams(t *testing.T) {
 		t.Errorf("banded Vegas run failed: delivered=%d", band.Delivered)
 	}
 
-	_, err := manetsim.Run(context.Background(), manetsim.Chain(2),
-		manetsim.WithTransport(manetsim.TransportSpec{
+	_, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario: manetsim.Chain(2),
+		Transport: manetsim.TransportSpec{
 			Name: "vegas", Alpha: 4, Params: manetsim.Params{Beta: 2},
-		}))
+		},
+	})
 	if err == nil || !strings.Contains(err.Error(), "Beta 2 below Alpha 4") {
 		t.Errorf("inverted Vegas band not rejected: %v", err)
 	}
@@ -193,14 +199,16 @@ func TestVegasBetaGammaParams(t *testing.T) {
 func TestPerFlowNamedTransportInheritance(t *testing.T) {
 	scn := manetsim.Chain(2)
 	scn.Flows[0].Transport = manetsim.TransportSpec{Name: "newreno"}
-	res, err := manetsim.Run(context.Background(), scn,
+	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
+		Scenario: scn,
 		// The run default pins the window at 1 packet; the per-flow spec
 		// (Name only, Protocol == 0) must replace it entirely, so the
 		// measured average window exceeding 1 proves the override took.
-		manetsim.WithTransport(manetsim.TransportSpec{Protocol: manetsim.Vegas, MaxWindow: 1}),
-		manetsim.WithSeed(1),
-		manetsim.WithPackets(1100, 100),
-	)
+		Transport:    manetsim.TransportSpec{Protocol: manetsim.Vegas, MaxWindow: 1},
+		Seed:         1,
+		TotalPackets: 1100,
+		BatchPackets: 100,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
