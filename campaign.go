@@ -26,14 +26,19 @@ import (
 // and treated as cache misses — re-run, never silently misparsed.
 //
 // Version 2 addresses entries by run id and stores each Result without
-// its Config; version-1 entries read as misses and re-run.
-const ResultSchemaVersion = 2
+// its Config. Version 3 takes the run id over the default-filled config,
+// with no Protocol field in its transport; version-1 and version-2 entries
+// read as misses and re-run.
+const ResultSchemaVersion = 3
 
 // Scale sets a campaign's default per-run measurement budget; configs that
-// set their own TotalPackets/BatchPackets/Seed keep them. PaperScale
-// replicates the paper's methodology exactly; QuickScale keeps the same
-// 11-batch structure at a tenth of the packets for interactive use and CI;
-// BenchScale shrinks it further for benchmarks.
+// set their own TotalPackets/BatchPackets/Seed keep them. The scale's
+// BatchPackets applies only to configs that set neither TotalPackets nor
+// BatchPackets: one with its own total is batched at TotalPackets/11, as a
+// direct run is. PaperScale replicates the paper's methodology exactly;
+// QuickScale keeps the same 11-batch structure at a tenth of the packets
+// for interactive use and CI; BenchScale shrinks it further for
+// benchmarks.
 type Scale struct {
 	Name         string
 	TotalPackets int64
@@ -147,18 +152,6 @@ type storedResult struct {
 	Config *struct{} `json:",omitempty"`
 }
 
-// storeGet fetches a stored result by run id and re-attaches cfg with
-// the defaults a run fills in, as World.RunContext records it; any miss,
-// decode failure or schema mismatch re-runs the simulation instead.
-func (c *Campaign) storeGet(id [32]byte, cfg Config) (*Result, bool) {
-	sr, ok := store.Load[storedResult](c.store, id)
-	if !ok {
-		return nil, false
-	}
-	sr.Result.Config = core.WithDefaults(cfg)
-	return &sr.Result, true
-}
-
 // storePut persists a completed result, best-effort: the store is a
 // cache, so a failed write (full disk, permissions) costs a future
 // re-run, never the current result. Failures are counted
@@ -179,7 +172,7 @@ func (c *Campaign) storePut(id [32]byte, res *Result) {
 // never reaches a later run.
 var errPanicked = errors.New("manetsim: simulation panicked")
 
-// runCore executes one fully scaled config on w, the World of the worker
+// runCore executes one canonical config on w, the World of the worker
 // slot its caller holds, and turns a panic into an errPanicked error.
 func runCore(ctx context.Context, w *core.World, cfg Config) (res *Result, err error) {
 	defer func() {
@@ -190,20 +183,24 @@ func runCore(ctx context.Context, w *core.World, cfg Config) (res *Result, err e
 	return w.RunContext(ctx, cfg)
 }
 
-// scaled fills a config's unset measurement budget and seed from the
-// campaign scale. Explicit per-config values win, so a Config's own
-// TotalPackets, BatchPackets and Seed keep their meaning through Run.
-func (c *Campaign) scaled(cfg Config) Config {
+// canonical is the one form of a config the campaign runs, keys, stores
+// and reports: the scale fills the unset budget and seed, then
+// WithDefaults fills every other unset knob, so configs that run alike
+// share one run id. Explicit per-config values win. The scale's
+// BatchPackets applies only when the config sets neither TotalPackets nor
+// BatchPackets: a config that brings its own total is batched at
+// TotalPackets/11, as a direct run is.
+func (c *Campaign) canonical(cfg Config) Config {
+	if cfg.TotalPackets == 0 && cfg.BatchPackets == 0 {
+		cfg.BatchPackets = c.Scale.BatchPackets
+	}
 	if cfg.TotalPackets == 0 {
 		cfg.TotalPackets = c.Scale.TotalPackets
-	}
-	if cfg.BatchPackets == 0 {
-		cfg.BatchPackets = c.Scale.BatchPackets
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = c.Scale.Seed
 	}
-	return cfg
+	return core.WithDefaults(cfg)
 }
 
 // errCampaignObserver rejects observers on campaign runs: a cached result
@@ -279,7 +276,7 @@ func cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// cachedRun runs one scaled config through the cache, keyed by the
+// cachedRun runs one canonical config through the cache, keyed by the
 // SHA-256 of its CacheKey — the path for configs that arrive one at a
 // time (Run, RunAll); sweeps derive the same identity from a per-cell
 // keyTemplate instead.
@@ -287,7 +284,7 @@ func (c *Campaign) cachedRun(ctx context.Context, cfg Config, abort *atomic.Bool
 	return c.runByID(ctx, cfg, sha256.Sum256([]byte(cfg.CacheKey())), abort)
 }
 
-// runByID is the one path a scaled config takes to a result: the
+// runByID is the one path a canonical config takes to a result: the
 // in-memory cache, then — holding a worker slot and its World — the
 // persistent store, then the simulator. id is the SHA-256 of
 // cfg.CacheKey(), and it addresses the run in memory and on disk alike.
@@ -357,14 +354,17 @@ func (c *Campaign) runByID(ctx context.Context, cfg Config, id [32]byte, abort *
 }
 
 // fill executes the claimed entry e — the store first, then the
-// simulator on w — and publishes the outcome by closing e.done. A
+// simulator on w — and publishes the outcome by closing e.done. A stored
+// result gets cfg, the canonical config its run recorded, re-attached;
+// any miss, decode failure or schema mismatch runs the simulation. A
 // cancelled run's entry leaves the cache before done closes, so every
 // waiter that retries finds a fresh one.
 func (c *Campaign) fill(ctx context.Context, w *core.World, cfg Config, id [32]byte, e *cacheEntry) {
 	defer close(e.done)
 	if c.store != nil {
-		var stored bool
-		if e.res, stored = c.storeGet(id, cfg); stored {
+		if sr, ok := store.Load[storedResult](c.store, id); ok {
+			sr.Result.Config = cfg
+			e.res = &sr.Result
 			return
 		}
 	}
@@ -424,13 +424,14 @@ func (t *keyTemplate) id(seed int64) (sum [32]byte) {
 	return sum
 }
 
-// Run executes one config — scaled to the campaign's Scale — through the
-// cache (and, when configured, the persistent store).
+// Run executes one config — in its canonical form, scaled to the
+// campaign's Scale — through the cache (and, when configured, the
+// persistent store).
 func (c *Campaign) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := c.Ready(); err != nil {
 		return nil, err
 	}
-	return c.cachedRun(ctx, c.scaled(cfg), nil)
+	return c.cachedRun(ctx, c.canonical(cfg), nil)
 }
 
 // RunAll executes configs in parallel, preserving order and returning the
@@ -440,7 +441,7 @@ func (c *Campaign) RunAll(ctx context.Context, cfgs []Config) ([]*Result, error)
 		return nil, err
 	}
 	return c.runParallel(len(cfgs), func(i int, abort *atomic.Bool) (*Result, error) {
-		return c.cachedRun(ctx, c.scaled(cfgs[i]), abort)
+		return c.cachedRun(ctx, c.canonical(cfgs[i]), abort)
 	})
 }
 
@@ -646,20 +647,21 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 			for _, r := range rates {
 				for _, lm := range linkModels {
 					for _, fs := range faults {
-						cells = append(cells, Cell{
-							Key:      NewCellKey(scn, t, r, lm, fs, seeds),
-							Scenario: scn, Transport: t, Rate: r, LinkModel: lm, Faults: fs, Seeds: seeds,
-						})
 						cfg := sw.Base
 						cfg.Scenario = scn
 						cfg.Transport = t
 						cfg.Bandwidth = r
 						cfg.LinkModel = lm
 						cfg.Faults = fs
-						keys = append(keys, newKeyTemplate(c.scaled(cfg)))
+						cfg = c.canonical(cfg)
+						cells = append(cells, Cell{
+							Key:      NewCellKey(scn, cfg.Transport, cfg.Bandwidth, lm, fs, seeds),
+							Scenario: scn, Transport: cfg.Transport, Rate: cfg.Bandwidth, LinkModel: lm, Faults: fs, Seeds: seeds,
+						})
+						keys = append(keys, newKeyTemplate(cfg))
 						for _, seed := range seeds {
 							cfg.Seed = seed
-							cfgs = append(cfgs, c.scaled(cfg))
+							cfgs = append(cfgs, c.canonical(cfg))
 						}
 					}
 				}
@@ -720,7 +722,7 @@ func (cell *Cell) aggregate() {
 // procedure: start from the analytic 4-hop propagation delay t0 and
 // increase t gradually, keeping the best measured goodput. The candidates
 // are the eight gaps 1.0·t0, 1.1·t0, … 1.7·t0, each probed with a quarter
-// of the campaign's budget. The probes are ordinary campaign runs: a
+// of the campaign's packets in 11 batches. The probes are campaign runs: a
 // repeated search is served from the cache, and with a store attached
 // (WithStore) from disk, so it executes zero simulations even in a fresh
 // process.
@@ -737,15 +739,10 @@ func (c *Campaign) OptimalUDPGap(ctx context.Context, hops int, rate Rate) (time
 			Scenario:  Chain(hops),
 			Bandwidth: rate,
 			Transport: TransportSpec{
-				Protocol: PacedUDP,
-				UDPGap:   time.Duration(float64(t0) * float64(10+i) / 10).Round(100 * time.Microsecond),
+				Name:   "pacedudp",
+				UDPGap: time.Duration(float64(t0) * float64(10+i) / 10).Round(100 * time.Microsecond),
 			},
 			TotalPackets: c.Scale.TotalPackets / 4,
-			BatchPackets: c.Scale.BatchPackets / 4,
-			Seed:         c.Scale.Seed,
-		}
-		if cfgs[i].BatchPackets == 0 {
-			cfgs[i].BatchPackets = cfgs[i].TotalPackets / 11
 		}
 	}
 	results, err := c.RunAll(ctx, cfgs)

@@ -19,7 +19,7 @@ func TestSweepFaultsAxis(t *testing.T) {
 	crash := []FaultSpec{CrashFault(1, 2*time.Second, time.Second)}
 	sw := Sweep{
 		Scenarios:  []*Scenario{Chain(3)},
-		Transports: []TransportSpec{{Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "newreno"}},
 		Faults:     [][]FaultSpec{nil, crash},
 		Seeds:      []int64{1, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
@@ -42,7 +42,8 @@ func TestSweepFaultsAxis(t *testing.T) {
 	if strings.Contains(string(baseline.Key), "Fault") {
 		t.Errorf("fault-free cell key mentions faults: %s", baseline.Key)
 	}
-	if want := NewCellKey(sw.Scenarios[0], sw.Transports[0], 0, LinkModelSpec{}, nil, sw.Seeds); baseline.Key != want {
+	// Keys are over the canonical cell: Alpha and Rate at their defaults.
+	if want := NewCellKey(sw.Scenarios[0], TransportSpec{Name: "newreno", Alpha: 2}, Rate2Mbps, LinkModelSpec{}, nil, sw.Seeds); baseline.Key != want {
 		t.Errorf("fault-free cell key drifted:\n got %s\nwant %s", baseline.Key, want)
 	}
 	if baseline.Key == faulted.Key {
@@ -75,7 +76,7 @@ func TestSweepStoreResumeWithFaults(t *testing.T) {
 	ctx := context.Background()
 	sw := Sweep{
 		Scenarios:  []*Scenario{Chain(3)},
-		Transports: []TransportSpec{{Protocol: NewReno}, {Protocol: Vegas, Alpha: 2}},
+		Transports: []TransportSpec{{Name: "newreno"}, {Name: "vegas", Alpha: 2}},
 		Faults:     [][]FaultSpec{{CrashFault(1, 2*time.Second, time.Second)}},
 		Seeds:      []int64{1, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},

@@ -107,11 +107,10 @@ func randomConfig(r *rand.Rand) Config {
 	return cfg
 }
 
-// randomTransport selects by registry Name or Protocol constant, with
-// random knobs and Params.
+// randomTransport selects by registry Name (or none), with random knobs
+// and Params.
 func randomTransport(r *rand.Rand) TransportSpec {
 	t := TransportSpec{
-		Protocol:    Protocol(r.Intn(6)),
 		AckThinning: r.Intn(2) == 0,
 		DelayedAck:  r.Intn(2) == 0,
 		Alpha:       r.Intn(5),
@@ -193,13 +192,13 @@ func TestCampaignSweepAndRunShareIdentity(t *testing.T) {
 	ctx := context.Background()
 	sw := Sweep{
 		Scenarios:  []*Scenario{Chain(2)},
-		Transports: []TransportSpec{{Protocol: Vegas, Alpha: 2}},
+		Transports: []TransportSpec{{Name: "vegas", Alpha: 2}},
 		Seeds:      []int64{0, 2},
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
 	}
 	members := []Config{
-		{Scenario: Chain(2), Transport: TransportSpec{Protocol: Vegas, Alpha: 2}, TotalPackets: 550, BatchPackets: 50, Seed: BenchScale.Seed},
-		{Scenario: Chain(2), Transport: TransportSpec{Protocol: Vegas, Alpha: 2}, TotalPackets: 550, BatchPackets: 50, Seed: 2},
+		{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas", Alpha: 2}, TotalPackets: 550, BatchPackets: 50, Seed: BenchScale.Seed},
+		{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas", Alpha: 2}, TotalPackets: 550, BatchPackets: 50, Seed: 2},
 	}
 	encode := func(rs []*Result) string {
 		b, err := json.Marshal(rs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -19,7 +20,7 @@ import (
 // single-config path and the sweep path alike.
 func TestStoreHitMarshalsLikeFreshRun(t *testing.T) {
 	ctx := context.Background()
-	cfg := Config{Scenario: Chain(3), Transport: TransportSpec{Protocol: Vegas}, TotalPackets: 550, BatchPackets: 50}
+	cfg := Config{Scenario: Chain(3), Transport: TransportSpec{Name: "vegas"}, TotalPackets: 550, BatchPackets: 50}
 	sw := Sweep{Scenarios: []*Scenario{Chain(2)}, Transports: []TransportSpec{{Name: "vegas"}}, Seeds: []int64{1, 2},
 		Base: Config{TotalPackets: 550, BatchPackets: 50}}
 	dir := t.TempDir()
@@ -72,48 +73,66 @@ func schemaOneEntry(t *testing.T, key string, res *Result) []byte {
 	return b
 }
 
-// TestSchemaOneEntryIsMiss: an entry in the schema-1 envelope
-// {schemaVersion:1, key, result} — what the previous encoding wrote at
-// the same address — reads as a clean miss, and the re-run repairs it.
-func TestSchemaOneEntryIsMiss(t *testing.T) {
+// TestOldSchemaEntryIsMiss: an entry an earlier schema wrote at the
+// run's address reads as a clean miss, and the re-run repairs it. Schema 1
+// is the {schemaVersion:1, key, result} envelope; schema 2 is the file the
+// schema-2 encoding wrote for this very run (testdata, its run id swapped
+// for today's, so only the version tells it apart).
+func TestOldSchemaEntryIsMiss(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
 	cfg := benchChainCfg(2)
 	plain := NewCampaign(BenchScale)
 	res, err := plain.Run(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := plain.scaled(cfg).CacheKey()
+	key := plain.canonical(cfg).CacheKey()
 	id := sha256.Sum256([]byte(key))
-	st, err := store.Open(dir, ResultSchemaVersion)
+	schemaTwo, err := os.ReadFile("testdata/store_schema2_entry.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := st.Path(id)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, schemaOneEntry(t, key, res), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The run id the schema-2 encoding gave this run.
+	const schemaTwoID = "4a1c25dda7878ddccb18dd3f8b6d41754502e338faeec5ace6fda3da9e9b89b0"
+	for _, tc := range []struct {
+		name  string
+		entry []byte
+	}{
+		{"schema 1", schemaOneEntry(t, key, res)},
+		{"schema 2", bytes.Replace(schemaTwo, []byte(schemaTwoID), []byte(hex.EncodeToString(id[:])), 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, ResultSchemaVersion)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := st.Path(id)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.entry, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	first := NewCampaign(BenchScale, WithStore(dir))
-	if _, err := first.Run(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if first.Executed() != 1 || first.StoreWriteErrors() != 0 {
-		t.Fatalf("over a schema-1 entry: executed %d, write errors %d; want 1 run, 0 errors", first.Executed(), first.StoreWriteErrors())
-	}
-	again := NewCampaign(BenchScale, WithStore(dir))
-	if _, err := again.Run(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if again.Executed() != 0 {
-		t.Fatalf("after the repair: executed %d, want 0 (a store hit)", again.Executed())
-	}
-	if _, ok := store.Load[json.RawMessage](st, id); !ok {
-		t.Fatal("the re-run left no current entry at the run's address")
+			first := NewCampaign(BenchScale, WithStore(dir))
+			if _, err := first.Run(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if first.Executed() != 1 || first.StoreWriteErrors() != 0 {
+				t.Fatalf("over a %s entry: executed %d, write errors %d; want 1 run, 0 errors", tc.name, first.Executed(), first.StoreWriteErrors())
+			}
+			again := NewCampaign(BenchScale, WithStore(dir))
+			if _, err := again.Run(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if again.Executed() != 0 {
+				t.Fatalf("after the repair: executed %d, want 0 (a store hit)", again.Executed())
+			}
+			if _, ok := store.Load[json.RawMessage](st, id); !ok {
+				t.Fatal("the re-run left no current entry at the run's address")
+			}
+		})
 	}
 }
 
@@ -138,7 +157,7 @@ func TestStoredRunBytes(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		c := NewCampaign(BenchScale, WithStore(dir))
-		cfg := c.scaled(Config{Scenario: tc.scn, Transport: TransportSpec{Name: "vegas"}})
+		cfg := c.canonical(Config{Scenario: tc.scn, Transport: TransportSpec{Name: "vegas"}})
 		res, err := c.Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,7 +21,7 @@ func benchChainCfg(hops int) Config {
 	return Config{
 		Scenario:  Chain(hops),
 		Bandwidth: Rate2Mbps,
-		Transport: TransportSpec{Protocol: Vegas, Alpha: 2},
+		Transport: TransportSpec{Name: "vegas", Alpha: 2},
 	}
 }
 
@@ -34,7 +36,7 @@ func TestCampaignCacheDedupsRuns(t *testing.T) {
 	b, err := c.Run(ctx, Config{
 		Scenario:  Chain(2),
 		Bandwidth: Rate2Mbps,
-		Transport: TransportSpec{Protocol: Vegas, Alpha: 2},
+		Transport: TransportSpec{Name: "vegas", Alpha: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +46,67 @@ func TestCampaignCacheDedupsRuns(t *testing.T) {
 	}
 }
 
+// TestEqualAfterDefaultsIsOneRun: configs that run alike once defaults
+// are filled share one run id, and a config's own TotalPackets survives
+// the scale's batch size (QuickScale batches 1000 packets, which a
+// 550-packet run cannot hold), on Run and on a submitted sweep alike.
+func TestEqualAfterDefaultsIsOneRun(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	c := NewCampaign(Scale{Name: "550", TotalPackets: 550, BatchPackets: 50, Seed: 1}, WithStore(dir))
+	for _, cfg := range []Config{
+		{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas"}},
+		{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas", Alpha: 2}, Bandwidth: Rate2Mbps, WarmupBatches: 1, MaxSimTime: 24 * time.Hour},
+		{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas"}, TotalPackets: 550, BatchPackets: 50, Seed: 1},
+	} {
+		if _, err := c.Run(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.Executed(); n != 1 {
+		t.Errorf("three configs equal after defaults executed %d runs, want 1", n)
+	}
+	files := 0
+	filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files++
+		}
+		return err
+	})
+	if files != 1 {
+		t.Errorf("store holds %d files, want 1", files)
+	}
+
+	quick := NewCampaign(QuickScale)
+	res, err := quick.Run(ctx, Config{Scenario: Chain(2), Transport: TransportSpec{Name: "vegas"}, TotalPackets: 550})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Config.BatchPackets != 50 {
+		t.Errorf("a 550-packet config on QuickScale ran batches of %d, want 550/11 = 50", res.Config.BatchPackets)
+	}
+
+	srv := NewServer(NewCampaign(QuickScale))
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/sweeps",
+		strings.NewReader(`{"Scenarios":[{"Name":"c","Nodes":[{"X":0,"Y":0},{"X":200,"Y":0}],"Flows":[{"Src":0,"Dst":1}]}],"Transports":[{"Name":"vegas"}],"Base":{"TotalPackets":550}}`)))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d %s", w.Code, w.Body)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/sweeps/sweep-1", nil))
+	var st jobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.State != jobDone {
+		t.Errorf("sweep with Base.TotalPackets 550 on QuickScale: %s (%v), want done", w.Body, err)
+	}
+}
+
 // TestCampaignArenaReuseMatchesFreshBuilds runs a config grid through a
 // campaign whose four worker slots each rewind their World between runs,
-// and requires every result to equal a fresh build of the same scaled
+// and requires every result to equal a fresh build of the same canonical
 // config — a World used once. Under -race this also checks that
 // concurrent runs never share a slot's World.
 func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
@@ -65,7 +125,7 @@ func TestCampaignArenaReuseMatchesFreshBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := RunConfig(ctx, c.scaled(cfg))
+		want, err := RunConfig(ctx, c.canonical(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +218,7 @@ func TestCampaignSkipsQueuedWorkAfterError(t *testing.T) {
 		<-release // held until the error has already been returned
 		cfg := benchChainCfg(2)
 		cfg.Seed = int64(i)
-		return c.cachedRun(ctx, c.scaled(cfg), abort)
+		return c.cachedRun(ctx, c.canonical(cfg), abort)
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -224,7 +284,7 @@ func TestRunCancelledMidRunReturnsCtxErr(t *testing.T) {
 	// A budget far beyond what 30 ms of wall time can simulate.
 	_, err := RunConfig(ctx, Config{
 		Scenario:     Chain(8),
-		Transport:    TransportSpec{Protocol: Vegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 10_000_000,
 		BatchPackets: 1_000_000,
@@ -244,7 +304,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 	cancel()
 	_, err := RunConfig(ctx, Config{
 		Scenario:     Chain(2),
-		Transport:    TransportSpec{Protocol: Vegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		TotalPackets: 1100,
 		BatchPackets: 100,
 	})
@@ -478,7 +538,7 @@ func TestCampaignSweepAggregatesSeeds(t *testing.T) {
 	c := NewCampaign(BenchScale)
 	cells, err := c.Sweep(context.Background(), Sweep{
 		Scenarios:  []*Scenario{Chain(2)},
-		Transports: []TransportSpec{{Protocol: Vegas, Alpha: 2}, {Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "vegas", Alpha: 2}, {Name: "newreno"}},
 		Rates:      []Rate{Rate2Mbps},
 		Seeds:      []int64{1, 2, 3},
 	})
@@ -502,8 +562,8 @@ func TestCampaignSweepAggregatesSeeds(t *testing.T) {
 			if r.Config.Seed != cell.Seeds[i] {
 				t.Errorf("run %d has seed %d, want %d", i, r.Config.Seed, cell.Seeds[i])
 			}
-			if r.Config.Transport.Protocol != cell.Transport.Protocol {
-				t.Errorf("run %d transport %v, want %v", i, r.Config.Transport.Protocol, cell.Transport.Protocol)
+			if r.Config.Transport != cell.Transport {
+				t.Errorf("run %d transport %+v, want the cell's %+v", i, r.Config.Transport, cell.Transport)
 			}
 		}
 	}
@@ -531,7 +591,7 @@ func TestCampaignRejectsObserver(t *testing.T) {
 func storeSweep(seeds ...int64) Sweep {
 	return Sweep{
 		Scenarios:  []*Scenario{Chain(2), Chain(3)},
-		Transports: []TransportSpec{{Protocol: Vegas, Alpha: 2}, {Protocol: NewReno}},
+		Transports: []TransportSpec{{Name: "vegas", Alpha: 2}, {Name: "newreno"}},
 		Seeds:      seeds,
 		Base:       Config{TotalPackets: 550, BatchPackets: 50},
 	}
@@ -715,8 +775,10 @@ func TestCellKeyAddressing(t *testing.T) {
 			t.Fatalf("key hash %q is not hex sha256", h)
 		}
 	}
-	// Independently built equal scenarios address the same cell.
-	if k := NewCellKey(Chain(2), TransportSpec{Protocol: Vegas, Alpha: 2}, 0, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
+	// Independently built equal scenarios address the same cell. The key
+	// is over the canonical config, so the sweep's empty Rates axis keys at
+	// the default 2 Mbit/s.
+	if k := NewCellKey(Chain(2), TransportSpec{Name: "vegas", Alpha: 2}, Rate2Mbps, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
 		t.Fatalf("independently built key %s, want %s", k, cells[0].Key)
 	}
 	if _, ok := FindCell(cells, CellKey("nope")); ok {
@@ -784,7 +846,7 @@ func TestCampaignHonorsExplicitBudget(t *testing.T) {
 	c := NewCampaign(PaperScale) // 110000 packets by default
 	res, err := c.Run(context.Background(), Config{
 		Scenario:     Chain(2),
-		Transport:    TransportSpec{Protocol: Vegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		TotalPackets: 550,
 		BatchPackets: 50,
 	})

@@ -188,7 +188,7 @@ func main() {
 		case "udp", "pacedudp":
 			*tr = manetsim.TransportSpec{Name: name, UDPGap: tr.UDPGap}
 		default:
-			tr.Name, tr.Protocol, tr.UDPGap = name, 0, 0
+			tr.Name, tr.UDPGap = name, 0
 		}
 	}
 	if given("mobility") {

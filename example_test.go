@@ -17,7 +17,7 @@ func ExampleRunConfig() {
 	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 		Scenario:  manetsim.Chain(7),
 		Bandwidth: manetsim.Rate2Mbps,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 		Seed:      1,
 	})
 	if err != nil {
@@ -36,11 +36,11 @@ func ExampleNewScenario() {
 	sink := scn.AddNode(200, 100)
 	scn.Add(manetsim.Flow{
 		Src: left, Dst: sink,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 	})
 	scn.Add(manetsim.Flow{
 		Src: right, Dst: sink,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.NewReno},
+		Transport: manetsim.TransportSpec{Name: "newreno"},
 		Start:     2 * time.Second,
 	})
 
@@ -63,7 +63,7 @@ func ExampleNewScenario() {
 func ExampleObserver() {
 	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 		Scenario:     manetsim.Chain(4),
-		Transport:    manetsim.TransportSpec{Protocol: manetsim.NewReno},
+		Transport:    manetsim.TransportSpec{Name: "newreno"},
 		TotalPackets: 11000,
 		BatchPackets: 1000,
 		Observer: &manetsim.Observer{
@@ -90,9 +90,9 @@ func ExampleCampaign_Sweep() {
 	cells, err := campaign.Sweep(context.Background(), manetsim.Sweep{
 		Scenarios: []*manetsim.Scenario{manetsim.Grid()},
 		Transports: []manetsim.TransportSpec{
-			{Protocol: manetsim.Vegas},
-			{Protocol: manetsim.Vegas, AckThinning: true},
-			{Protocol: manetsim.NewReno},
+			{Name: "vegas"},
+			{Name: "vegas", AckThinning: true},
+			{Name: "newreno"},
 		},
 		Rates: []manetsim.Rate{manetsim.Rate2Mbps, manetsim.Rate11Mbps},
 		Seeds: []int64{1, 2, 3},
@@ -116,7 +116,7 @@ func ExampleWorld() {
 	w := manetsim.NewWorld()
 	cfg := manetsim.Config{
 		Scenario:     manetsim.Chain(4),
-		Transport:    manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport:    manetsim.TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 2200,
 		BatchPackets: 200,
@@ -143,7 +143,7 @@ func ExampleCampaign_arenaReuse() {
 	for seed := int64(1); seed <= 8; seed++ {
 		cfgs = append(cfgs, manetsim.Config{
 			Scenario:  manetsim.Chain(3),
-			Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+			Transport: manetsim.TransportSpec{Name: "vegas"},
 			Seed:      seed,
 		})
 	}
@@ -215,7 +215,7 @@ func ExampleRunConfig_cancellation() {
 	defer cancel()
 	_, err := manetsim.RunConfig(ctx, manetsim.Config{
 		Scenario:  manetsim.Random(),
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 	})
 	fmt.Println(err) // context.DeadlineExceeded once the budget is hit
 }
@@ -234,7 +234,7 @@ func ExampleCampaign_resume() {
 
 	sweep := manetsim.Sweep{
 		Scenarios:  []*manetsim.Scenario{manetsim.Chain(2)},
-		Transports: []manetsim.TransportSpec{{Protocol: manetsim.Vegas}, {Protocol: manetsim.NewReno}},
+		Transports: []manetsim.TransportSpec{{Name: "vegas"}, {Name: "newreno"}},
 		Seeds:      []int64{1, 2},
 		Base:       manetsim.Config{TotalPackets: 550, BatchPackets: 50},
 	}

@@ -30,8 +30,8 @@ func demoPackets(def int64) int64 {
 }
 
 func main() {
-	vegas := manetsim.TransportSpec{Protocol: manetsim.Vegas}
-	newreno := manetsim.TransportSpec{Protocol: manetsim.NewReno}
+	vegas := manetsim.TransportSpec{Name: "vegas"}
+	newreno := manetsim.TransportSpec{Name: "newreno"}
 	// Alternate protocols within each geometry class (FTP1-3 are 6-hop
 	// horizontal flows, FTP4-6 are 2-hop vertical ones) so path length
 	// does not confound the protocol comparison.

@@ -46,7 +46,7 @@ func main() {
 		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 			Scenario:  scn,
 			Bandwidth: manetsim.Rate2Mbps,
-			Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+			Transport: manetsim.TransportSpec{Name: "vegas"},
 			Seed:      1,
 			// Reduced scale for a fast demo.
 			TotalPackets: demoPackets(11000),

@@ -29,7 +29,7 @@ func main() {
 	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 		Scenario:  manetsim.Chain(7),
 		Bandwidth: manetsim.Rate2Mbps,
-		Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+		Transport: manetsim.TransportSpec{Name: "vegas"},
 		Seed:      1,
 		// Reduced scale for a fast demo; drop this field for the paper's
 		// full 110000-packet methodology.

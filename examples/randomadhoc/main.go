@@ -33,8 +33,8 @@ func main() {
 		name string
 		t    manetsim.TransportSpec
 	}{
-		{"Vegas", manetsim.TransportSpec{Protocol: manetsim.Vegas}},
-		{"NewReno", manetsim.TransportSpec{Protocol: manetsim.NewReno}},
+		{"Vegas", manetsim.TransportSpec{Name: "vegas"}},
+		{"NewReno", manetsim.TransportSpec{Name: "newreno"}},
 	} {
 		res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 			Scenario:     manetsim.Random(),

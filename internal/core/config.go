@@ -22,40 +22,6 @@ import (
 	"manetsim/internal/tcp"
 )
 
-// Protocol selects the transport variant under test by constant. It is a
-// plain alias for a registry name: a spec with an empty Name resolves
-// through Protocol.String ("Vegas" looks up "vegas"), and nothing else in
-// the registry knows the constants exist. The type and
-// TransportSpec.Protocol stay — rather than folding into Name — because
-// the field is encoded in every Config.CacheKey, sweep cell key and stored
-// result, so dropping it would orphan every result store written so far.
-type Protocol int
-
-// Transport protocols: the paper's three plus the classic Reno and Tahoe
-// baselines from the related-work comparisons.
-const (
-	ProtoVegas Protocol = iota + 1
-	ProtoNewReno
-	ProtoPacedUDP
-	ProtoReno
-	ProtoTahoe
-)
-
-var protoNames = map[Protocol]string{
-	ProtoVegas:    "Vegas",
-	ProtoNewReno:  "NewReno",
-	ProtoPacedUDP: "PacedUDP",
-	ProtoReno:     "Reno",
-	ProtoTahoe:    "Tahoe",
-}
-
-func (p Protocol) String() string {
-	if s, ok := protoNames[p]; ok {
-		return s
-	}
-	return fmt.Sprintf("proto(%d)", int(p))
-}
-
 // Params carries the optional per-variant transport parameters. The zero
 // value of every field selects the variant's default, so specs only spell
 // out what they change; fields irrelevant to the selected transport are
@@ -81,16 +47,13 @@ type Params struct {
 
 // TransportSpec configures the transport layer of a flow (or, as
 // Config.Transport, the default for every flow that does not set its own).
-// A spec selects its variant either by registry Name (any transport,
-// including ones added with RegisterCC) or by the legacy Protocol
-// constant, which resolves through the registry too.
+// A spec selects its variant by registry Name: any transport, including
+// ones added with RegisterCC.
 type TransportSpec struct {
 	// Name selects a registered transport by name (case-insensitive),
-	// e.g. "vegas", "westwood", "pacing". When empty, Protocol selects
-	// the variant instead.
+	// e.g. "vegas", "westwood", "pacing".
 	Name string `json:",omitempty"`
 
-	Protocol    Protocol
 	AckThinning bool // Altman-Jiménez dynamic delayed ACKs (TCP only)
 	DelayedAck  bool // standard RFC 1122 delayed ACKs (TCP only)
 	// Alpha is the Vegas α=β=γ threshold in packets (default 2).
@@ -99,7 +62,7 @@ type TransportSpec struct {
 	// paper finds MaxWin=3 optimal for the 7-hop chain). 0 = unbounded.
 	MaxWindow int
 	// UDPGap is the paced-UDP inter-packet interval (required for
-	// ProtoPacedUDP).
+	// "pacedudp").
 	UDPGap time.Duration
 
 	// Params carries the variant-specific tuning knobs (Vegas β/γ,
@@ -108,23 +71,16 @@ type TransportSpec struct {
 }
 
 // IsZero reports whether the spec is entirely unset. A zero per-flow spec
-// inherits the run default; anything else — a Name, a Protocol, or bare
-// options — replaces it.
+// inherits the run default; anything else — a Name or bare options —
+// replaces it.
 func (t TransportSpec) IsZero() bool { return t == TransportSpec{} }
-
-// selected reports whether the spec names a transport at all (by registry
-// name or legacy protocol constant).
-func (t TransportSpec) selected() bool { return t.Name != "" || t.Protocol != 0 }
 
 // Label renders the spec the way the paper labels its curves.
 func (t TransportSpec) Label() string {
-	s := t.Name
-	vegas := t.Protocol == ProtoVegas
-	if tr, err := resolveTransport(t); err == nil {
+	s, vegas := t.Name, false
+	if tr, err := transports.lookup(t.Name); err == nil {
 		s = tr.label
 		vegas = tr.name == "vegas"
-	} else if s == "" {
-		s = t.Protocol.String()
 	}
 	if vegas && t.Alpha != 0 && t.Alpha != tcp.DefaultAlpha {
 		s = fmt.Sprintf("%s(α=%d)", s, t.Alpha)
@@ -163,14 +119,14 @@ func flowContext(fi int) specLabel { return specLabel{"flow %d transport", fi} }
 // failures point at the offending spec. allowZero accepts a spec that
 // selects no transport (a per-flow spec inheriting the run default).
 func (t TransportSpec) validate(where specLabel, allowZero bool) error {
-	if !t.selected() {
+	if t.Name == "" {
 		if allowZero {
 			return nil
 		}
-		return fmt.Errorf("core: %s: no transport protocol set (set Name to a registered transport — e.g. %s — or a Protocol constant)",
+		return fmt.Errorf("core: %s: no transport set (set Name to a registered transport — e.g. %s)",
 			where, strings.Join(transports.names(), ", "))
 	}
-	tr, err := resolveTransport(t)
+	tr, err := transports.lookup(t.Name)
 	if err != nil {
 		return fmt.Errorf("%v (%s)", err, where)
 	}

@@ -90,7 +90,7 @@ func TestFaultConformance(t *testing.T) {
 // byte-identical; different seed diverges; and the fault schedule itself
 // changes the outcome.
 func TestFaultedRunsDeterministicPerSeed(t *testing.T) {
-	tspec := TransportSpec{Protocol: ProtoNewReno}
+	tspec := TransportSpec{Name: "newreno"}
 	crash := CrashFault(2, 2*time.Second, 2*time.Second)
 	a, err := Run(faultChainConfig(tspec, crash))
 	if err != nil {
@@ -125,7 +125,7 @@ func TestFaultedRunsDeterministicPerSeed(t *testing.T) {
 // the subsystem in their JSON encoding — the identity behind cache keys
 // and golden hashes predating it.
 func TestFaultFreeResultOmitsReport(t *testing.T) {
-	res, err := Run(faultChainConfig(TransportSpec{Protocol: ProtoNewReno}))
+	res, err := Run(faultChainConfig(TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCrashEndpointNodes(t *testing.T) {
 		{"source", 0},
 		{"sink", 4},
 	} {
-		cfg := faultChainConfig(TransportSpec{Protocol: ProtoVegas},
+		cfg := faultChainConfig(TransportSpec{Name: "vegas"},
 			CrashFault(tc.node, 2*time.Second, 1*time.Second))
 		fresh, err := Run(cfg)
 		if err != nil {
@@ -176,7 +176,7 @@ func TestCrashEndpointNodes(t *testing.T) {
 // time: the application must launch when the node restarts, not during
 // the outage and not never.
 func TestCrashBeforeFlowStart(t *testing.T) {
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		CrashFault(0, 1*time.Millisecond, 3*time.Second))
 	res, err := Run(cfg)
 	if err != nil {
@@ -194,7 +194,7 @@ func TestCrashBeforeFlowStart(t *testing.T) {
 // the chain; the run must end at MaxSimTime with the outage marked
 // unhealed.
 func TestPermanentCrashTruncates(t *testing.T) {
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		CrashFault(2, 2*time.Second, 0))
 	cfg.MaxSimTime = 20 * time.Second
 	res, err := Run(cfg)
@@ -217,7 +217,7 @@ func TestPermanentCrashTruncates(t *testing.T) {
 // simulation state is built.
 func TestFaultSpecValidation(t *testing.T) {
 	base := func(f FaultSpec) Config {
-		return faultChainConfig(TransportSpec{Protocol: ProtoNewReno}, f)
+		return faultChainConfig(TransportSpec{Name: "newreno"}, f)
 	}
 	cases := []struct {
 		name string
@@ -255,7 +255,7 @@ func TestRegisterFaultCustom(t *testing.T) {
 			return flapFault{node: f.Node, at: f.At, d: f.Duration}, nil
 		})
 	})
-	cfg := faultChainConfig(TransportSpec{Protocol: ProtoNewReno},
+	cfg := faultChainConfig(TransportSpec{Name: "newreno"},
 		FaultSpec{Name: "testflap", Node: 2, At: 2 * time.Second, Duration: time.Second})
 	res, err := Run(cfg)
 	if err != nil {
@@ -308,7 +308,7 @@ func TestFaultLabels(t *testing.T) {
 func TestOverlappingCrashesNest(t *testing.T) {
 	cfg := Config{
 		Scenario:  Chain(2),
-		Transport: TransportSpec{Protocol: ProtoNewReno},
+		Transport: TransportSpec{Name: "newreno"},
 		Faults: []FaultSpec{
 			CrashFault(1, 3*time.Second, 2*time.Second),
 			CrashFault(1, 4*time.Second, 4*time.Second),

@@ -8,8 +8,8 @@ import (
 )
 
 func TestRunRenoAndTahoeVariants(t *testing.T) {
-	for _, proto := range []Protocol{ProtoReno, ProtoTahoe} {
-		res, err := Run(smallCfg(Chain(3), TransportSpec{Protocol: proto}))
+	for _, proto := range []string{"reno", "tahoe"} {
+		res, err := Run(smallCfg(Chain(3), TransportSpec{Name: proto}))
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
@@ -23,11 +23,11 @@ func TestRunRenoAndTahoeVariants(t *testing.T) {
 }
 
 func TestRunDelayedAckSink(t *testing.T) {
-	plain, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno}))
+	plain, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delack, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno, DelayedAck: true}))
+	delack, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno", DelayedAck: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +42,20 @@ func TestRunDelayedAckSink(t *testing.T) {
 }
 
 func TestRunRejectsThinningPlusDelack(t *testing.T) {
-	_, err := Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno, DelayedAck: true, AckThinning: true}))
+	_, err := Run(smallCfg(Chain(2), TransportSpec{Name: "newreno", DelayedAck: true, AckThinning: true}))
 	if err == nil {
 		t.Error("mutually exclusive ACK policies accepted")
 	}
 }
 
 func TestRunPerFlowTransportMix(t *testing.T) {
-	v := TransportSpec{Protocol: ProtoVegas, Alpha: 2}
-	n := TransportSpec{Protocol: ProtoNewReno}
+	v := TransportSpec{Name: "vegas", Alpha: 2}
+	n := TransportSpec{Name: "newreno"}
 	scn := Grid()
 	for i, tspec := range []TransportSpec{v, v, v, n, n, n} {
 		scn.Flows[i].Transport = tspec
 	}
-	cfg := smallCfg(scn, TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(scn, TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 2200
 	cfg.BatchPackets = 200
 	res, err := Run(cfg)
@@ -74,8 +74,8 @@ func TestRunPartialPerFlowTransportInheritsDefault(t *testing.T) {
 	// Flows without their own TransportSpec inherit Config.Transport;
 	// a run whose flows mix explicit and inherited transports must work.
 	scn := Grid()
-	scn.Flows[0].Transport = TransportSpec{Protocol: ProtoNewReno}
-	cfg := smallCfg(scn, TransportSpec{Protocol: ProtoVegas})
+	scn.Flows[0].Transport = TransportSpec{Name: "newreno"}
+	cfg := smallCfg(scn, TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 2200
 	cfg.BatchPackets = 200
 	res, err := Run(cfg)
@@ -88,7 +88,7 @@ func TestRunPartialPerFlowTransportInheritsDefault(t *testing.T) {
 }
 
 func TestRunDelayStatistics(t *testing.T) {
-	res, err := Run(smallCfg(Chain(4), TransportSpec{Protocol: ProtoVegas}))
+	res, err := Run(smallCfg(Chain(4), TransportSpec{Name: "vegas"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRunDelayStatistics(t *testing.T) {
 }
 
 func TestRunUDPDelayStatistics(t *testing.T) {
-	cfg := smallCfg(Chain(4), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 40 * time.Millisecond})
+	cfg := smallCfg(Chain(4), TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestRunLongChainEstablishesRoute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-hop run is slow")
 	}
-	cfg := smallCfg(Chain(64), TransportSpec{Protocol: ProtoVegas})
+	cfg := smallCfg(Chain(64), TransportSpec{Name: "vegas"})
 	cfg.TotalPackets = 550
 	cfg.BatchPackets = 50
 	cfg.MaxSimTime = 30 * time.Minute
@@ -146,36 +146,27 @@ func TestRunLongChainEstablishesRoute(t *testing.T) {
 }
 
 func TestProtocolPredicates(t *testing.T) {
-	// Every legacy Protocol constant resolves through the registry; the
-	// window-based ones carry a strategy factory, paced UDP a raw
-	// endpoint builder.
-	for _, p := range []Protocol{ProtoVegas, ProtoNewReno, ProtoReno, ProtoTahoe} {
-		tr, err := resolveTransport(TransportSpec{Protocol: p})
+	// Every built-in name resolves through the registry; the window-based
+	// ones carry a strategy factory, paced UDP a raw endpoint builder.
+	for _, name := range []string{"vegas", "newreno", "reno", "tahoe"} {
+		tr, err := transports.lookup(name)
 		if err != nil {
-			t.Fatalf("%v does not resolve: %v", p, err)
+			t.Fatalf("%s does not resolve: %v", name, err)
 		}
 		if tr.newCC == nil {
-			t.Errorf("%v should be a window-based (engine) transport", p)
+			t.Errorf("%s should be a window-based (engine) transport", name)
 		}
 	}
-	udp, err := resolveTransport(TransportSpec{Protocol: ProtoPacedUDP})
+	udp, err := transports.lookup("pacedudp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if udp.newCC != nil || udp.build == nil {
 		t.Error("paced UDP should be a raw-endpoint transport, not an engine one")
 	}
-	if ProtoReno.String() != "Reno" || ProtoTahoe.String() != "Tahoe" {
-		t.Error("protocol names wrong")
-	}
-	// The constants are name aliases: one agrees with its own entry's
-	// names and aliases, conflicts with any other, and labels like it.
-	if tr, err := resolveTransport(TransportSpec{Name: "UDP", Protocol: ProtoPacedUDP}); err != nil || tr != udp {
-		t.Errorf("alias of the constant's own entry resolved to %v, %v", tr, err)
-	}
-	_, err = resolveTransport(TransportSpec{Name: "udp", Protocol: ProtoVegas})
-	if want := `core: transport Name "udp" conflicts with Protocol Vegas; set one of them`; err == nil || err.Error() != want {
-		t.Errorf("conflict error %v, want %s", err, want)
+	// Names match case-insensitively, aliases included.
+	if tr, err := transports.lookup("UDP"); err != nil || tr != udp {
+		t.Errorf("alias UDP resolved to %v, %v", tr, err)
 	}
 	if got := (TransportSpec{Name: "VEGAS", Alpha: 3}).Label(); got != "Vegas(α=3)" {
 		t.Errorf("Label by name = %q, want the Vegas α form", got)
@@ -187,7 +178,7 @@ func TestBandwidthMonotoneGoodput(t *testing.T) {
 	// paper's point, but monotonicity should hold).
 	var prev float64
 	for _, r := range []phy.Rate{phy.Rate2Mbps, phy.Rate5_5Mbps, phy.Rate11Mbps} {
-		cfg := smallCfg(Chain(7), TransportSpec{Protocol: ProtoVegas})
+		cfg := smallCfg(Chain(7), TransportSpec{Name: "vegas"})
 		cfg.Bandwidth = r
 		res, err := Run(cfg)
 		if err != nil {

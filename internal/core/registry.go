@@ -17,7 +17,7 @@ import (
 // sequence accounting, RTO estimation, the retransmission timer, packet
 // construction and window tracing — so registering a factory is all a new
 // window-based transport needs. The spec carries the per-flow parameters
-// (TransportSpec.Params plus the legacy Alpha/MaxWindow fields).
+// (TransportSpec.Params plus the Alpha/MaxWindow fields).
 type CCFactory func(spec TransportSpec) (tcp.CongestionControl, error)
 
 // rawBuilder builds fully custom endpoints for transports that are not
@@ -155,27 +155,6 @@ func Transports() []TransportInfo {
 		})
 	}
 	return infos
-}
-
-// resolveTransport maps a spec to its registry entry: Name wins when set,
-// otherwise the Protocol constant's name (Protocol.String) is looked up
-// like any other.
-func resolveTransport(t TransportSpec) (*transport, error) {
-	if t.Name == "" {
-		tr, err := transports.lookup(t.Protocol.String())
-		if err != nil {
-			return nil, fmt.Errorf("core: unknown protocol %d", int(t.Protocol))
-		}
-		return tr, nil
-	}
-	tr, err := transports.lookup(t.Name)
-	if err != nil {
-		return nil, err
-	}
-	if t.Protocol != 0 && strings.ToLower(t.Protocol.String()) != tr.name {
-		return nil, fmt.Errorf("core: transport Name %q conflicts with Protocol %v; set one of them", t.Name, t.Protocol)
-	}
-	return tr, nil
 }
 
 // ccConfig maps the spec's transport parameters onto the engine

@@ -357,7 +357,7 @@ func (s *scenarioState) buildFlow(fi int, f Flow, tspec TransportSpec) error {
 	if err := tspec.validate(flowContext(fi), false); err != nil {
 		return err
 	}
-	tr, err := resolveTransport(tspec)
+	tr, err := transports.lookup(tspec.Name)
 	if err != nil {
 		return err
 	}

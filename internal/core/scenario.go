@@ -20,7 +20,7 @@ type Flow struct {
 	Src, Dst pkt.NodeID
 
 	// Transport overrides the run's default TransportSpec for this flow
-	// when its Protocol is set; the zero value inherits the default. Mixed
+	// when its Name is set; the zero value inherits the default. Mixed
 	// per-flow transports enable coexistence studies (e.g. Vegas and
 	// NewReno competing on the grid).
 	Transport TransportSpec `json:",omitempty"`
@@ -252,10 +252,10 @@ func (s *Scenario) Validate() error {
 		if f.Start < 0 {
 			return fmt.Errorf("core: flow %d has negative start time %v", i, f.Start)
 		}
-		if !f.Transport.selected() && !f.Transport.IsZero() {
+		if f.Transport.Name == "" && !f.Transport.IsZero() {
 			// A per-flow spec replaces the run default entirely; options on
 			// a variant-less spec would otherwise be silently discarded.
-			return fmt.Errorf("core: flow %d sets transport options without a Protocol or Name; a per-flow TransportSpec replaces the run default entirely (select a transport too, or leave the whole spec zero to inherit)", i)
+			return fmt.Errorf("core: flow %d sets transport options without a Name; a per-flow TransportSpec replaces the run default entirely (select a transport too, or leave the whole spec zero to inherit)", i)
 		}
 		if err := f.Transport.validate(specLabel{"flow %d", i}, true); err != nil {
 			return err

@@ -23,7 +23,7 @@ func TestStackEnergyAccounting(t *testing.T) {
 	}
 
 	w := NewWorld()
-	res, err := w.Run(smallCfg(Chain(1), TransportSpec{Protocol: ProtoNewReno}))
+	res, err := w.Run(smallCfg(Chain(1), TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestStackEnergyAccounting(t *testing.T) {
 // it.
 func TestDeliverLocalSeparatesFlows(t *testing.T) {
 	cfg := smallCfg(Chain(1).WithFlows(Flow{Src: 0, Dst: 1}, Flow{Src: 0, Dst: 1}),
-		TransportSpec{Protocol: ProtoNewReno})
+		TransportSpec{Name: "newreno"})
 	perFlow := make([]int64, 2)
 	cfg.Observer = &Observer{Batch: func(b Batch) {
 		for fi, n := range b.PerFlowPackets {
@@ -72,7 +72,7 @@ func TestDeliverLocalSeparatesFlows(t *testing.T) {
 // the goodput onDelivery counted equals what the sink took in order.
 func TestTCPFlowOverStack(t *testing.T) {
 	w := NewWorld()
-	res, err := w.Run(smallCfg(Chain(2), TransportSpec{Protocol: ProtoNewReno}))
+	res, err := w.Run(smallCfg(Chain(2), TransportSpec{Name: "newreno"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTCPFlowOverStack(t *testing.T) {
 // chain delivers about 20 packets in its first second, and onDelivery
 // counts exactly what the sink received.
 func TestUDPFlowOverStack(t *testing.T) {
-	cfg := smallCfg(Chain(2), TransportSpec{Protocol: ProtoPacedUDP, UDPGap: 50 * time.Millisecond})
+	cfg := smallCfg(Chain(2), TransportSpec{Name: "pacedudp", UDPGap: 50 * time.Millisecond})
 	cfg.MaxSimTime = time.Second
 	w := NewWorld()
 	res, err := w.Run(cfg)

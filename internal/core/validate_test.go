@@ -24,7 +24,7 @@ func wantError(t *testing.T, cfg Config, fragments ...string) {
 func validChain() Config {
 	return Config{
 		Scenario:     Chain(2),
-		Transport:    TransportSpec{Protocol: ProtoVegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		TotalPackets: 550,
 		BatchPackets: 50,
 	}
@@ -71,51 +71,51 @@ func TestValidateNegativeFlowStart(t *testing.T) {
 
 func TestValidatePacedUDPWithoutGap(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: ProtoPacedUDP}
+	cfg.Transport = TransportSpec{Name: "pacedudp"}
 	wantError(t, cfg, "paced UDP needs UDPGap > 0")
 }
 
 func TestValidatePerFlowPacedUDPWithoutGap(t *testing.T) {
 	cfg := validChain()
 	cfg.Scenario = Chain(2).WithFlows(Flow{
-		Src: 0, Dst: 2, Transport: TransportSpec{Protocol: ProtoPacedUDP},
+		Src: 0, Dst: 2, Transport: TransportSpec{Name: "pacedudp"},
 	})
 	wantError(t, cfg, "flow 0", "paced UDP needs UDPGap > 0")
 }
 
 func TestValidateNegativeAlpha(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: ProtoVegas, Alpha: -1}
+	cfg.Transport = TransportSpec{Name: "vegas", Alpha: -1}
 	wantError(t, cfg, "negative Vegas Alpha -1")
 }
 
 func TestValidateNegativeMaxWindow(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: ProtoNewReno, MaxWindow: -3}
+	cfg.Transport = TransportSpec{Name: "newreno", MaxWindow: -3}
 	wantError(t, cfg, "negative MaxWindow -3")
 }
 
 func TestValidateNegativeUDPGap(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: ProtoPacedUDP, UDPGap: -time.Millisecond}
+	cfg.Transport = TransportSpec{Name: "pacedudp", UDPGap: -time.Millisecond}
 	wantError(t, cfg, "negative UDPGap")
 }
 
 func TestValidateUnsetProtocol(t *testing.T) {
 	cfg := validChain()
 	cfg.Transport = TransportSpec{}
-	wantError(t, cfg, "no transport protocol set")
+	wantError(t, cfg, "no transport set")
 }
 
 func TestValidateUnknownProtocol(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: Protocol(42)}
-	wantError(t, cfg, "unknown protocol 42")
+	cfg.Transport = TransportSpec{Name: "bogus"}
+	wantError(t, cfg, `unknown transport "bogus"`)
 }
 
 func TestValidateExclusiveAckPolicies(t *testing.T) {
 	cfg := validChain()
-	cfg.Transport = TransportSpec{Protocol: ProtoNewReno, AckThinning: true, DelayedAck: true}
+	cfg.Transport = TransportSpec{Name: "newreno", AckThinning: true, DelayedAck: true}
 	wantError(t, cfg, "AckThinning and DelayedAck are mutually exclusive")
 }
 
@@ -244,5 +244,5 @@ func TestValidatePerFlowOptionsWithoutProtocol(t *testing.T) {
 	cfg.Scenario = Chain(2).WithFlows(Flow{
 		Src: 0, Dst: 2, Transport: TransportSpec{AckThinning: true},
 	})
-	wantError(t, cfg, "flow 0 sets transport options without a Protocol")
+	wantError(t, cfg, "flow 0 sets transport options without a Name")
 }

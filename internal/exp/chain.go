@@ -53,7 +53,7 @@ func vegasAlphaName(s int) string { return fmt.Sprintf("Vegas α=%d", vegasAlpha
 func vegasAlphaSweep(c *manetsim.Campaign, metric func(*core.Result) float64, id, title, ylabel string) (*Figure, error) {
 	f := &Figure{ID: id, Title: title, XLabel: "hops", YLabel: ylabel}
 	results, err := runGrid(c, len(vegasAlphas), len(chainHops), func(s, x int) core.Config {
-		return chainCfg(chainHops[x], phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: vegasAlphas[s]})
+		return chainCfg(chainHops[x], phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: vegasAlphas[s]})
 	})
 	if err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func Fig4(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "bandwidth [Mbit/s]", YLabel: "goodput [kbit/s]",
 	}
 	results, err := runGrid(c, len(vegasAlphas), len(rates), func(s, x int) core.Config {
-		return chainCfg(7, rates[x], core.TransportSpec{Protocol: core.ProtoVegas, Alpha: vegasAlphas[s]})
+		return chainCfg(7, rates[x], core.TransportSpec{Name: "vegas", Alpha: vegasAlphas[s]})
 	})
 	if err != nil {
 		return nil, err
@@ -102,10 +102,10 @@ func Fig5(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
 	variants := []variant{
-		{"Vegas α=2", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-		{"Vegas α=2 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-		{"Vegas α=3 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 3, AckThinning: true}},
-		{"Vegas α=4 Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 4, AckThinning: true}},
+		{"Vegas α=2", core.TransportSpec{Name: "vegas", Alpha: 2}},
+		{"Vegas α=2 Thin", core.TransportSpec{Name: "vegas", Alpha: 2, AckThinning: true}},
+		{"Vegas α=3 Thin", core.TransportSpec{Name: "vegas", Alpha: 3, AckThinning: true}},
+		{"Vegas α=4 Thin", core.TransportSpec{Name: "vegas", Alpha: 4, AckThinning: true}},
 	}
 	results, err := runGrid(c, len(variants), len(chainHops), func(s, x int) core.Config {
 		return chainCfg(chainHops[x], phy.Rate2Mbps, variants[s].t)
@@ -121,13 +121,13 @@ func Fig5(c *manetsim.Campaign) (*Figure, error) {
 
 // chainVariants are the protocols of Figures 6-9.
 var chainVariants = []variant{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
+	{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
+	{"NewReno", core.TransportSpec{Name: "newreno"}},
+	{"NewReno Thin", core.TransportSpec{Name: "newreno", AckThinning: true}},
 }
 
 // pacedUDP is the paced-UDP series; its gap is searched per x-axis point.
-var pacedUDP = variant{"Paced UDP", core.TransportSpec{Protocol: core.ProtoPacedUDP}}
+var pacedUDP = variant{"Paced UDP", core.TransportSpec{Name: "pacedudp"}}
 
 // chainComparison builds a Figures-6..9 style figure over the chain with
 // the TCP variants and optionally the optimally paced UDP. The gap search
@@ -149,7 +149,7 @@ func chainComparison(c *manetsim.Campaign, id, title, ylabel string, includeUDP 
 	}
 	results, err := runGrid(c, len(variants), len(chainHops), func(s, x int) core.Config {
 		t := variants[s].t
-		if t.Protocol == core.ProtoPacedUDP {
+		if t.Name == "pacedudp" {
 			t.UDPGap = gaps[x]
 		}
 		return chainCfg(chainHops[x], phy.Rate2Mbps, t)
@@ -198,7 +198,7 @@ func Fig10(c *manetsim.Campaign) (*Figure, error) {
 		gaps = append(gaps, time.Duration(ms)*time.Millisecond)
 	}
 	results, err := runGrid(c, 1, len(gaps), func(_, x int) core.Config {
-		return chainCfg(7, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoPacedUDP, UDPGap: gaps[x]})
+		return chainCfg(7, phy.Rate2Mbps, core.TransportSpec{Name: "pacedudp", UDPGap: gaps[x]})
 	})
 	if err != nil {
 		return nil, err

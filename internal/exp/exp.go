@@ -31,10 +31,10 @@ type variant struct {
 // thinning: the series of the grid, random-topology and mobility
 // experiments and the first bar groups of Figures 11-14.
 var headlineVariants = []variant{
-	{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-	{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-	{"Vegas Thin", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2, AckThinning: true}},
-	{"NewReno Thin", core.TransportSpec{Protocol: core.ProtoNewReno, AckThinning: true}},
+	{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
+	{"NewReno", core.TransportSpec{Name: "newreno"}},
+	{"Vegas Thin", core.TransportSpec{Name: "vegas", Alpha: 2, AckThinning: true}},
+	{"NewReno Thin", core.TransportSpec{Name: "newreno", AckThinning: true}},
 }
 
 // nameOf names addSeries' series s after vs[s].

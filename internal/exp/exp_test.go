@@ -56,8 +56,8 @@ func TestRegistryCoversEveryTableAndFigure(t *testing.T) {
 func TestHarnessRunAllPreservesOrder(t *testing.T) {
 	camp := manetsim.NewCampaign(manetsim.BenchScale)
 	cfgs := []core.Config{
-		chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
-		chainCfg(3, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}),
+		chainCfg(2, phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: 2}),
+		chainCfg(3, phy.Rate2Mbps, core.TransportSpec{Name: "vegas", Alpha: 2}),
 	}
 	results, err := camp.RunAll(context.Background(), cfgs)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestRunAllFailsFastOnInvalidConfig(t *testing.T) {
 	camp := manetsim.NewCampaign(manetsim.BenchScale)
 	cfgs := []core.Config{
 		{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}, // invalid flow
-		chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas}),
+		chainCfg(2, rates[0], core.TransportSpec{Name: "vegas"}),
 	}
 	if _, err := camp.RunAll(context.Background(), cfgs); err == nil {
 		t.Fatal("invalid config did not fail the sweep")
@@ -198,7 +198,7 @@ func TestRunAllFailsFastOnInvalidConfig(t *testing.T) {
 // cache entry behind.
 func TestRunAllAbortDoesNotPoisonCache(t *testing.T) {
 	camp := manetsim.NewCampaign(manetsim.BenchScale, manetsim.WithWorkers(1))
-	good := chainCfg(2, rates[0], core.TransportSpec{Protocol: core.ProtoVegas})
+	good := chainCfg(2, rates[0], core.TransportSpec{Name: "vegas"})
 	bad := core.Config{Scenario: core.Chain(2).WithFlows(core.Flow{Src: 0, Dst: 99})}
 	if _, err := camp.RunAll(context.Background(), []core.Config{bad, good, good, good}); err == nil {
 		t.Fatal("failing sweep reported success")

@@ -18,10 +18,10 @@ func TCPVariants(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
 	variants := []variant{
-		{"Tahoe", core.TransportSpec{Protocol: core.ProtoTahoe}},
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
-		{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-		{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
+		{"Tahoe", core.TransportSpec{Name: "tahoe"}},
+		{"Reno", core.TransportSpec{Name: "reno"}},
+		{"NewReno", core.TransportSpec{Name: "newreno"}},
+		{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
 	}
 	hopsAxis := []int{2, 4, 7} // Xu & Saadawi evaluated chains up to 7 hops
 	results, err := runGrid(c, len(variants), len(hopsAxis), func(s, x int) core.Config {
@@ -45,8 +45,8 @@ func Coexist(c *manetsim.Campaign) (*Figure, error) {
 		ID: "coexist", Title: "grid: 3 Vegas flows vs 3 NewReno flows sharing the medium",
 		XLabel: "bandwidth [Mbit/s]", YLabel: "per-group goodput [kbit/s]",
 	}
-	vegas := core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}
-	newreno := core.TransportSpec{Protocol: core.ProtoNewReno}
+	vegas := core.TransportSpec{Name: "vegas", Alpha: 2}
+	newreno := core.TransportSpec{Name: "newreno"}
 	// Alternate protocols within each geometry class (FTP1-3 horizontal,
 	// FTP4-6 vertical) so path length does not confound the comparison.
 	perFlow := []core.TransportSpec{
@@ -99,7 +99,7 @@ func OptWindow(c *manetsim.Campaign) (*Figure, error) {
 	}
 	bounds := []int{1, 2, 3, 4, 6, 8, 12, 16}
 	results, err := runGrid(c, 1, len(bounds), func(_, x int) core.Config {
-		return chainCfg(8, phy.Rate2Mbps, core.TransportSpec{Protocol: core.ProtoNewReno, MaxWindow: bounds[x]})
+		return chainCfg(8, phy.Rate2Mbps, core.TransportSpec{Name: "newreno", MaxWindow: bounds[x]})
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 // renoWestwood are the series of the lossy and chaos experiments: blind
 // window halving against Westwood+'s bandwidth-estimate backoff.
 var renoWestwood = []variant{
-	{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
+	{"Reno", core.TransportSpec{Name: "reno"}},
 	{"Westwood+", core.TransportSpec{Name: "westwood"}},
 }
 

@@ -13,7 +13,7 @@ import (
 // sevenHopVariants are the bar groups of Figures 11-14: the four headline
 // TCP variants, the artificially bounded NewReno, and paced UDP last.
 var sevenHopVariants = append(headlineVariants[:len(headlineVariants):len(headlineVariants)],
-	variant{"NewReno OptWin", core.TransportSpec{Protocol: core.ProtoNewReno, MaxWindow: 3}},
+	variant{"NewReno OptWin", core.TransportSpec{Name: "newreno", MaxWindow: 3}},
 	pacedUDP,
 )
 
@@ -39,7 +39,7 @@ func sevenHopComparison(c *manetsim.Campaign, id, title, ylabel string, includeU
 	}
 	results, err := runGrid(c, len(variants), len(rates), func(s, x int) core.Config {
 		t := variants[s].t
-		if t.Protocol == core.ProtoPacedUDP {
+		if t.Name == "pacedudp" {
 			t.UDPGap = gaps[x]
 		}
 		return chainCfg(7, rates[x], t)
@@ -121,8 +121,8 @@ func Ablation(c *manetsim.Campaign) (*Figure, error) {
 		}},
 	}
 	protos := []core.TransportSpec{
-		{Protocol: core.ProtoVegas, Alpha: 2},
-		{Protocol: core.ProtoNewReno},
+		{Name: "vegas", Alpha: 2},
+		{Name: "newreno"},
 	}
 	results, err := runGrid(c, len(protos), len(models), func(s, x int) core.Config {
 		return models[x].cfg(chainCfg(8, phy.Rate2Mbps, protos[s]))

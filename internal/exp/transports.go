@@ -21,11 +21,11 @@ func Transports(c *manetsim.Campaign) (*Figure, error) {
 		XLabel: "hops", YLabel: "goodput [kbit/s]",
 	}
 	variants := []variant{
-		{"Tahoe", core.TransportSpec{Protocol: core.ProtoTahoe}},
-		{"Reno", core.TransportSpec{Protocol: core.ProtoReno}},
-		{"NewReno", core.TransportSpec{Protocol: core.ProtoNewReno}},
-		{"Vegas", core.TransportSpec{Protocol: core.ProtoVegas, Alpha: 2}},
-		{"Paced UDP", core.TransportSpec{Protocol: core.ProtoPacedUDP, UDPGap: 36 * time.Millisecond}},
+		{"Tahoe", core.TransportSpec{Name: "tahoe"}},
+		{"Reno", core.TransportSpec{Name: "reno"}},
+		{"NewReno", core.TransportSpec{Name: "newreno"}},
+		{"Vegas", core.TransportSpec{Name: "vegas", Alpha: 2}},
+		{"Paced UDP", core.TransportSpec{Name: "pacedudp", UDPGap: 36 * time.Millisecond}},
 	}
 	hopsAxis := []int{4, 7}
 	results, err := runGrid(c, len(variants), len(hopsAxis), func(s, x int) core.Config {

@@ -34,7 +34,7 @@
 //
 //	res, err := manetsim.RunConfig(ctx, manetsim.Config{
 //	    Scenario:  manetsim.Chain(7),
-//	    Transport: manetsim.TransportSpec{Protocol: manetsim.Vegas},
+//	    Transport: manetsim.TransportSpec{Name: "vegas"},
 //	    Seed:      1,
 //	})
 //	if err != nil { ... }
@@ -51,8 +51,7 @@
 // # Transports
 //
 // Transports are plugins: every variant is a named registry entry, and a
-// TransportSpec selects one by Name (or by the legacy Protocol constants,
-// which resolve through the same registry). Window-based variants share
+// TransportSpec selects one by Name. Window-based variants share
 // one sender engine and differ only in their CongestionControl strategy;
 // RegisterTransport adds new strategies that become selectable everywhere
 // a spec goes, including Campaign sweeps and cmd/manetsim:
@@ -69,12 +68,14 @@
 //
 // A Campaign executes parameter studies: it deduplicates identical runs
 // through a single-flight cache, bounds parallelism, applies a common
-// Scale, and aggregates seed replications into confidence intervals. See
+// Scale, and aggregates seed replications into confidence intervals. A
+// campaign keys, runs, stores and reports each config in one canonical
+// form, its defaults filled, so configs that run alike run once. See
 // Campaign.Sweep for declarative protocol x rate x scenario x seed grids.
 //
 // Campaigns also run as shared, durable infrastructure. WithStore
 // attaches a persistent content-addressed result store (every completed
-// run lands on disk under the SHA-256 of its Config.CacheKey), which
+// run lands on disk under the SHA-256 of its canonical Config.CacheKey), which
 // makes sweeps resumable — a killed week-long grid restarted against the
 // same directory re-runs only its incomplete cells — and shareable
 // between processes. Cells are addressed canonically by CellKey across
@@ -108,27 +109,10 @@ const (
 // Rate is a channel bit rate in bit/s.
 type Rate = phy.Rate
 
-// Transport protocols: the paper's three plus the classic Reno and Tahoe
-// baselines discussed in its related work.
-const (
-	Vegas    = core.ProtoVegas
-	NewReno  = core.ProtoNewReno
-	PacedUDP = core.ProtoPacedUDP
-	Reno     = core.ProtoReno
-	Tahoe    = core.ProtoTahoe
-)
-
-// Protocol selects the transport variant. The constants above are
-// registry-backed aliases: they resolve through the same transport
-// registry as TransportSpec.Name, so both selection styles build
-// identical flows.
-type Protocol = core.Protocol
-
 // TransportSpec configures the transport layer of a flow (or the run-wide
-// default, Config.Transport). A spec selects its variant either by
-// registry Name — "vegas", "newreno", "pacedudp", "reno", "tahoe",
-// "westwood", "pacing", or anything added with RegisterTransport — or by
-// the legacy Protocol constant.
+// default, Config.Transport). A spec selects its variant by registry
+// Name: "vegas", "newreno", "pacedudp", "reno", "tahoe", "westwood",
+// "pacing", or anything added with RegisterTransport.
 type TransportSpec = core.TransportSpec
 
 // Params carries the optional per-variant transport parameters of a

@@ -10,7 +10,7 @@ func TestPublicAPIRun(t *testing.T) {
 	res, err := RunConfig(context.Background(), Config{
 		Scenario:     Chain(3),
 		Bandwidth:    Rate2Mbps,
-		Transport:    TransportSpec{Protocol: Vegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 1100,
 		BatchPackets: 100,
@@ -34,8 +34,8 @@ func TestPublicAPICustomScenario(t *testing.T) {
 	left := scn.AddNode(0, 0)
 	right := scn.AddNode(400, 0)
 	sink := scn.AddNode(200, 100)
-	scn.Add(Flow{Src: left, Dst: sink, Transport: TransportSpec{Protocol: Vegas}})
-	scn.Add(Flow{Src: right, Dst: sink, Transport: TransportSpec{Protocol: NewReno}, Start: 2 * time.Second})
+	scn.Add(Flow{Src: left, Dst: sink, Transport: TransportSpec{Name: "vegas"}})
+	scn.Add(Flow{Src: right, Dst: sink, Transport: TransportSpec{Name: "newreno"}, Start: 2 * time.Second})
 	res, err := RunConfig(context.Background(), Config{
 		Scenario:     scn,
 		Seed:         1,
@@ -92,7 +92,7 @@ func TestPublicAPITopologies(t *testing.T) {
 	} {
 		res, err := RunConfig(context.Background(), Config{
 			Scenario:     scn,
-			Transport:    TransportSpec{Protocol: NewReno},
+			Transport:    TransportSpec{Name: "newreno"},
 			Seed:         3,
 			TotalPackets: 550,
 			BatchPackets: 50,
@@ -112,7 +112,7 @@ func TestPublicAPIObserver(t *testing.T) {
 	var lastDelivered int64
 	res, err := RunConfig(context.Background(), Config{
 		Scenario:     Chain(3),
-		Transport:    TransportSpec{Protocol: Vegas},
+		Transport:    TransportSpec{Name: "vegas"},
 		Seed:         1,
 		TotalPackets: 1100,
 		BatchPackets: 100,
@@ -144,7 +144,7 @@ func TestPublicAPIObserverDoesNotChangeResults(t *testing.T) {
 		t.Helper()
 		res, err := RunConfig(context.Background(), Config{
 			Scenario:     Chain(4),
-			Transport:    TransportSpec{Protocol: NewReno},
+			Transport:    TransportSpec{Name: "newreno"},
 			Seed:         5,
 			TotalPackets: 1100,
 			BatchPackets: 100,
@@ -171,11 +171,11 @@ func TestPublicAPITransportName(t *testing.T) {
 		spec TransportSpec
 		want string
 	}{
-		{TransportSpec{Protocol: Vegas}, "Vegas"},
-		{TransportSpec{Protocol: Vegas, Alpha: 3}, "Vegas(α=3)"},
-		{TransportSpec{Protocol: NewReno, AckThinning: true}, "NewReno+Thin"},
-		{TransportSpec{Protocol: NewReno, MaxWindow: 3}, "NewReno(MaxWin=3)"},
-		{TransportSpec{Protocol: PacedUDP}, "PacedUDP"},
+		{TransportSpec{Name: "vegas"}, "Vegas"},
+		{TransportSpec{Name: "vegas", Alpha: 3}, "Vegas(α=3)"},
+		{TransportSpec{Name: "newreno", AckThinning: true}, "NewReno+Thin"},
+		{TransportSpec{Name: "newreno", MaxWindow: 3}, "NewReno(MaxWin=3)"},
+		{TransportSpec{Name: "pacedudp"}, "PacedUDP"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Label(); got != c.want {

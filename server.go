@@ -1,6 +1,7 @@
 package manetsim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -254,16 +255,35 @@ const maxSweepBody = 16 << 20
 const maxSweepRuns = 100_000
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sw Sweep
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSweepBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
+	// The body is read whole, into a buffer sized from Content-Length when
+	// the client sends one, so holding it costs its bytes once.
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxSweepBody {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSweepBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("sweep document exceeds the %d-byte limit", tooBig.Limit))
 			return
 		}
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
+		return
+	}
+	doc := body.Bytes()
+	// Count the grid before the typed decode: decoding an axis costs far
+	// more memory than its bytes, so a grid past the bound must not get
+	// that far.
+	var grid gridCounts
+	if end, _ := jsonSpan(doc); json.Unmarshal(doc[:end], &grid) == nil && grid.runs() > maxSweepRuns {
+		httpError(w, http.StatusBadRequest, errGridTooLarge)
+		return
+	}
+	var sw Sweep
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sw); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding sweep: %w", err))
 		return
 	}
@@ -309,9 +329,70 @@ func validateSweep(sw Sweep) (int, error) {
 	}
 	runs, err := sw.Size()
 	if err != nil || runs > maxSweepRuns {
-		return 0, fmt.Errorf("sweep expands to more than %d runs (scenarios × transports × rates × link models × faults × seeds)", maxSweepRuns)
+		return 0, errGridTooLarge
 	}
 	return runs, nil
+}
+
+var errGridTooLarge = fmt.Errorf("sweep expands to more than %d runs (scenarios × transports × rates × link models × faults × seeds)", maxSweepRuns)
+
+// gridCounts reads only the length of each Sweep axis from a sweep
+// document; json.Unmarshal skips every other field without decoding it.
+type gridCounts struct {
+	Scenarios, Transports, Rates, LinkModels, Faults, Seeds elemCount
+}
+
+// runs multiplies the counts, each taken as at least 1 (an empty axis
+// collapses to one entry, and a sweep without scenarios is refused
+// anyway). It saturates at maxSweepRuns+1, so it never overflows.
+func (g gridCounts) runs() int {
+	runs := 1
+	for _, n := range []elemCount{g.Scenarios, g.Transports, g.Rates, g.LinkModels, g.Faults, g.Seeds} {
+		runs = min(runs*max(int(n), 1), maxSweepRuns+1)
+	}
+	return runs
+}
+
+// elemCount is the number of elements of a JSON array, counted without
+// decoding any of them; null or any other value counts 0. A key given
+// twice counts at its longer array, since the typed decode allocates both.
+type elemCount int
+
+func (n *elemCount) UnmarshalJSON(b []byte) error {
+	// b is one valid value: a non-empty array holds one element more
+	// than its top-level commas.
+	if inner := bytes.TrimLeft(b[1:], " \t\r\n"); b[0] == '[' && inner[0] != ']' {
+		_, commas := jsonSpan(b)
+		*n = max(*n, elemCount(commas+1))
+	}
+	return nil
+}
+
+// jsonSpan scans the first JSON array or object in b without allocating:
+// end is the offset just past it (len(b) if none closes) and commas the
+// number of commas directly inside it. On malformed input both are
+// guesses, which json.Unmarshal then rejects.
+func jsonSpan(b []byte) (end, commas int) {
+	depth, str, esc := 0, false, false
+	for i, c := range b {
+		switch {
+		case esc:
+			esc = false
+		case str:
+			esc, str = c == '\\', c != '"'
+		case c == '"':
+			str = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			if depth--; depth == 0 {
+				return i + 1, commas
+			}
+		case c == ',' && depth == 1:
+			commas++
+		}
+	}
+	return len(b), commas
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

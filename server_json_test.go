@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,6 +96,56 @@ func FuzzIndentJSON(f *testing.F) {
 		want.WriteByte('\n')
 		if got := indentJSON(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("indentJSON(%s)\n%s\nwant\n%s", compact.Bytes(), got, want.Bytes())
+		}
+	})
+}
+
+// FuzzSweepJSON posts arbitrary documents to the submit handler: it never
+// panics, and a 202 implies the document decodes to a grid within
+// maxSweepRuns. The pre-decode count must also never fall short of an
+// axis the decoder fills. The campaign's store cannot open, so an
+// accepted sweep fails at once instead of running.
+func FuzzSweepJSON(f *testing.F) {
+	for _, doc := range []string{
+		`{"Scenarios":[{"Name":"c","Nodes":[{"X":0,"Y":0},{"X":200,"Y":0}],"Flows":[{"Src":0,"Dst":1}]}],"Seeds":[1,2]}`,
+		`{"scenarios":[{"Name":"c","Nodes":[{"X":0,"Y":0},{"X":9,"Y":0}],"Flows":[{"Src":0,"Dst":1}]}],"SEEDS":[1,2,3],"Rates":[2e6],"LinkModels":[{}],"Faults":[[],null]}`,
+		`{"Seeds":[1,2,3],"Seeds":[1]} trailing`,
+		`{"Seeds":["]",{"a":[1,2]}],"Transports":[{"Name":"vegas"}],"Base":{"Seed":1}}`,
+		`{"Scenarios":[null],"Rates":null}`,
+		`[]`, `null`, `{`, ``,
+	} {
+		f.Add([]byte(doc))
+	}
+	file := filepath.Join(f.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(NewCampaign(BenchScale, WithStore(filepath.Join(file, "store"))))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var sw Sweep
+		if json.Unmarshal(doc, &sw) == nil {
+			var g gridCounts
+			if err := json.Unmarshal(doc, &g); err != nil {
+				t.Fatalf("counting a decodable document: %v", err)
+			}
+			if int(g.Seeds) < len(sw.Seeds) || int(g.Rates) < len(sw.Rates) || int(g.Faults) < len(sw.Faults) ||
+				int(g.LinkModels) < len(sw.LinkModels) || int(g.Transports) < len(sw.Transports) || int(g.Scenarios) < len(sw.Scenarios) {
+				t.Fatalf("counts %+v fall short of the decoded axes", g)
+			}
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/sweeps", bytes.NewReader(doc)))
+		if w.Code != http.StatusAccepted {
+			return
+		}
+		sw = Sweep{}
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sw); err != nil {
+			t.Fatalf("202 for a document that does not decode: %v", err)
+		}
+		if n, err := sw.Size(); err != nil || n > maxSweepRuns {
+			t.Fatalf("202 for a grid of %d runs (%v)", n, err)
 		}
 	})
 }

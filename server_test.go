@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -330,6 +331,39 @@ func TestServeRejectsUnboundedGrid(t *testing.T) {
 	getJSON(t, ts, "/api/v1/sweeps", http.StatusOK, &jobs)
 	if len(jobs) != 0 {
 		t.Errorf("%d jobs after rejected submits, want 0", len(jobs))
+	}
+}
+
+// TestServeCountsGridBeforeDecoding: a 10 MB document with 2^20 entries
+// in each of Seeds, Rates, LinkModels and Faults is refused by counting
+// its axes, not by decoding them (which allocated 77 times the body): the
+// handler allocates less than 4 times the body.
+func TestServeCountsGridBeforeDecoding(t *testing.T) {
+	const n = 1 << 20
+	var doc bytes.Buffer
+	doc.WriteString(`{"Scenarios":[{"Name":"c","Nodes":[{"X":0,"Y":0},{"X":200,"Y":0}],"Flows":[{"Src":0,"Dst":1}]}]`)
+	for _, axis := range []struct{ name, elem string }{{"Seeds", "1"}, {"Rates", "1"}, {"LinkModels", "{}"}, {"Faults", "[]"}} {
+		doc.WriteString(`,"` + axis.name + `":[` + axis.elem)
+		doc.Write(bytes.Repeat([]byte(","+axis.elem), n-1))
+		doc.WriteString("]")
+	}
+	doc.WriteString("}")
+	body := doc.Bytes()
+	srv := manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/sweeps", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "more than 100000 runs") {
+		t.Fatalf("submit = %d %s, want 400 naming the run bound", w.Code, w.Body)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte document: %d bytes allocated (%.1fx)", len(body), alloc, float64(alloc)/float64(len(body)))
+	if alloc > 4*uint64(len(body)) {
+		t.Errorf("refusing the grid allocated %d bytes, want under 4x the %d-byte body", alloc, len(body))
 	}
 }
 

@@ -54,14 +54,14 @@ func TestEveryRegisteredTransportRuns(t *testing.T) {
 	}
 }
 
-// TestTransportAliasesResolve pins that aliases and the legacy Protocol
-// constants select the same transports as canonical names.
+// TestTransportAliasesResolve pins that aliases and differently cased
+// names select the same transports as canonical names.
 func TestTransportAliasesResolve(t *testing.T) {
-	byName := shortRun(t, manetsim.TransportSpec{Name: "vegas"})
-	byProto := shortRun(t, manetsim.TransportSpec{Protocol: manetsim.Vegas})
-	if byName.AggGoodput.Mean != byProto.AggGoodput.Mean || byName.Delivered != byProto.Delivered {
-		t.Errorf("Name \"vegas\" and Protocol Vegas diverge: %.0f/%d vs %.0f/%d bit/s",
-			byName.AggGoodput.Mean, byName.Delivered, byProto.AggGoodput.Mean, byProto.Delivered)
+	lower := shortRun(t, manetsim.TransportSpec{Name: "vegas"})
+	label := shortRun(t, manetsim.TransportSpec{Name: "Vegas"})
+	if lower.AggGoodput.Mean != label.AggGoodput.Mean || lower.Delivered != label.Delivered {
+		t.Errorf("Name \"vegas\" and \"Vegas\" diverge: %.0f/%d vs %.0f/%d bit/s",
+			lower.AggGoodput.Mean, lower.Delivered, label.AggGoodput.Mean, label.Delivered)
 	}
 	alias := shortRun(t, manetsim.TransportSpec{Name: "udp", UDPGap: 40 * time.Millisecond})
 	canon := shortRun(t, manetsim.TransportSpec{Name: "pacedudp", UDPGap: 40 * time.Millisecond})
@@ -194,17 +194,17 @@ func TestVegasBetaGammaParams(t *testing.T) {
 }
 
 // TestPerFlowNamedTransportInheritance pins the IsZero-based inheritance:
-// a per-flow spec carrying only a Name (Protocol == 0) must override the
-// run default rather than silently inheriting it.
+// a per-flow spec carrying only a Name must override the run default
+// rather than silently inheriting it.
 func TestPerFlowNamedTransportInheritance(t *testing.T) {
 	scn := manetsim.Chain(2)
 	scn.Flows[0].Transport = manetsim.TransportSpec{Name: "newreno"}
 	res, err := manetsim.RunConfig(context.Background(), manetsim.Config{
 		Scenario: scn,
 		// The run default pins the window at 1 packet; the per-flow spec
-		// (Name only, Protocol == 0) must replace it entirely, so the
+		// (Name only) must replace it entirely, so the
 		// measured average window exceeding 1 proves the override took.
-		Transport:    manetsim.TransportSpec{Protocol: manetsim.Vegas, MaxWindow: 1},
+		Transport:    manetsim.TransportSpec{Name: "vegas", MaxWindow: 1},
 		Seed:         1,
 		TotalPackets: 1100,
 		BatchPackets: 100,
