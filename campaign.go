@@ -483,8 +483,11 @@ type CellKey string
 
 // NewCellKey derives the canonical key of a cell. Two independently
 // built but equal scenario values produce the same key (the encoding
-// follows the pointer into nodes and flows).
+// follows the pointer into nodes and flows). The transport and rate key
+// as they run: a zero Alpha or Rate and its default address one cell.
 func NewCellKey(scn *Scenario, t TransportSpec, r Rate, lm LinkModelSpec, faults []FaultSpec, seeds []int64) CellKey {
+	def := core.WithDefaults(Config{Transport: t, Bandwidth: r})
+	t, r = def.Transport, def.Bandwidth
 	b, err := json.Marshal(struct {
 		Scenario  *Scenario
 		Transport TransportSpec
@@ -585,11 +588,20 @@ func (sw Sweep) axes(scaleSeed int64) (transports []TransportSpec, rates []Rate,
 // replicates). Each factor is checked before it is multiplied in, so a
 // grid too large for an int is an error rather than a wrapped count.
 func (sw Sweep) Size() (int, error) {
-	transports, rates, linkModels, faults, seeds := sw.axes(0)
-	axes := []int{len(sw.Scenarios), len(transports), len(rates), len(linkModels), len(faults), len(seeds)}
-	runs := 1
-	for _, n := range axes {
-		if n != 0 && runs > math.MaxInt/n {
+	return gridSize([6]int{len(sw.Scenarios), len(sw.Transports), len(sw.Rates), len(sw.LinkModels), len(sw.Faults), len(sw.Seeds)})
+}
+
+// gridSize is the one rule for a grid's run count, given the lengths of
+// its axes in Sweep's order (scenarios, transports, rates, link models,
+// fault schedules, seeds): an empty axis past the scenarios collapses to
+// one entry, as in axes, and the lengths multiply.
+func gridSize(axes [6]int) (int, error) {
+	for i := 1; i < len(axes); i++ {
+		axes[i] = max(axes[i], 1)
+	}
+	runs := axes[0]
+	for _, n := range axes[1:] {
+		if runs > math.MaxInt/n {
 			return 0, fmt.Errorf("manetsim: sweep grid of %d scenarios × %d transports × %d rates × %d link models × %d fault schedules × %d seeds overflows an int",
 				axes[0], axes[1], axes[2], axes[3], axes[4], axes[5])
 		}
@@ -648,11 +660,7 @@ func (c *Campaign) SweepProgress(ctx context.Context, sw Sweep, onRun func(Sweep
 				for _, lm := range linkModels {
 					for _, fs := range faults {
 						cfg := sw.Base
-						cfg.Scenario = scn
-						cfg.Transport = t
-						cfg.Bandwidth = r
-						cfg.LinkModel = lm
-						cfg.Faults = fs
+						cfg.Scenario, cfg.Transport, cfg.Bandwidth, cfg.LinkModel, cfg.Faults = scn, t, r, lm, fs
 						cfg = c.canonical(cfg)
 						cells = append(cells, Cell{
 							Key:      NewCellKey(scn, cfg.Transport, cfg.Bandwidth, lm, fs, seeds),

@@ -42,8 +42,7 @@ func TestSweepFaultsAxis(t *testing.T) {
 	if strings.Contains(string(baseline.Key), "Fault") {
 		t.Errorf("fault-free cell key mentions faults: %s", baseline.Key)
 	}
-	// Keys are over the canonical cell: Alpha and Rate at their defaults.
-	if want := NewCellKey(sw.Scenarios[0], TransportSpec{Name: "newreno", Alpha: 2}, Rate2Mbps, LinkModelSpec{}, nil, sw.Seeds); baseline.Key != want {
+	if want := NewCellKey(sw.Scenarios[0], sw.Transports[0], 0, LinkModelSpec{}, nil, sw.Seeds); baseline.Key != want {
 		t.Errorf("fault-free cell key drifted:\n got %s\nwant %s", baseline.Key, want)
 	}
 	if baseline.Key == faulted.Key {

@@ -775,10 +775,8 @@ func TestCellKeyAddressing(t *testing.T) {
 			t.Fatalf("key hash %q is not hex sha256", h)
 		}
 	}
-	// Independently built equal scenarios address the same cell. The key
-	// is over the canonical config, so the sweep's empty Rates axis keys at
-	// the default 2 Mbit/s.
-	if k := NewCellKey(Chain(2), TransportSpec{Name: "vegas", Alpha: 2}, Rate2Mbps, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
+	// Independently built equal scenarios address the same cell.
+	if k := NewCellKey(Chain(2), TransportSpec{Name: "vegas", Alpha: 2}, 0, LinkModelSpec{}, nil, []int64{1, 2}); k != cells[0].Key {
 		t.Fatalf("independently built key %s, want %s", k, cells[0].Key)
 	}
 	if _, ok := FindCell(cells, CellKey("nope")); ok {

@@ -255,12 +255,9 @@ const maxSweepBody = 16 << 20
 const maxSweepRuns = 100_000
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The body is read whole, into a buffer sized from Content-Length when
-	// the client sends one, so holding it costs its bytes once.
+	// The body is read whole before any parse. Its buffer grows only as
+	// bytes arrive, never to a length the client merely declares.
 	var body bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxSweepBody {
-		body.Grow(int(n) + bytes.MinRead)
-	}
 	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSweepBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -275,10 +272,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Count the grid before the typed decode: decoding an axis costs far
 	// more memory than its bytes, so a grid past the bound must not get
 	// that far.
-	var grid gridCounts
-	if end, _ := jsonSpan(doc); json.Unmarshal(doc[:end], &grid) == nil && grid.runs() > maxSweepRuns {
-		httpError(w, http.StatusBadRequest, errGridTooLarge)
-		return
+	var g gridCounts
+	if end, _ := jsonSpan(doc); json.Unmarshal(doc[:end], &g) == nil {
+		// Sweep.Size's rule over the counted lengths.
+		if runs, err := gridSize([6]int{int(g.Scenarios), int(g.Transports), int(g.Rates), int(g.LinkModels), int(g.Faults), int(g.Seeds)}); err != nil || runs > maxSweepRuns {
+			httpError(w, http.StatusBadRequest, errGridTooLarge)
+			return
+		}
 	}
 	var sw Sweep
 	dec := json.NewDecoder(bytes.NewReader(doc))
@@ -340,17 +340,6 @@ var errGridTooLarge = fmt.Errorf("sweep expands to more than %d runs (scenarios 
 // document; json.Unmarshal skips every other field without decoding it.
 type gridCounts struct {
 	Scenarios, Transports, Rates, LinkModels, Faults, Seeds elemCount
-}
-
-// runs multiplies the counts, each taken as at least 1 (an empty axis
-// collapses to one entry, and a sweep without scenarios is refused
-// anyway). It saturates at maxSweepRuns+1, so it never overflows.
-func (g gridCounts) runs() int {
-	runs := 1
-	for _, n := range []elemCount{g.Scenarios, g.Transports, g.Rates, g.LinkModels, g.Faults, g.Seeds} {
-		runs = min(runs*max(int(n), 1), maxSweepRuns+1)
-	}
-	return runs
 }
 
 // elemCount is the number of elements of a JSON array, counted without

@@ -367,6 +367,35 @@ func TestServeCountsGridBeforeDecoding(t *testing.T) {
 	}
 }
 
+// TestServeAllocatesWhatArrives: a request that declares a 16 MiB body
+// and sends a few bytes costs the handler about what it sent, not the
+// declared length; the buffer grows only as bytes arrive.
+func TestServeAllocatesWhatArrives(t *testing.T) {
+	srv := manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale))
+	submit := func() (*httptest.ResponseRecorder, *http.Request) {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/sweeps", strings.NewReader(`{"Seeds":[1,2]}`))
+		req.ContentLength = 16 << 20
+		return httptest.NewRecorder(), req
+	}
+	// A first request fills the decoder's type caches, which are not
+	// per-request costs.
+	srv.ServeHTTP(submit())
+	w, req := submit()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "at least one scenario") {
+		t.Fatalf("submit = %d %s, want 400 asking for a scenario", w.Code, w.Body)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("15-byte body declared as %d bytes: %d bytes allocated", req.ContentLength, alloc)
+	if alloc > 64<<10 {
+		t.Errorf("a 15-byte body declared as 16 MiB allocated %d bytes, want under 64 KiB", alloc)
+	}
+}
+
 func TestServeUnknownJobIs404(t *testing.T) {
 	ts := httptest.NewServer(manetsim.NewServer(manetsim.NewCampaign(manetsim.BenchScale)))
 	defer ts.Close()
